@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -240,22 +240,9 @@ class StepSizePlan:
     q: float
 
     def to_dict(self) -> dict:
-        return {
-            "mu": self.mu,
-            "l": self.l,
-            "sigma": self.sigma,
-            "n": self.n,
-            "terms": list(self.terms),
-            "alpha_max": self.alpha_max,
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "gamma": self.gamma,
-            "theta": self.theta,
-            "d": self.d,
-            "lambda1": self.lambda1,
-            "lambda2": self.lambda2,
-            "q": self.q,
-        }
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        doc["terms"] = list(self.terms)
+        return doc
 
     def to_text(self) -> str:
         lines = [f"{key}: {value!r}" for key, value in self.to_dict().items()]

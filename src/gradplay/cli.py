@@ -121,6 +121,10 @@ def _cmd_audit(args) -> int:
     for t in topologies:
         if t not in TOPOLOGIES:
             raise ValueError(f"unknown topology {t!r}; choose from {TOPOLOGIES}")
+    if not sizes or not topologies:
+        raise ValueError("audit needs at least one size and one topology")
+    if args.seeds < 1:
+        raise ValueError(f"--seeds must be >= 1, got {args.seeds}")
     out_dir = args.out or _default_out("audit")
     report = audit(
         sizes=sizes,

@@ -13,17 +13,15 @@ in matrix form ``x <- W x - alpha * Diag(g)``.  The column means (the
 network-wide running average) then follow the exact recursion
 ``avg <- avg - (alpha / n) * g``.
 
-:func:`run` iterates this update and can record, per iteration, every
-quantity used by the convergence analysis: consensus violation, distances
-to the equilibrium, gradient norm, and the slack (rhs - lhs) of the three
+:func:`run` iterates this update and records four norms per iteration:
+consensus violation, distances to the equilibrium and gradient norm.  After
+the loop it derives, column-wise, the slack (rhs - lhs) of the three
 per-step inequalities that drive the geometric-rate proof.
 """
 
 from __future__ import annotations
 
-import io
 import math
-from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -49,40 +47,56 @@ __all__ = [
 #: guard only ever trips on a step size far beyond the certified ceiling.
 DIVERGENCE_FACTOR = 1e12
 
+#: Trace columns, in ``trace.csv`` order.  All norms are Frobenius norms of
+#: ``n x n`` matrices.  The slack columns hold ``rhs - lhs`` of the
+#: corresponding inequality; nonnegative slack (up to rounding) means the
+#: inequality held.
+#:
+#: * ``lemma1_slack``: consensus-violation contraction for the transition
+#:   into this iterate, ``sigma * cv_prev + alpha * sqrt((n-1)/n) * gn_prev
+#:   - cv``.
+#: * ``lemma2_slack``: gradient-norm bound at this iterate,
+#:   ``L * distance_to_ne - grad_norm``.
+#: * ``lemma3_slack``: averaged-iterate contraction for the transition into
+#:   this iterate, ``avg_d_prev**2 + (L**2 * alpha / mu) * cv_prev**2 -
+#:   (1 + mu * alpha / n) * avg_d**2`` (valid whenever ``alpha <= mu / L**2``).
+#:
+#: At ``t = 0`` there is no arriving transition, so ``lemma1_slack`` and
+#: ``lemma3_slack`` are NaN.
+TRACE_COLUMNS = (
+    "t",
+    "consensus_violation",
+    "distance_to_ne",
+    "avg_distance_to_ne",
+    "grad_norm",
+    "lemma1_slack",
+    "lemma2_slack",
+    "lemma3_slack",
+)
 
-@dataclass(frozen=True)
-class IterationTrace:
-    """Per-iteration record of the quantities used in the rate analysis.
-
-    All norms are Frobenius norms of ``n x n`` matrices.  The slack fields
-    hold ``rhs - lhs`` of the corresponding inequality; nonnegative slack
-    (up to rounding) means the inequality held.
-
-    * ``lemma1_slack``: consensus-violation contraction for the transition
-      into this iterate, ``sigma * cv_prev + alpha * sqrt((n-1)/n) * gn_prev
-      - cv``.
-    * ``lemma2_slack``: gradient-norm bound at this iterate,
-      ``L * distance_to_ne - grad_norm``.
-    * ``lemma3_slack``: averaged-iterate contraction for the transition into
-      this iterate, ``avg_d_prev**2 + (L**2 * alpha / mu) * cv_prev**2 -
-      (1 + mu * alpha / n) * avg_d**2`` (valid whenever
-      ``alpha <= mu / L**2``).
-
-    At ``t = 0`` there is no arriving transition, so ``lemma1_slack`` and
-    ``lemma3_slack`` are NaN.
-    """
-
-    t: int
-    consensus_violation: float
-    distance_to_ne: float
-    avg_distance_to_ne: float
-    grad_norm: float
-    lemma1_slack: float
-    lemma2_slack: float
-    lemma3_slack: float
+#: Record dtype of a trace: one row per visited state, ``t`` an integer and
+#: every other column a float.  :func:`run` returns a ``np.recarray`` of it,
+#: so ``trace.distance_to_ne`` is a column and ``trace[-1].distance_to_ne``
+#: a single value.
+IterationTrace = np.dtype(
+    [(TRACE_COLUMNS[0], np.int64)] + [(name, np.float64) for name in TRACE_COLUMNS[1:]]
+)
 
 
-TRACE_COLUMNS = tuple(f.name for f in fields(IterationTrace))
+def _check_step_size(alpha) -> None:
+    if not 0 < alpha < math.inf:
+        raise ValueError(f"step size must be finite and > 0, got {alpha}")
+
+
+def _own_gradient(game: QuadraticGame, x_mat: np.ndarray) -> np.ndarray:
+    return np.sum(game.mapping_matrix * x_mat, axis=1) + game.b
+
+
+def _update(w_mat: np.ndarray, x_mat: np.ndarray, alpha: float, g: np.ndarray) -> np.ndarray:
+    out = w_mat @ x_mat
+    own = np.arange(x_mat.shape[0])
+    out[own, own] -= alpha * g
+    return out
 
 
 def diag_gradient(game, x_mat: np.ndarray) -> np.ndarray:
@@ -107,7 +121,7 @@ def diag_gradient(game, x_mat: np.ndarray) -> np.ndarray:
     n = game.n
     if x_mat.shape != (n, n):
         raise ValueError(f"estimation matrix has shape {x_mat.shape}, expected ({n}, {n})")
-    return np.sum(game.mapping_matrix * x_mat, axis=1) + game.b
+    return _own_gradient(game, x_mat)
 
 
 def step(x_mat: np.ndarray, w, alpha: float, game) -> np.ndarray:
@@ -116,19 +130,14 @@ def step(x_mat: np.ndarray, w, alpha: float, game) -> np.ndarray:
     Only the diagonal (own-action) entries receive the gradient correction;
     every other entry is pure neighborhood averaging.
     """
-    if alpha <= 0:
-        raise ValueError(f"step size must be > 0, got {alpha}")
+    _check_step_size(alpha)
     x_mat = np.asarray(x_mat, dtype=float)
     w_mat = w.w if isinstance(w, MixingMatrix) else np.asarray(w, dtype=float)
     if w_mat.shape != x_mat.shape:
         raise ValueError(
             f"shape mismatch: mixing matrix {w_mat.shape}, estimates {x_mat.shape}"
         )
-    g = diag_gradient(game, x_mat)
-    out = w_mat @ x_mat
-    idx = np.arange(x_mat.shape[0])
-    out[idx, idx] -= alpha * g
-    return out
+    return _update(w_mat, x_mat, alpha, diag_gradient(game, x_mat))
 
 
 def running_average(x_mat: np.ndarray) -> np.ndarray:
@@ -176,11 +185,11 @@ def run(
     ----------
     game : QuadraticGame
         Supplies gradients and the exact oracles (equilibrium, mu, L) used
-        for stopping and for the recorded slack fields.
+        for stopping and for the recorded slack columns.
     w : MixingMatrix
         Mixing matrix; its ``sigma`` enters the recorded slacks.
     alpha : float
-        Constant step size, > 0.
+        Constant step size, finite and > 0.
     x0 : ndarray, shape (n, n)
         Initial estimation matrix.
     max_iters : int
@@ -189,26 +198,26 @@ def run(
         Stop once the Frobenius distance to the consensual equilibrium
         matrix is <= tol.  The default 0 gives a fixed horizon.
     record : bool
-        When set, return one :class:`IterationTrace` per visited state
-        (including the initial one).
+        When set, the trace has one row per visited state (including the
+        initial one); otherwise it is empty.
 
     Returns
     -------
-    (final, trace) : (ndarray, list of IterationTrace)
+    (final, trace) : (ndarray, np.recarray of dtype IterationTrace)
 
     Raises
     ------
     DivergenceError
-        If the distance to the equilibrium exceeds ``DIVERGENCE_FACTOR``
-        times its initial value (step size far above the ceiling).
+        If the distance to the equilibrium is not finite or exceeds
+        ``DIVERGENCE_FACTOR`` times its initial value (step size far above
+        the ceiling).  Its ``trace`` holds the rows up to that iteration.
     """
     if not isinstance(game, QuadraticGame):
         raise TypeError(
             "run() needs a QuadraticGame (exact equilibrium and constants); "
             "for a plain gradient callback iterate step() directly"
         )
-    if alpha <= 0:
-        raise ValueError(f"step size must be > 0, got {alpha}")
+    _check_step_size(alpha)
     if tol < 0:
         raise ValueError(f"tolerance must be >= 0, got {tol}")
     if max_iters < 0:
@@ -224,80 +233,68 @@ def run(
     consts = estimate_constants(game)
     x_star = solve_nash_equilibrium(game)
     x_star_mat = consensual_matrix(x_star)
-    sigma = w.sigma
-    mu, big_l = consts.mu, consts.l
-    off_diag_factor = math.sqrt((n - 1) / n)
     w_mat = w.w
-    idx = np.arange(n)
+    norms = []  # (consensus_violation, distance_to_ne, avg_distance_to_ne, grad_norm)
 
-    trace: list[IterationTrace] = []
+    def trace():
+        return _trace_from_norms(norms, w.sigma, consts.mu, consts.l, alpha, n)
+
     initial_dist = float(np.linalg.norm(x - x_star_mat))
-    prev = None  # (consensus_violation, grad_norm, avg_dist)
-
     for t in range(max_iters + 1):
         avg = x.mean(axis=0)
-        cv = float(np.linalg.norm(x - avg))
         dist = float(np.linalg.norm(x - x_star_mat))
-        avg_dist = math.sqrt(n) * float(np.linalg.norm(avg - x_star))
-        g = np.sum(game.mapping_matrix * x, axis=1) + game.b
-        gn = float(np.linalg.norm(g))
-
+        g = _own_gradient(game, x)
         if record:
-            if prev is None:
-                lemma1 = lemma3 = math.nan
-            else:
-                cv_p, gn_p, avg_dist_p = prev
-                lemma1 = sigma * cv_p + alpha * off_diag_factor * gn_p - cv
-                lemma3 = (
-                    avg_dist_p**2
-                    + (big_l**2 * alpha / mu) * cv_p**2
-                    - (1.0 + mu * alpha / n) * avg_dist**2
-                )
-            trace.append(
-                IterationTrace(
-                    t=t,
-                    consensus_violation=cv,
-                    distance_to_ne=dist,
-                    avg_distance_to_ne=avg_dist,
-                    grad_norm=gn,
-                    lemma1_slack=lemma1,
-                    lemma2_slack=big_l * dist - gn,
-                    lemma3_slack=lemma3,
-                )
-            )
-        prev = (cv, gn, avg_dist)
+            cv = float(np.linalg.norm(x - avg))
+            avg_dist = math.sqrt(n) * float(np.linalg.norm(avg - x_star))
+            norms.append((cv, dist, avg_dist, float(np.linalg.norm(g))))
 
         if dist <= tol:
             break
-        if dist > DIVERGENCE_FACTOR * max(initial_dist, 1e-300):
+        if not math.isfinite(dist) or dist > DIVERGENCE_FACTOR * max(initial_dist, 1e-300):
             err = DivergenceError(
                 f"diverged at iteration {t}: distance {dist:.3e} exceeds "
                 f"{DIVERGENCE_FACTOR:.0e} x initial {initial_dist:.3e} "
                 f"(alpha={alpha} too large)"
             )
             err.iteration = t
-            err.trace = trace  # partial trace for post-mortem reporting
+            err.trace = trace()  # partial trace for post-mortem reporting
             raise err
         if t == max_iters:
             break
-        x = w_mat @ x
-        x[idx, idx] -= alpha * g
+        x = _update(w_mat, x, alpha, g)
 
-    return x, trace
+    return x, trace()
+
+
+def _trace_from_norms(norms, sigma, mu, big_l, alpha, n) -> np.recarray:
+    """The trace of a run from its per-state norms: the slack columns are
+    shifts and products of whole norm columns."""
+    trace = np.recarray(len(norms), dtype=IterationTrace)
+    cv, dist, avg_d, gn = np.array(norms, dtype=float).reshape(-1, 4).T
+    trace.t = np.arange(len(norms))
+    trace.consensus_violation = cv
+    trace.distance_to_ne = dist
+    trace.avg_distance_to_ne = avg_d
+    trace.grad_norm = gn
+    trace.lemma1_slack[:1] = trace.lemma3_slack[:1] = math.nan
+    trace.lemma1_slack[1:] = (
+        sigma * cv[:-1] + alpha * math.sqrt((n - 1) / n) * gn[:-1] - cv[1:]
+    )
+    trace.lemma2_slack = big_l * dist - gn
+    trace.lemma3_slack[1:] = (
+        avg_d[:-1] ** 2
+        + (big_l**2 * alpha / mu) * cv[:-1] ** 2
+        - (1.0 + mu * alpha / n) * avg_d[1:] ** 2
+    )
+    return trace
 
 
 def trace_to_csv(trace) -> str:
     """CSV text for a trace; full double precision via shortest repr."""
-    buf = io.StringIO()
-    buf.write(",".join(TRACE_COLUMNS))
-    buf.write("\n")
-    for row in trace:
-        buf.write(str(row.t))
-        for name in TRACE_COLUMNS[1:]:
-            buf.write(",")
-            buf.write(repr(float(getattr(row, name))))
-        buf.write("\n")
-    return buf.getvalue()
+    columns = [map(repr, trace[name].tolist()) for name in TRACE_COLUMNS]
+    lines = [",".join(TRACE_COLUMNS), *map(",".join, zip(*columns))]
+    return "\n".join(lines) + "\n"
 
 
 def write_trace_csv(trace, path) -> None:

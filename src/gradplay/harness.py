@@ -21,7 +21,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -113,17 +113,17 @@ class ExperimentConfig:
             )
         if self.topology == "ring" and self.n < 3:
             raise ValueError("ring topology needs n >= 3")
-        if self.coupling_scale < 0:
-            raise ValueError("coupling_scale must be >= 0")
+        if not 0 <= self.coupling_scale < math.inf:
+            raise ValueError(f"coupling_scale must be finite and >= 0, got {self.coupling_scale}")
         if isinstance(self.alpha, str):
             if self.alpha != "auto":
                 raise ValueError(f'alpha must be a number or "auto", got {self.alpha!r}')
-        elif self.alpha <= 0:
-            raise ValueError(f"alpha must be > 0, got {self.alpha}")
+        elif not 0 < self.alpha < math.inf:
+            raise ValueError(f"alpha must be finite and > 0, got {self.alpha}")
         if self.max_iters < 0:
             raise ValueError("max_iters must be >= 0")
-        if self.tol < 0:
-            raise ValueError("tol must be >= 0")
+        if not 0 <= self.tol < math.inf:
+            raise ValueError(f"tol must be finite and >= 0, got {self.tol}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -183,24 +183,33 @@ def build_graph(topology: str, n: int, seed: int = 0):
 # trace analysis helpers
 
 
+def _normalized_slacks(trace, mu: float, alpha: float, n: int) -> dict:
+    """Each recorded inequality's slack normalized by ``1 + |rhs|``, so a
+    single tolerance applies across scales.
+
+    Keys come in check order (lemma2, lemma1, lemma3); values are columns
+    with NaN where the inequality has no transition (``t = 0``).
+    """
+    lhs3 = (1.0 + mu * alpha / n) * trace.avg_distance_to_ne**2
+    pairs = {
+        "lemma2": (trace.lemma2_slack, trace.grad_norm),
+        "lemma1": (trace.lemma1_slack, trace.consensus_violation),
+        "lemma3": (trace.lemma3_slack, lhs3),
+    }
+    return {name: slack / (1.0 + np.abs(slack + lhs)) for name, (slack, lhs) in pairs.items()}
+
+
 def lemma_slack_minima(trace, mu: float, l: float, alpha: float, n: int) -> dict:
     """Worst normalized slack of each recorded inequality over a trace.
 
-    Slacks are normalized by ``1 + rhs`` so a single tolerance applies
-    across scales.  The averaged-iterate inequality only holds under
-    ``alpha <= mu / l**2``; outside that range it is reported but marked
-    inapplicable.
+    The averaged-iterate inequality only holds under ``alpha <= mu / l**2``;
+    outside that range it is reported but marked inapplicable.
     """
-    mins = {"lemma1": math.inf, "lemma2": math.inf, "lemma3": math.inf}
-    for row in trace:
-        rhs2 = row.lemma2_slack + row.grad_norm
-        mins["lemma2"] = min(mins["lemma2"], row.lemma2_slack / (1.0 + abs(rhs2)))
-        if not math.isnan(row.lemma1_slack):
-            rhs1 = row.lemma1_slack + row.consensus_violation
-            mins["lemma1"] = min(mins["lemma1"], row.lemma1_slack / (1.0 + abs(rhs1)))
-        if not math.isnan(row.lemma3_slack):
-            rhs3 = row.lemma3_slack + (1.0 + mu * alpha / n) * row.avg_distance_to_ne**2
-            mins["lemma3"] = min(mins["lemma3"], row.lemma3_slack / (1.0 + abs(rhs3)))
+    slacks = _normalized_slacks(trace, mu, alpha, n)
+    mins = {
+        name: float(np.fmin.reduce(slacks[name], initial=math.inf))
+        for name in ("lemma1", "lemma2", "lemma3")
+    }
     mins["lemma3_applicable"] = alpha <= mu / l**2
     return mins
 
@@ -215,7 +224,7 @@ def averaged_step_slacks(trace, mu: float, l: float, alpha: float, n: int, theta
             <= avg_d_prev**2 + (l**2 alpha / theta) * cv_prev**2
 
     ``theta=None`` uses ``mu``, the choice behind the headline rate (and the
-    ``lemma3_slack`` trace field).  Returns one ``rhs - lhs`` value per
+    ``lemma3_slack`` trace column).  Returns one ``rhs - lhs`` value per
     transition.
     """
     theta = mu if theta is None else float(theta)
@@ -226,31 +235,28 @@ def averaged_step_slacks(trace, mu: float, l: float, alpha: float, n: int, theta
             f"alpha={alpha} exceeds theta/l^2={theta / l**2}; the inequality "
             "is not asserted there"
         )
-    slacks = []
-    for prev, cur in zip(trace, trace[1:]):
-        lhs = (1.0 + (2.0 * alpha / n) * (mu - theta / 2.0)) * cur.avg_distance_to_ne**2
-        rhs = prev.avg_distance_to_ne**2 + (l**2 * alpha / theta) * prev.consensus_violation**2
-        slacks.append(rhs - lhs)
-    return slacks
+    avg_d2 = trace.avg_distance_to_ne**2
+    lhs = (1.0 + (2.0 * alpha / n) * (mu - theta / 2.0)) * avg_d2[1:]
+    rhs = avg_d2[:-1] + (l**2 * alpha / theta) * trace.consensus_violation[:-1] ** 2
+    return rhs - lhs
 
 
 def first_lemma_violation(trace, mu, l, alpha, n, tol=SLACK_TOL):
-    """First (name, iteration, normalized slack) below ``-tol``, or None."""
-    lemma3_applies = alpha <= mu / l**2
-    for row in trace:
-        checks = [("lemma2", row.lemma2_slack, row.lemma2_slack + row.grad_norm)]
-        if not math.isnan(row.lemma1_slack):
-            checks.append(
-                ("lemma1", row.lemma1_slack, row.lemma1_slack + row.consensus_violation)
-            )
-        if lemma3_applies and not math.isnan(row.lemma3_slack):
-            rhs3 = row.lemma3_slack + (1.0 + mu * alpha / n) * row.avg_distance_to_ne**2
-            checks.append(("lemma3", row.lemma3_slack, rhs3))
-        for name, slack, rhs in checks:
-            normalized = slack / (1.0 + abs(rhs))
-            if normalized < -tol:
-                return (name, row.t, normalized)
-    return None
+    """First (name, iteration, normalized slack) below ``-tol``, or None.
+
+    Earliest iteration first; within one iteration the order is lemma2,
+    lemma1, lemma3.  lemma3 counts only where it applies
+    (``alpha <= mu / l**2``).
+    """
+    slacks = _normalized_slacks(trace, mu, alpha, n)
+    if alpha > mu / l**2:
+        del slacks["lemma3"]
+    table = np.column_stack(list(slacks.values()))
+    hits = np.argwhere(table < -tol)  # row-major: by iteration, then check order
+    if not len(hits):
+        return None
+    row, col = hits[0]
+    return list(slacks)[col], int(trace.t[row]), float(table[row, col])
 
 
 def zdomination_excess(trace, z: np.ndarray) -> float:
@@ -259,14 +265,12 @@ def zdomination_excess(trace, z: np.ndarray) -> float:
     Nonpositive means the domination held everywhere; compare against
     ``SLACK_TOL``.
     """
-    worst = -math.inf
-    for prev, cur in zip(trace, trace[1:]):
-        zv = np.array([prev.avg_distance_to_ne**2, prev.consensus_violation**2])
-        nxt = np.array([cur.avg_distance_to_ne**2, cur.consensus_violation**2])
-        bound = z @ zv
-        excess = np.max((nxt - bound) / (1.0 + np.abs(bound)))
-        worst = max(worst, float(excess))
-    return worst
+    if len(trace) < 2:
+        return -math.inf
+    zv = np.stack([trace.avg_distance_to_ne**2, trace.consensus_violation**2], axis=1)
+    # a stack of 2x2 matrix-vector products, one per transition
+    bound = (z @ zv[:-1, :, None])[..., 0]
+    return float(np.max((zv[1:] - bound) / (1.0 + np.abs(bound))))
 
 
 def envelope_excess(trace, z: np.ndarray, lambda1: float, lambda2: float) -> float:
@@ -283,14 +287,11 @@ def envelope_excess(trace, z: np.ndarray, lambda1: float, lambda2: float) -> flo
     """
     if len(trace) < 2:
         return -math.inf
-    z10 = trace[0].avg_distance_to_ne**2
-    z20 = trace[0].consensus_violation**2
+    z10 = trace.avg_distance_to_ne[0] ** 2
+    z20 = trace.consensus_violation[0] ** 2
     k = 4.0 / (lambda1 - lambda2) * ((z[0, 0] + z[1, 0]) * z10 + (z[0, 1] + z[1, 1]) * z20)
-    worst = -math.inf
-    for row in trace[1:]:
-        env = k * lambda1 ** (row.t - 1)
-        worst = max(worst, (row.distance_to_ne**2 - env) / (1.0 + env))
-    return worst
+    env = k * lambda1 ** (trace.t[1:] - 1.0)
+    return float(np.max((trace.distance_to_ne[1:] ** 2 - env) / (1.0 + env)))
 
 
 def recursion_residual(game, w, alpha: float, x0: np.ndarray, iters: int) -> float:
@@ -320,26 +321,21 @@ def fit_tail_contraction(trace, burn_frac: float = 0.5, min_points: int = 20):
     too short or already at numerical zero.  ``exp(slope)`` estimates the
     per-step squared-error contraction ratio.
     """
-    if not trace:
+    if not len(trace):
         return None
-    d0 = trace[0].distance_to_ne
-    floor = max(1e-13 * d0, 1e-300)
-    start = int(len(trace) * burn_frac)
-    ts, ys = [], []
-    for row in trace[start:]:
-        if row.distance_to_ne > floor:
-            ts.append(row.t)
-            ys.append(2.0 * math.log(row.distance_to_ne))
-    if len(ts) < min_points:
+    floor = max(1e-13 * trace.distance_to_ne[0], 1e-300)
+    tail = trace[int(len(trace) * burn_frac) :]
+    tail = tail[tail.distance_to_ne > floor]
+    if len(tail) < min_points:
         return None
-    t = np.array(ts, dtype=float)
-    y = np.array(ys, dtype=float)
+    t = tail.t.astype(float)
+    y = 2.0 * np.log(tail.distance_to_ne)
     slope, intercept = np.polyfit(t, y, 1)
     fitted = slope * t + intercept
     ss_res = float(np.sum((y - fitted) ** 2))
     ss_tot = float(np.sum((y - np.mean(y)) ** 2))
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    return float(slope), r2, len(ts)
+    return float(slope), r2, len(tail)
 
 
 # ---------------------------------------------------------------------------
@@ -375,30 +371,10 @@ class ExperimentReport:
     trace: list = field(repr=False, default_factory=list)
 
     def to_dict(self) -> dict:
-        doc = {
-            "config": self.config.to_dict(),
-            "mu": self.mu,
-            "l": self.l,
-            "kappa": self.kappa,
-            "sigma": self.sigma,
-            "terms": list(self.terms) if self.terms is not None else None,
-            "alpha_max": self.alpha_max,
-            "alpha": self.alpha,
-            "alpha_admissible": self.alpha_admissible,
-            "alpha_note": self.alpha_note,
-            "q": self.q,
-            "iterations": self.iterations,
-            "initial_distance": self.initial_distance,
-            "final_distance": self.final_distance,
-            "final_relative_error": self.final_relative_error,
-            "fitted_contraction_ratio": self.fitted_contraction_ratio,
-            "fit_r_squared": self.fit_r_squared,
-            "lemma_min_slacks": self.lemma_min_slacks,
-            "first_violation": list(self.first_violation) if self.first_violation else None,
-            "diverged": self.diverged,
-            "runtime_seconds": self.runtime_seconds,
-            "ok": self.ok,
-        }
+        doc = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "trace"}
+        doc["config"] = self.config.to_dict()
+        doc["terms"] = list(self.terms) if self.terms is not None else None
+        doc["first_violation"] = list(self.first_violation) if self.first_violation else None
         return doc
 
     def to_text(self) -> str:
@@ -419,31 +395,58 @@ class ExperimentReport:
 
 _PLOT_SCRIPT = """\
 #!/usr/bin/env python3
-\"\"\"Render relative error vs iteration from trace.csv into plot.svg.\"\"\"
+\"\"\"Render log10(relative error) vs iteration from trace.csv into plot.svg.
+
+Standard library only: the plot is one SVG polyline.
+\"\"\"
 import csv
+import math
 import os
 
-import matplotlib
-
-matplotlib.use("Agg")
-import matplotlib.pyplot as plt
+WIDTH, HEIGHT, PAD = 640, 420, 60
 
 here = os.path.dirname(os.path.abspath(__file__))
 with open(os.path.join(here, "trace.csv")) as f:
     rows = list(csv.DictReader(f))
 d0 = float(rows[0]["distance_to_ne"]) or 1.0
-ts = [int(r["t"]) for r in rows]
-rel = [float(r["distance_to_ne"]) / d0 for r in rows]
+points = []
+for r in rows:
+    # clamp zero error (a run that starts at consensus) onto the log scale
+    rel = max(float(r["distance_to_ne"]) / d0, 1e-300)
+    if math.isfinite(rel):
+        points.append((int(r["t"]), math.log10(rel)))
+ts = [t for t, _ in points] or [0]
+ys = [y for _, y in points] or [0.0]
 
-plt.figure(figsize=(6.4, 4.2))
-plt.semilogy(ts, rel, lw=1.2)
-plt.xlabel("iteration")
-plt.ylabel("relative error")
-plt.title("distributed gradient play")
-plt.grid(True, which="both", alpha=0.3)
-plt.tight_layout()
+
+def sx(t):
+    return PAD + (WIDTH - 2 * PAD) * (t - min(ts)) / ((max(ts) - min(ts)) or 1)
+
+
+def sy(y):
+    return HEIGHT - PAD - (HEIGHT - 2 * PAD) * (y - min(ys)) / ((max(ys) - min(ys)) or 1)
+
+
+polyline = " ".join(f"{sx(t):.2f},{sy(y):.2f}" for t, y in points)
+svg = f\"\"\"<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" \\
+viewBox="0 0 {WIDTH} {HEIGHT}" font-family="sans-serif" font-size="12">
+<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>
+<rect x="{PAD}" y="{PAD}" width="{WIDTH - 2 * PAD}" height="{HEIGHT - 2 * PAD}" \\
+fill="none" stroke="black"/>
+<polyline points="{polyline}" fill="none" stroke="#1f77b4" stroke-width="1.2"/>
+<text x="{WIDTH / 2}" y="{PAD / 2}" text-anchor="middle">distributed gradient play</text>
+<text x="{WIDTH / 2}" y="{HEIGHT - PAD / 4}" text-anchor="middle">iteration</text>
+<text x="{PAD / 4}" y="{HEIGHT / 2}" text-anchor="middle" \\
+transform="rotate(-90 {PAD / 4} {HEIGHT / 2})">log10 relative error</text>
+<text x="{PAD}" y="{HEIGHT - PAD + 16}" text-anchor="middle">{min(ts)}</text>
+<text x="{WIDTH - PAD}" y="{HEIGHT - PAD + 16}" text-anchor="middle">{max(ts)}</text>
+<text x="{PAD - 4}" y="{PAD}" text-anchor="end">{max(ys):.1f}</text>
+<text x="{PAD - 4}" y="{HEIGHT - PAD}" text-anchor="end">{min(ys):.1f}</text>
+</svg>
+\"\"\"
 out = os.path.join(here, "plot.svg")
-plt.savefig(out)
+with open(out, "w") as f:
+    f.write(svg)
 print("wrote", out)
 """
 
@@ -517,8 +520,8 @@ def run_experiment(config: ExperimentConfig, out_dir=None, game=None, graph=None
         final = None
         note = (note + "; " if note else "") + str(exc)
 
-    initial_distance = trace[0].distance_to_ne if trace else float("nan")
-    final_distance = trace[-1].distance_to_ne if trace else float("nan")
+    distances = trace.distance_to_ne.tolist() if len(trace) else [math.nan]
+    initial_distance, final_distance = distances[0], distances[-1]
     rel = final_distance / initial_distance if initial_distance > 0 else 0.0
 
     mins = lemma_slack_minima(trace, consts.mu, consts.l, alpha, game.n)
@@ -542,7 +545,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None, game=None, graph=None
         alpha_admissible=admissible,
         alpha_note=note,
         q=q,
-        iterations=trace[-1].t if trace else 0,
+        iterations=max(len(trace) - 1, 0),
         initial_distance=initial_distance,
         final_distance=final_distance,
         final_relative_error=rel,
@@ -612,19 +615,10 @@ class AuditCell:
         return all(c.passed for c in self.checks)
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "topology": self.topology,
-            "seed": self.seed,
-            "sigma": self.sigma,
-            "mu": self.mu,
-            "l": self.l,
-            "alpha": self.alpha,
-            "admissible": self.admissible,
-            "degenerate": self.degenerate,
-            "ok": self.ok,
-            "checks": [asdict(c) for c in self.checks],
-        }
+        doc = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "checks"}
+        doc["ok"] = self.ok
+        doc["checks"] = [asdict(c) for c in self.checks]
+        return doc
 
 
 @dataclass
@@ -633,7 +627,8 @@ class AuditReport:
 
     @property
     def ok(self) -> bool:
-        return all(cell.ok for cell in self.cells)
+        """True when at least one cell was built and every cell passed."""
+        return bool(self.cells) and all(cell.ok for cell in self.cells)
 
     def failures(self):
         return [
@@ -673,7 +668,8 @@ class AuditReport:
                     lines.append(
                         f"    FAILED {check.name}: worst={check.worst!r} {check.note}"
                     )
-        lines.append(f"audit: {'all passed' if self.ok else 'FAILURES PRESENT'}")
+        verdict = "all passed" if self.ok else "FAILURES PRESENT" if self.cells else "no cells"
+        lines.append(f"audit: {verdict}")
         return "\n".join(lines) + "\n"
 
 
@@ -831,7 +827,7 @@ def _audit_cell(n, topology, seed, coupling_scale, iters, alpha_override, eq5_sa
     if not diverged:
         checks.append(AuditCheck("no_divergence", True, 0.0))
 
-    if trace:
+    if len(trace):
         mins = lemma_slack_minima(trace, consts.mu, consts.l, alpha, n)
         checks.append(
             AuditCheck("lemma1", mins["lemma1"] >= -SLACK_TOL, mins["lemma1"])
@@ -862,7 +858,7 @@ def _audit_cell(n, topology, seed, coupling_scale, iters, alpha_override, eq5_sa
         alt = bounds.quadratic_form_alpha_bound(consts.mu, consts.l, w.sigma, n)
         t5_err = abs(t5 - alt) / abs(t5)
         checks.append(AuditCheck("fifth_term_equivalence", t5_err <= 1e-12, t5_err))
-        if trace:
+        if len(trace):
             zdom = zdomination_excess(trace, z)
             checks.append(AuditCheck("z_domination", zdom <= SLACK_TOL, zdom))
             env = envelope_excess(trace, z, rb.lambda1, rb.lambda2)

@@ -187,6 +187,28 @@ class TestRun:
             assert row.lemma2_slack >= -1e-9 * (1 + abs(rhs2))
             assert row.lemma3_slack >= -1e-9 * (1 + abs(rhs3))
 
+    def test_slack_columns_match_row_formulas(self):
+        n, alpha = 6, 0.01
+        g = random_game(n, 11)
+        consts = estimate_constants(g)
+        w = metropolis_weights(random_tree(n, 11))
+        _, trace = run(g, w, alpha, initial_estimates(n, 11), max_iters=200)
+        for prev, row in zip(trace, trace[1:]):
+            lemma1 = (
+                w.sigma * prev.consensus_violation
+                + alpha * math.sqrt((n - 1) / n) * prev.grad_norm
+                - row.consensus_violation
+            )
+            assert row.lemma1_slack == lemma1
+            terms = (
+                prev.avg_distance_to_ne**2,
+                (consts.l**2 * alpha / consts.mu) * prev.consensus_violation**2,
+                (1.0 + consts.mu * alpha / n) * row.avg_distance_to_ne**2,
+            )
+            # squares may round differently from Python's pow, by one ulp
+            assert abs(row.lemma3_slack - (terms[0] + terms[1] - terms[2])) <= 1e-15 * sum(terms)
+        assert np.array_equal(trace.lemma2_slack, consts.l * trace.distance_to_ne - trace.grad_norm)
+
     def test_iteration_count_and_tol_stopping(self):
         g = random_game(5, 2)
         w = metropolis_weights(complete(5))
@@ -201,8 +223,36 @@ class TestRun:
         w = metropolis_weights(complete(4))
         with pytest.raises(DivergenceError) as excinfo:
             run(g, w, 50.0, np.eye(4), max_iters=2000)
-        assert excinfo.value.trace  # partial trace attached for reporting
+        assert len(excinfo.value.trace)  # partial trace attached for reporting
         assert excinfo.value.iteration > 0
+
+    def test_non_finite_distance_is_divergence(self):
+        g = random_game(4, 0)
+        w = metropolis_weights(complete(4))
+        x0 = initial_estimates(4, 0)
+        x0[1, 2] = math.nan
+        with pytest.raises(DivergenceError) as excinfo:
+            run(g, w, 0.01, x0, max_iters=50)
+        assert excinfo.value.iteration == 0
+        assert len(excinfo.value.trace) == 1
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf])
+    def test_non_finite_step_size_rejected(self, alpha):
+        g = random_game(4, 0)
+        w = metropolis_weights(complete(4))
+        with pytest.raises(ValueError, match="finite"):
+            run(g, w, alpha, initial_estimates(4, 0), max_iters=10)
+        with pytest.raises(ValueError, match="finite"):
+            step(initial_estimates(4, 0), w, alpha, g)
+
+    def test_trace_is_a_record_array(self):
+        g = random_game(5, 1)
+        w = metropolis_weights(ring(5))
+        _, trace = run(g, w, 1e-3, initial_estimates(5, 0), max_iters=7)
+        assert trace.dtype.names == tuple(SPEC_HEADER.split(","))
+        assert list(trace.t) == list(range(8))
+        assert trace.distance_to_ne.tolist() == [row.distance_to_ne for row in trace]
+        assert trace[-1].distance_to_ne == trace.distance_to_ne[-1]
 
     def test_determinism_bytes(self):
         g = random_game(6, 5)

@@ -25,8 +25,11 @@ from gradplay import (
 )
 from gradplay.cli import main
 from gradplay.harness import (
+    AuditReport,
     envelope_excess,
+    first_lemma_violation,
     fit_tail_contraction,
+    lemma_slack_minima,
     recursion_residual,
     zdomination_excess,
 )
@@ -72,6 +75,12 @@ class TestExperimentConfig:
             small_config(alpha="fast").validate()
         with pytest.raises(ValueError):
             small_config(tol=-1.0).validate()
+
+    @pytest.mark.parametrize("key", ["alpha", "tol", "coupling_scale"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_values_rejected(self, key, value):
+        with pytest.raises(ValueError, match="finite"):
+            small_config(**{key: value}).validate()
 
     def test_paper_sim_preset(self):
         config = paper_sim_config()
@@ -123,7 +132,7 @@ class TestRunExperiment:
         assert report.diverged
         assert not report.ok
         assert "diverged" in report.alpha_note
-        assert report.trace  # partial trace retained
+        assert len(report.trace)  # partial trace retained
 
     def test_artifacts_written(self, tmp_path):
         out = tmp_path / "exp"
@@ -183,23 +192,53 @@ class TestRunExperiment:
 
 class TestTraceHelpers:
     def test_fit_on_exact_geometric_sequence(self):
-        rows = [
-            dynamics.IterationTrace(
-                t=t,
-                consensus_violation=0.0,
-                distance_to_ne=3.0 * 0.9**t,
-                avg_distance_to_ne=0.0,
-                grad_norm=0.0,
-                lemma1_slack=0.0,
-                lemma2_slack=0.0,
-                lemma3_slack=0.0,
-            )
-            for t in range(200)
-        ]
+        rows = np.recarray(200, dtype=dynamics.IterationTrace)
+        rows.fill(0)
+        rows.t = np.arange(200)
+        rows.distance_to_ne = [3.0 * 0.9**t for t in range(200)]
         slope, r2, npts = fit_tail_contraction(rows, burn_frac=0.25)
         assert slope == pytest.approx(2 * math.log(0.9), rel=1e-9)
         assert r2 == pytest.approx(1.0, abs=1e-12)
         assert npts == 150
+
+    def test_column_helpers_match_row_loops(self):
+        game = random_game(5, 4)
+        consts = estimate_constants(game)
+        w = metropolis_weights(ring(5))
+        alpha = 0.9 * bounds.alpha_max(consts.mu, consts.l, w.sigma, 5)
+        _, trace = dynamics.run(
+            game, w, alpha, dynamics.initial_estimates(5, 4), max_iters=300
+        )
+        z = bounds.z_matrix(consts.mu, consts.l, w.sigma, 5, alpha)
+        zvs = [np.array([r.avg_distance_to_ne**2, r.consensus_violation**2]) for r in trace]
+        zdom = max(
+            float(np.max((nxt - z @ cur) / (1.0 + np.abs(z @ cur))))
+            for cur, nxt in zip(zvs, zvs[1:])
+        )
+        assert zdomination_excess(trace, z) == pytest.approx(zdom, rel=1e-12, abs=1e-15)
+        lemma2 = min(r.lemma2_slack / (1.0 + abs(r.lemma2_slack + r.grad_norm)) for r in trace)
+        mins = lemma_slack_minima(trace, consts.mu, consts.l, alpha, 5)
+        assert mins["lemma2"] == lemma2
+        assert all(isinstance(v, float) for k, v in mins.items() if k != "lemma3_applicable")
+
+    def test_first_lemma_violation_order(self):
+        mu, l, n = 1.0, 2.0, 4  # lemma3 applies for alpha <= mu / l**2 = 0.25
+        nan = math.nan
+        # t, cv, dist, avg_d, gn, lemma1, lemma2, lemma3
+        rows = [
+            (0, 1.0, 1.0, 1.0, 1.0, nan, 0.5, nan),
+            (1, 1.0, 1.0, 1.0, 1.0, 0.5, -1e-12, 0.5),  # within tolerance
+            (2, 1.0, 1.0, 1.0, 1.0, 0.5, 0.5, -1.0),
+            (3, 1.0, 1.0, 1.0, 1.0, -1.0, -1.0, 0.5),
+            (4, 1.0, 1.0, 1.0, 1.0, -1.0, 0.5, 0.5),
+        ]
+        trace = np.rec.fromrecords(rows, names=dynamics.TRACE_COLUMNS)
+        name, t, slack = first_lemma_violation(trace, mu, l, 0.1, n)
+        assert (name, t) == ("lemma3", 2)
+        assert slack == pytest.approx(-1.0 / (1.0 + abs(-1.0 + 1.0 + mu * 0.1 / n)))
+        # lemma3 is ignored where it does not apply; lemma2 precedes lemma1
+        assert first_lemma_violation(trace, mu, l, 0.5, n) == ("lemma2", 3, -1.0)
+        assert first_lemma_violation(trace[:3], mu, l, 0.5, n) is None
 
     def test_fit_returns_none_for_short_trace(self):
         assert fit_tail_contraction([]) is None
@@ -298,6 +337,12 @@ class TestAudit:
         assert doc["ok"] is False
         assert doc["failures"]
 
+    def test_empty_audit_fails(self):
+        assert not AuditReport(cells=[]).ok
+        report = audit(seeds=0)
+        assert report.cells == [] and not report.ok
+        assert "all passed" not in report.to_text()
+
     def test_report_serialization(self, tmp_path):
         report = audit(sizes=(5,), topologies=("star",), seeds=1, iters=80, out_dir=tmp_path)
         assert (tmp_path / "audit.json").exists()
@@ -374,6 +419,20 @@ class TestCli:
         )
         assert code == 0
         assert "all passed" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv", [["--seeds", "0"], ["--seeds", "-1"], ["--sizes", ""], ["--sizes", ","]]
+    )
+    def test_audit_without_cells_is_input_error(self, argv, tmp_path, capsys):
+        assert main(["audit", *argv, "--out", str(tmp_path)]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_run_non_finite_alpha_is_input_error(self, tmp_path, capsys):
+        config_path = tmp_path / "config.json"
+        config_path.write_text('{"alpha": NaN, "max_iters": 50, "n": 5}')
+        assert main(["run", "--config", str(config_path), "--out", str(tmp_path / "o")]) == 2
+        assert main(["run", "--alpha", "inf", "--out", str(tmp_path / "o")]) == 2
+        assert "finite" in capsys.readouterr().err
 
     def test_audit_bad_topology_is_input_error(self, capsys):
         assert main(["audit", "--topologies", "moebius"]) == 2
