@@ -49,6 +49,9 @@ def _validate_constants(mu: float, l: float, sigma: float, n: int) -> None:
         raise ValueError(f"mu must be > 0, got {mu}")
     if l <= 0:
         raise ValueError(f"l must be > 0, got {l}")
+    if l < mu:
+        # mu <= a_i <= ||row i of A|| <= l in every game.
+        raise ValueError(f"l must be >= mu, got l={l} < mu={mu}")
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
     if sigma == 0:

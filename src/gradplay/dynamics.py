@@ -92,8 +92,9 @@ def _own_gradient(game: QuadraticGame, x_mat: np.ndarray) -> np.ndarray:
     return np.sum(game.mapping_matrix * x_mat, axis=1) + game.b
 
 
-def _update(w_mat: np.ndarray, x_mat: np.ndarray, alpha: float, g: np.ndarray) -> np.ndarray:
-    out = w_mat @ x_mat
+def _update(w_op, x_mat: np.ndarray, alpha: float, g: np.ndarray) -> np.ndarray:
+    # w_op is a dense matrix or MixingMatrix.operator; both give an ndarray.
+    out = w_op @ x_mat
     own = np.arange(x_mat.shape[0])
     out[own, own] -= alpha * g
     return out
@@ -128,16 +129,18 @@ def step(x_mat: np.ndarray, w, alpha: float, game) -> np.ndarray:
     """One gradient-play update ``W x - alpha * Diag(g)``.
 
     Only the diagonal (own-action) entries receive the gradient correction;
-    every other entry is pure neighborhood averaging.
+    every other entry is pure neighborhood averaging.  A
+    :class:`MixingMatrix` is applied through its ``operator``, as in
+    :func:`run`; a plain array is applied densely.
     """
     _check_step_size(alpha)
     x_mat = np.asarray(x_mat, dtype=float)
-    w_mat = w.w if isinstance(w, MixingMatrix) else np.asarray(w, dtype=float)
-    if w_mat.shape != x_mat.shape:
+    w_op = w.operator if isinstance(w, MixingMatrix) else np.asarray(w, dtype=float)
+    if w_op.shape != x_mat.shape:
         raise ValueError(
-            f"shape mismatch: mixing matrix {w_mat.shape}, estimates {x_mat.shape}"
+            f"shape mismatch: mixing matrix {w_op.shape}, estimates {x_mat.shape}"
         )
-    return _update(w_mat, x_mat, alpha, diag_gradient(game, x_mat))
+    return _update(w_op, x_mat, alpha, diag_gradient(game, x_mat))
 
 
 def running_average(x_mat: np.ndarray) -> np.ndarray:
@@ -187,7 +190,8 @@ def run(
         Supplies gradients and the exact oracles (equilibrium, mu, L) used
         for stopping and for the recorded slack columns.
     w : MixingMatrix
-        Mixing matrix; its ``sigma`` enters the recorded slacks.
+        Mixing matrix, applied through its ``operator`` (sparse for sparse
+        graphs); its ``sigma`` enters the recorded slacks.
     alpha : float
         Constant step size, finite and > 0.
     x0 : ndarray, shape (n, n)
@@ -233,7 +237,7 @@ def run(
     consts = estimate_constants(game)
     x_star = solve_nash_equilibrium(game)
     x_star_mat = consensual_matrix(x_star)
-    w_mat = w.w
+    w_op = w.operator
     norms = []  # (consensus_violation, distance_to_ne, avg_distance_to_ne, grad_norm)
 
     def trace():
@@ -262,7 +266,7 @@ def run(
             raise err
         if t == max_iters:
             break
-        x = _update(w_mat, x, alpha, g)
+        x = _update(w_op, x, alpha, g)
 
     return x, trace()
 

@@ -97,6 +97,48 @@ class QuadraticGame:
         """The matrix ``A = diag(a) + c`` of the affine mapping ``F(x) = A x + b``."""
         return _readonly(np.diag(self.a) + self.c)
 
+    @cached_property
+    def constants(self) -> GameConstants:
+        """The exact constants; see :func:`estimate_constants`.  Computed once
+        per game; a game that is not strongly monotone raises on every access."""
+        a_mat = self.mapping_matrix
+        sym = (a_mat + a_mat.T) / 2.0
+        mu = float(np.linalg.eigvalsh(sym)[0])
+        if mu <= 0:
+            raise NotStronglyMonotoneError(
+                f"game mapping is not strongly monotone: smallest symmetric-part "
+                f"eigenvalue is {mu:.6g} (must be > 0)"
+            )
+        l_per_player = np.linalg.norm(a_mat, axis=1)
+        l = float(np.max(l_per_player))
+        l_mapping = l * float(np.sqrt(self.n))
+        return GameConstants(
+            mu=mu,
+            l_per_player=l_per_player,
+            l=l,
+            l_mapping=l_mapping,
+            kappa=l_mapping / mu,
+        )
+
+    @cached_property
+    def equilibrium(self) -> np.ndarray:
+        """The equilibrium, read-only; see :func:`solve_nash_equilibrium`."""
+        a_mat = self.mapping_matrix
+        try:
+            x_star = np.linalg.solve(a_mat, -self.b)
+        except np.linalg.LinAlgError:
+            raise np.linalg.LinAlgError(
+                "mapping matrix is singular; the game has no unique equilibrium "
+                "(strong monotonicity must not hold)"
+            ) from None
+        residual = float(np.linalg.norm(a_mat @ x_star + self.b))
+        if residual > 1e-10 * (1.0 + float(np.linalg.norm(self.b))):
+            raise np.linalg.LinAlgError(
+                f"equilibrium solve residual {residual:.3e} exceeds tolerance; "
+                "system too ill-conditioned"
+            )
+        return _readonly(x_star)
+
 
 @dataclass(frozen=True)
 class GameConstants:
@@ -147,53 +189,27 @@ def local_gradient(game: QuadraticGame, i: int, x_local: np.ndarray) -> float:
 def estimate_constants(game: QuadraticGame) -> GameConstants:
     """Compute mu, per-player Lipschitz constants, L, L*sqrt(n) and kappa exactly.
 
+    The result is cached on the game (``game.constants``), so repeated calls
+    cost nothing.
+
     Raises
     ------
     NotStronglyMonotoneError
         If the smallest eigenvalue of the symmetric part of ``A`` is <= 0,
         i.e. the game violates the strong-monotonicity assumption.
     """
-    a_mat = game.mapping_matrix
-    sym = (a_mat + a_mat.T) / 2.0
-    mu = float(np.linalg.eigvalsh(sym)[0])
-    if mu <= 0:
-        raise NotStronglyMonotoneError(
-            f"game mapping is not strongly monotone: smallest symmetric-part "
-            f"eigenvalue is {mu:.6g} (must be > 0)"
-        )
-    l_per_player = np.linalg.norm(a_mat, axis=1)
-    l = float(np.max(l_per_player))
-    l_mapping = l * float(np.sqrt(game.n))
-    return GameConstants(
-        mu=mu,
-        l_per_player=l_per_player,
-        l=l,
-        l_mapping=l_mapping,
-        kappa=l_mapping / mu,
-    )
+    return game.constants
 
 
 def solve_nash_equilibrium(game: QuadraticGame) -> np.ndarray:
     """Solve ``A x* = -b`` directly; the unique zero of the game mapping.
 
-    The system is nonsingular whenever the game is strongly monotone; a
-    singular or numerically unreliable solve raises ``numpy.linalg.LinAlgError``.
+    The solve is cached on the game (``game.equilibrium``); each call returns
+    a fresh writable copy.  The system is nonsingular whenever the game is
+    strongly monotone; a singular or numerically unreliable solve raises
+    ``numpy.linalg.LinAlgError``.
     """
-    a_mat = game.mapping_matrix
-    try:
-        x_star = np.linalg.solve(a_mat, -game.b)
-    except np.linalg.LinAlgError:
-        raise np.linalg.LinAlgError(
-            "mapping matrix is singular; the game has no unique equilibrium "
-            "(strong monotonicity must not hold)"
-        ) from None
-    residual = float(np.linalg.norm(a_mat @ x_star + game.b))
-    if residual > 1e-10 * (1.0 + float(np.linalg.norm(game.b))):
-        raise np.linalg.LinAlgError(
-            f"equilibrium solve residual {residual:.3e} exceeds tolerance; "
-            "system too ill-conditioned"
-        )
-    return x_star
+    return game.equilibrium.copy()
 
 
 def random_game(n: int, seed: int, coupling_scale: float = 0.2) -> QuadraticGame:
@@ -247,11 +263,36 @@ def game_from_dict(doc: dict) -> QuadraticGame:
     )
 
 
+def _dump_game(game: QuadraticGame, f) -> None:
+    """Write the game to the text file ``f`` as JSON, then a newline.
+
+    The bytes equal ``json.dump(game_to_dict(game), f, indent=2)`` followed by
+    ``"\n"``, but the arrays are encoded one row of ``c`` at a time: the list
+    of ``n**2`` Python floats that :func:`game_to_dict` builds would be the
+    largest object of a large run, and ``json.dump`` with ``indent`` encodes it
+    in pure Python.
+    """
+    item_sep = ",\n    "
+    f.write('{\n  "n": %d' % game.n)
+    for key, rows in (("a", [game.a]), ("b", [game.b]), ("c", game.c)):
+        f.write(f',\n  "{key}": [\n    ')
+        for k, row in enumerate(rows):
+            if k:
+                f.write(item_sep)
+            # Without indent json.dumps takes its C encoder; its float text
+            # (repr, NaN, Infinity) is what json.dump writes.
+            f.write(json.dumps(row.tolist())[1:-1].replace(", ", item_sep))
+        f.write("\n  ]")
+    if game.seed is not None:
+        f.write(',\n  "seed": %d' % int(game.seed))
+    f.write("\n}\n")
+
+
 def save_game(game: QuadraticGame, path) -> None:
-    """Write the game as JSON; floats use shortest round-trip decimals."""
+    """Write the game as JSON (:func:`_dump_game`); floats use shortest
+    round-trip decimals."""
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(game_to_dict(game), f, indent=2)
-        f.write("\n")
+        _dump_game(game, f)
 
 
 def load_game(path) -> QuadraticGame:

@@ -36,9 +36,9 @@ from .dynamics import (
 )
 from .errors import DivergenceError, PerfectMixingError
 from .game import (
+    _dump_game,
     estimate_constants,
     game_mapping,
-    game_to_dict,
     local_gradient,
     random_game,
 )
@@ -571,8 +571,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None, game=None, graph=None
         with open(os.path.join(out_dir, "plot.py"), "w", encoding="utf-8") as f:
             f.write(_PLOT_SCRIPT)
         with open(os.path.join(out_dir, "game.json"), "w", encoding="utf-8") as f:
-            json.dump(game_to_dict(game), f, indent=2)
-            f.write("\n")
+            _dump_game(game, f)
         with open(os.path.join(out_dir, "graph.edges"), "w", encoding="utf-8") as f:
             f.write(graph_to_edgelist(graph))
         save_mixing_matrix(w, os.path.join(out_dir, "mixing.csv"))

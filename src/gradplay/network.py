@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -96,6 +97,16 @@ class Graph:
         return len(seen) == self.n
 
 
+#: :attr:`MixingMatrix.operator` is sparse when ``SPARSE_FILL_RATIO * nnz(w)
+#: <= n**2``, i.e. for trees, rings and stars (nnz ~ 3n) from n = 225 on.
+#: Set from whole ``gradplay run`` processes at the default 1000 steps, which
+#: include the one-time ``import scipy.sparse`` (~0.2 s): on a 2-CPU host CSR
+#: lost at n = 200 (0 to +16 %), broke even at 210-220 and won from 230 on
+#: (-14 to -23 % at 230-300).  One ``W @ x`` alone breaks even much earlier,
+#: at n**2 / nnz of 12-16.
+SPARSE_FILL_RATIO = 75
+
+
 @dataclass(frozen=True)
 class MixingMatrix:
     """A doubly stochastic weight matrix together with its contraction factor.
@@ -139,6 +150,23 @@ class MixingMatrix:
     @property
     def n(self) -> int:
         return self.w.shape[0]
+
+    @cached_property
+    def operator(self):
+        """``w`` in the form the iteration multiplies by.
+
+        A ``scipy.sparse.csr_array`` when at most one entry in
+        ``SPARSE_FILL_RATIO`` is nonzero (the Metropolis matrix of a tree,
+        ring or star from 225 nodes), so that ``operator @ x`` costs
+        O((n + |E|) n) instead of O(n^3); otherwise the dense ``w`` itself.
+        The two agree to rounding, not bit for bit.  scipy is imported only
+        here, so dense runs never pay for the import.
+        """
+        if SPARSE_FILL_RATIO * np.count_nonzero(self.w) > self.w.size:
+            return self.w
+        from scipy.sparse import csr_array
+
+        return csr_array(self.w)
 
 
 def random_tree(n: int, seed: int) -> Graph:
@@ -208,13 +236,17 @@ def second_largest_singular_value(w: np.ndarray) -> float:
     Computed as the largest singular value of ``w - (1/n) 11^T``; this is the
     exact contraction factor of disagreement under one application of ``w``,
     and for symmetric ``w`` it equals the largest absolute eigenvalue on the
-    subspace orthogonal to the all-ones vector.
+    subspace orthogonal to the all-ones vector.  An exactly symmetric ``w``
+    (every Metropolis matrix) takes that route, ``eigvalsh``, about 3x faster
+    than the SVD at n = 1000; any other ``w`` takes the SVD.
     """
     w = np.asarray(w, dtype=float)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {w.shape}")
     n = w.shape[0]
     deflated = w - np.full((n, n), 1.0 / n)
+    if np.array_equal(w, w.T):
+        return float(np.max(np.abs(np.linalg.eigvalsh(deflated))))
     return float(np.linalg.svd(deflated, compute_uv=False)[0])
 
 
@@ -272,5 +304,5 @@ def save_mixing_matrix(w: MixingMatrix, path) -> None:
     """Dense CSV, row-major, shortest round-trip decimal per entry."""
     with open(path, "w", encoding="utf-8") as f:
         for row in w.w:
-            f.write(",".join(repr(float(v)) for v in row))
+            f.write(",".join(map(repr, row.tolist())))
             f.write("\n")

@@ -277,6 +277,57 @@ class TestRun:
             run(g, w5, 0.1, np.zeros((4, 4)), max_iters=10)
 
 
+def dense_reference_run(game, w_dense, alpha, x0, iters):
+    """Explicit ``x <- W x - alpha Diag(g)`` with the dense matrix; returns
+    the final state and the four norm columns, one row per visited state."""
+    n = game.n
+    a_mat = np.diag(game.a) + game.c
+    x_star = np.linalg.solve(a_mat, -game.b)
+    x = np.array(x0, dtype=float)
+    rows = []
+    for t in range(iters + 1):
+        g = np.array([a_mat[i] @ x[i] + game.b[i] for i in range(n)])
+        avg = x.mean(axis=0)
+        rows.append(
+            (
+                np.linalg.norm(x - avg),
+                np.linalg.norm(x - x_star),
+                math.sqrt(n) * np.linalg.norm(avg - x_star),
+                np.linalg.norm(g),
+            )
+        )
+        if t < iters:
+            x = w_dense @ x - alpha * np.diag(g)
+    return x, np.array(rows)
+
+
+class TestSparseOperator:
+    """Sparse graphs are iterated through a CSR operator; the dense product
+    is the reference."""
+
+    NORMS = ("consensus_violation", "distance_to_ne", "avg_distance_to_ne", "grad_norm")
+
+    @pytest.mark.parametrize("graph", [ring(240), star(300)], ids=["ring240", "star300"])
+    def test_run_matches_dense_loop(self, graph):
+        n, alpha, iters = graph.n, 0.02, 40
+        g = random_game(n, 21)
+        w = metropolis_weights(graph)
+        assert w.operator.format == "csr"
+        x0 = initial_estimates(n, 22)
+        final, trace = run(g, w, alpha, x0, max_iters=iters)
+        ref_final, ref_norms = dense_reference_run(g, w.w, alpha, x0, iters)
+        assert_allclose(final, ref_final, rtol=1e-12, atol=1e-14)
+        for k, name in enumerate(self.NORMS):
+            assert_allclose(trace[name], ref_norms[:, k], rtol=1e-12)
+
+    def test_step_applies_the_operator(self):
+        g = random_game(240, 4)
+        w = metropolis_weights(ring(240))
+        assert w.operator.format == "csr"
+        x = initial_estimates(240, 5)
+        assert_allclose(step(x, w, 0.05, g), step(x, w.w, 0.05, g), rtol=1e-12, atol=1e-14)
+
+
 class TestInitialEstimates:
     def test_uniform_deterministic_and_bounded(self):
         x1 = initial_estimates(9, 4)

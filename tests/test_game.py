@@ -1,4 +1,6 @@
+import io
 import json
+import math
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from gradplay import (
     save_game,
     solve_nash_equilibrium,
 )
+from gradplay.game import _dump_game
 
 
 def identity_game(n=2, b=None):
@@ -150,6 +153,20 @@ class TestEstimateConstants:
         with pytest.raises(NotStronglyMonotoneError):
             estimate_constants(g)
 
+    def test_computed_once_per_game(self):
+        g = random_game(9, 4)
+        assert estimate_constants(g) is estimate_constants(g) is g.constants
+
+    def test_not_strongly_monotone_raises_on_every_call(self):
+        g = QuadraticGame(
+            a=np.array([1.0, 10.0]),
+            b=np.zeros(2),
+            c=np.array([[0.0, 0.9], [9.0, 0.0]]),
+        )
+        for _ in range(2):
+            with pytest.raises(NotStronglyMonotoneError):
+                estimate_constants(g)
+
     def test_monotonicity_inner_product(self):
         rng = np.random.default_rng(3)
         g = random_game(12, 5)
@@ -215,6 +232,15 @@ class TestSolveNashEquilibrium:
             direct = solve_nash_equilibrium(g)
             lstsq = np.linalg.lstsq(g.mapping_matrix, -g.b, rcond=None)[0]
             assert np.linalg.norm(direct - lstsq) <= 1e-9 * (1 + np.linalg.norm(direct))
+
+    def test_solved_once_returned_as_copy(self):
+        g = random_game(8, 3)
+        first = solve_nash_equilibrium(g)
+        first[:] = 0.0
+        second = solve_nash_equilibrium(g)
+        assert np.array_equal(second, g.equilibrium)
+        assert not np.array_equal(second, first)
+        assert not g.equilibrium.flags.writeable
 
     def test_equilibrium_of_random_games(self):
         for seed in range(20):
@@ -308,3 +334,27 @@ class TestSerialization:
         assert doc["n"] == 2
         assert len(doc["c"]) == 4  # row-major n^2
         assert "seed" not in doc  # hand-built game has no provenance
+
+    @pytest.mark.parametrize("n", [2, 20, 300])
+    @pytest.mark.parametrize("seed", [None, 17])
+    def test_streamed_file_equals_json_dump(self, n, seed, tmp_path):
+        drawn = random_game(n, 5 if seed is None else seed)
+        g = QuadraticGame(a=drawn.a, b=drawn.b, c=drawn.c, seed=seed)
+        path = tmp_path / "game.json"
+        save_game(g, path)
+        expected = json.dumps(game_to_dict(g), indent=2) + "\n"
+        assert path.read_bytes() == expected.encode("utf-8")
+        back = load_game(path)
+        assert np.array_equal(back.a, g.a) and np.array_equal(back.b, g.b)
+        assert np.array_equal(back.c, g.c)
+        assert back.seed == seed
+
+    def test_streamed_non_finite_spelled_as_json_dump(self):
+        g = QuadraticGame(
+            a=np.array([1.0, 2.0, 3.0]),
+            b=np.array([math.nan, math.inf, -math.inf]),
+            c=np.array([[0.0, -0.0, 1e-300], [5e-324, 0.0, 1e300], [0.1, 2.5, 0.0]]),
+        )
+        out = io.StringIO()
+        _dump_game(g, out)
+        assert out.getvalue() == json.dumps(game_to_dict(g), indent=2) + "\n"

@@ -1,7 +1,9 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -176,6 +178,23 @@ class TestRunExperiment:
         assert proc.returncode == 0, proc.stderr
         svg = (out / "plot.svg").read_text()
         assert "<svg" in svg[:500]
+
+    def test_dense_runs_never_import_scipy(self, tmp_path):
+        """paper-sim and the default audit iterate small dense matrices; the
+        sparse operator's scipy import must stay out of their processes."""
+        script = (
+            "import sys, gradplay\n"
+            f"gradplay.run_experiment(gradplay.paper_sim_config(), out_dir={str(tmp_path / 'run')!r})\n"
+            f"assert gradplay.audit(out_dir={str(tmp_path / 'audit')!r}).ok\n"
+            "print('scipy.sparse' in sys.modules)\n"
+        )
+        src = str(Path(dynamics.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=300, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
     def test_byte_identical_reruns(self, tmp_path):
         config = small_config(max_iters=120)
@@ -433,6 +452,12 @@ class TestCli:
         assert main(["run", "--config", str(config_path), "--out", str(tmp_path / "o")]) == 2
         assert main(["run", "--alpha", "inf", "--out", str(tmp_path / "o")]) == 2
         assert "finite" in capsys.readouterr().err
+
+    def test_bounds_l_below_mu_is_input_error(self, capsys):
+        assert main(["bounds", "--mu", "1", "--L", "0.5", "--sigma", "0.5", "--n", "20"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "l must be >= mu" in captured.err
 
     def test_audit_bad_topology_is_input_error(self, capsys):
         assert main(["audit", "--topologies", "moebius"]) == 2

@@ -17,6 +17,7 @@ from gradplay import (
     second_largest_singular_value,
     star,
 )
+from gradplay.network import SPARSE_FILL_RATIO
 
 
 def sigma_eig_oracle(w):
@@ -155,6 +156,61 @@ class TestSecondLargestSingularValue:
         assert abs(w.sigma - sigma_eig_oracle(w.w)) <= 1e-10
 
 
+def sigma_svd_oracle(w):
+    """The definition: top singular value of ``W - 11^T/n``."""
+    n = w.shape[0]
+    return float(np.linalg.svd(w - np.ones((n, n)) / n, compute_uv=False)[0])
+
+
+class TestSigmaAgainstSvd:
+    """Symmetric inputs (every Metropolis matrix) take ``eigvalsh``; the SVD
+    is the definition."""
+
+    @pytest.mark.parametrize("n", [5, 10, 20])
+    @pytest.mark.parametrize("kind", ["tree", "ring", "star", "complete"])
+    def test_four_topologies(self, n, kind):
+        graph = {"tree": random_tree(n, 1), "ring": ring(n), "star": star(n), "complete": complete(n)}
+        w = metropolis_weights(graph[kind])
+        assert abs(w.sigma - sigma_svd_oracle(w.w)) <= 1e-12
+
+    def test_thousand_node_tree(self):
+        w = metropolis_weights(random_tree(1000, 4))
+        assert abs(w.sigma - sigma_svd_oracle(w.w)) <= 1e-12
+
+    def test_non_symmetric_input_keeps_svd(self):
+        # Doubly stochastic, not symmetric: a lazy cyclic shift mixed with
+        # uniform averaging.
+        n = 6
+        shift = np.roll(np.eye(n), 1, axis=1)
+        w = 0.5 * np.eye(n) + 0.3 * shift + 0.2 * np.full((n, n), 1 / n)
+        assert not np.array_equal(w, w.T)
+        assert MixingMatrix.from_matrix(w).sigma == sigma_svd_oracle(w)
+
+
+class TestOperator:
+    @pytest.mark.parametrize(
+        "graph", [random_tree(20, 3), random_tree(200, 3), complete(100)], ids=["tree20", "tree200", "complete100"]
+    )
+    def test_dense_graphs_use_w_itself(self, graph):
+        w = metropolis_weights(graph)
+        assert w.operator is w.w
+
+    def test_sparse_graph_uses_csr(self):
+        w = metropolis_weights(random_tree(1000, 3))
+        op = w.operator
+        assert op.format == "csr" and op.nnz == np.count_nonzero(w.w) == 3 * 1000 - 2
+        assert w.operator is op  # built once
+        x = np.random.default_rng(0).uniform(-1, 1, (1000, 7))
+        assert_allclose(op @ x, w.w @ x, rtol=1e-12, atol=1e-15)
+
+    def test_threshold_is_fill_ratio(self):
+        # A ring's Metropolis matrix has 3n nonzeros: sparse from n = 3 * ratio.
+        n0 = 3 * SPARSE_FILL_RATIO
+        below = metropolis_weights(ring(n0 - 1))
+        assert below.operator is below.w
+        assert metropolis_weights(ring(n0)).operator.format == "csr"
+
+
 class TestAveragingContraction:
     def test_consensual_vectors(self):
         w = metropolis_weights(ring(5))
@@ -211,3 +267,10 @@ class TestSerialization:
         save_mixing_matrix(w, path)
         back = np.loadtxt(path, delimiter=",")
         assert np.array_equal(back, w.w)
+
+    def test_mixing_csv_bytes(self, tmp_path):
+        w = metropolis_weights(random_tree(30, 9))
+        path = tmp_path / "w.csv"
+        save_mixing_matrix(w, path)
+        expected = "".join(",".join(repr(float(v)) for v in row) + "\n" for row in w.w)
+        assert path.read_text() == expected
