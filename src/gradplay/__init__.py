@@ -8,7 +8,6 @@ certificates, and a reproducible experiment/audit harness.
 """
 
 from .bounds import (
-    RateBound,
     RateComparison,
     StepSizePlan,
     alpha_max,

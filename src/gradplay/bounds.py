@@ -6,11 +6,12 @@ the player count ``n``, this module evaluates:
 
 * the five admissibility ceilings whose minimum bounds the constant step
   size ``alpha`` (:func:`step_size_terms`, :func:`alpha_max`);
-* the 2x2 positive matrix that couples the squared averaged-iterate error
-  and the squared consensus violation across one iteration
-  (:func:`z_matrix`), and its spectral quantities: discriminant, both
-  eigenvalues and the contraction rate ``q = lambda1``
-  (:func:`rate_bound`);
+* the certificate of one step size (:func:`step_size_plan`, the only
+  builder of a :class:`StepSizePlan`): the ceiling terms, the 2x2 positive
+  matrix that couples the squared averaged-iterate error and the squared
+  consensus violation across one iteration, and its spectral quantities:
+  discriminant, both eigenvalues and the contraction rate ``q = lambda1``.
+  :func:`rate_bound` and :func:`z_matrix` are views of that plan;
 * the equivalent quadratic-root form of the fifth ceiling term
   (:func:`quadratic_form_alpha_bound`), a second route to the same number;
 * the asymptotic rate-gap comparison against the GRANE algorithm
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -31,7 +32,6 @@ from .errors import InadmissibleStepSizeError, PerfectMixingError
 
 __all__ = [
     "StepSizePlan",
-    "RateBound",
     "RateComparison",
     "step_size_terms",
     "alpha_max",
@@ -115,16 +115,6 @@ def alpha_max(mu: float, l: float, sigma: float, n: int) -> float:
     return min(step_size_terms(mu, l, sigma, n))
 
 
-def _check_admissible(mu, l, sigma, n, alpha):
-    ceiling = alpha_max(mu, l, sigma, n)
-    if not 0 < alpha < ceiling:
-        raise InadmissibleStepSizeError(
-            f"alpha={alpha!r} outside (0, {ceiling!r}): contraction rate "
-            "q < 1 is not guaranteed"
-        )
-    return ceiling
-
-
 def _rate_quantities(mu, l, sigma, n, alpha):
     # Raw closed forms, no admissibility gating; callers gate as needed.
     # 1 - sigma^2 and the derived ratios are kept in cancellation-free form.
@@ -142,39 +132,33 @@ def _rate_quantities(mu, l, sigma, n, alpha):
     sqrt_d = math.sqrt(d)
     lambda1 = (gamma + a22 + sqrt_d) / 2.0
     lambda2 = (gamma + a22 - sqrt_d) / 2.0
-    return beta, gamma, s, d, lambda1, lambda2
+    z = np.array(
+        [
+            [gamma, gamma * 2.0 * l * l * alpha / mu],
+            [one_plus_s2 / one_minus_s2 * (n - 1.0) / n * alpha * alpha * l * l, a22],
+        ]
+    )
+    z.setflags(write=False)
+    return beta, gamma, d, lambda1, lambda2, z
 
 
-@dataclass(frozen=True)
-class RateBound:
-    """Spectral certificate of one admissible step size."""
-
-    q: float
-    lambda1: float
-    lambda2: float
-    d: float
-    gamma: float
-    beta: float
-
-
-def rate_bound(mu: float, l: float, sigma: float, n: int, alpha: float) -> RateBound:
+def rate_bound(mu: float, l: float, sigma: float, n: int, alpha: float) -> StepSizePlan:
     """Contraction rate ``q(alpha)`` and the spectral data behind it.
 
-    ``q`` is the dominant eigenvalue ``lambda1`` of :func:`z_matrix`; the
-    squared error envelope decays like ``q**t``.  Guarantees on the
-    admissible domain: ``0 < q < 1`` and ``lambda1 > |lambda2|``.
+    The :class:`StepSizePlan` of ``alpha``: ``q`` is the dominant
+    eigenvalue ``lambda1`` of :func:`z_matrix`, and the squared error
+    envelope decays like ``q**t``.  Guarantees on the admissible domain:
+    ``0 < q < 1`` and ``lambda1 > |lambda2|``.
 
     Precision note: once ``mu * alpha / n`` shrinks toward machine epsilon
     the computed ``q`` saturates at 1 - ulp; step sizes that small certify
     nothing useful anyway.
     """
-    _check_admissible(mu, l, sigma, n, alpha)
-    beta, gamma, _s, d, lambda1, lambda2 = _rate_quantities(mu, l, sigma, n, alpha)
-    return RateBound(q=lambda1, lambda1=lambda1, lambda2=lambda2, d=d, gamma=gamma, beta=beta)
+    return step_size_plan(mu, l, sigma, n, alpha)
 
 
 def z_matrix(mu: float, l: float, sigma: float, n: int, alpha: float) -> np.ndarray:
-    """The 2x2 positive matrix driving the coupled error recursion.
+    """The 2x2 positive matrix driving the coupled error recursion (read-only).
 
     With ``z_t = (||avg error||_F^2, ||consensus violation||_F^2)``, one
     iteration satisfies ``z_{t+1} <= Z z_t`` elementwise, where::
@@ -184,19 +168,7 @@ def z_matrix(mu: float, l: float, sigma: float, n: int, alpha: float) -> np.ndar
 
     and ``s = sigma + alpha sqrt((n-1)/n) l``.
     """
-    _check_admissible(mu, l, sigma, n, alpha)
-    _beta, gamma, s, _d, _l1, _l2 = _rate_quantities(mu, l, sigma, n, alpha)
-    ratio = (1.0 + sigma * sigma) / ((1.0 - sigma) * (1.0 + sigma))  # (1+beta)/beta
-    one_plus_beta = (1.0 + sigma * sigma) / (2.0 * sigma * sigma)
-    return np.array(
-        [
-            [gamma, gamma * 2.0 * l * l * alpha / mu],
-            [
-                ratio * (n - 1.0) / n * alpha * alpha * l * l,
-                one_plus_beta * s * s,
-            ],
-        ]
-    )
+    return step_size_plan(mu, l, sigma, n, alpha).z
 
 
 def quadratic_form_alpha_bound(mu: float, l: float, sigma: float, n: int) -> float:
@@ -224,7 +196,8 @@ class StepSizePlan:
     remaining fields the spectral quantities of the coupled error recursion
     at that ``alpha``.  ``theta`` is the free parameter of the
     averaged-iterate contraction inequality, fixed to ``mu`` for the
-    headline rate.
+    headline rate.  ``z`` is the read-only comparison matrix of
+    :func:`z_matrix`; :meth:`to_dict` leaves it out.
     """
 
     mu: float
@@ -241,9 +214,10 @@ class StepSizePlan:
     lambda1: float
     lambda2: float
     q: float
+    z: np.ndarray = field(repr=False, compare=False)
 
     def to_dict(self) -> dict:
-        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        doc = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "z"}
         doc["terms"] = list(self.terms)
         return doc
 
@@ -258,17 +232,23 @@ class StepSizePlan:
 def step_size_plan(
     mu: float, l: float, sigma: float, n: int, alpha: float | None = None
 ) -> StepSizePlan:
-    """Build a :class:`StepSizePlan`.
+    """Build a :class:`StepSizePlan`, the one certificate of a step size.
 
     ``alpha=None`` selects ``0.9 * alpha_max``: the certificate requires a
     strict inequality and the ceiling itself carries floating-point
-    rounding, so a margin below the supremum is kept by default.
+    rounding, so a margin below the supremum is kept by default.  Raises
+    :class:`InadmissibleStepSizeError` unless ``0 < alpha < alpha_max``.
     """
     terms = step_size_terms(mu, l, sigma, n)
     ceiling = min(terms)
     if alpha is None:
         alpha = 0.9 * ceiling
-    rb = rate_bound(mu, l, sigma, n, alpha)
+    if not 0 < alpha < ceiling:
+        raise InadmissibleStepSizeError(
+            f"alpha={alpha!r} outside (0, {ceiling!r}): contraction rate "
+            "q < 1 is not guaranteed"
+        )
+    beta, gamma, d, lambda1, lambda2, z = _rate_quantities(mu, l, sigma, n, alpha)
     return StepSizePlan(
         mu=float(mu),
         l=float(l),
@@ -277,13 +257,14 @@ def step_size_plan(
         terms=tuple(float(t) for t in terms),
         alpha_max=float(ceiling),
         alpha=float(alpha),
-        beta=rb.beta,
-        gamma=rb.gamma,
+        beta=beta,
+        gamma=gamma,
         theta=float(mu),
-        d=rb.d,
-        lambda1=rb.lambda1,
-        lambda2=rb.lambda2,
-        q=rb.q,
+        d=d,
+        lambda1=lambda1,
+        lambda2=lambda2,
+        q=lambda1,
+        z=z,
     )
 
 
@@ -300,6 +281,7 @@ class RateComparison:
 
     grane_gap: float
     play_gap: float
+    ratio_play_over_grane: float
     kappa: float
     play_faster: bool
     asymptotic_regime: bool
@@ -307,16 +289,7 @@ class RateComparison:
     grane_gamma_r: float | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "grane_gap": self.grane_gap,
-            "play_gap": self.play_gap,
-            "ratio_play_over_grane": self.play_gap / self.grane_gap,
-            "kappa": self.kappa,
-            "play_faster": self.play_faster,
-            "asymptotic_regime": self.asymptotic_regime,
-            "alpha_asymptotic": self.alpha_asymptotic,
-            "grane_gamma_r": self.grane_gamma_r,
-        }
+        return asdict(self)
 
     def to_text(self) -> str:
         d = self.to_dict()
@@ -396,6 +369,7 @@ def grane_rate_comparison(
     return RateComparison(
         grane_gap=grane_gap,
         play_gap=play_gap,
+        ratio_play_over_grane=play_gap / grane_gap,
         kappa=kappa,
         play_faster=play_gap > grane_gap,
         asymptotic_regime=n >= 10,
@@ -413,6 +387,6 @@ def rate_grid(mu: float, l: float, sigma: float, n: int, points: int = 200):
     ceiling = alpha_max(mu, l, sigma, n)
     alphas = np.linspace(ceiling / points, ceiling * (1 - 1.0 / points), points)
     qs = np.array(
-        [_rate_quantities(mu, l, sigma, n, float(a))[4] for a in alphas]
+        [_rate_quantities(mu, l, sigma, n, float(a))[3] for a in alphas]
     )
     return alphas, qs

@@ -97,10 +97,13 @@ def _cmd_run(args) -> int:
         config_doc = PRESETS[args.preset]().to_dict()
     if args.config:
         with open(args.config, "r", encoding="utf-8") as f:
-            config_doc.update(json.load(f))
+            file_doc = json.load(f)
+        if not isinstance(file_doc, dict):
+            raise ValueError(f"config must be a JSON object, got {type(file_doc).__name__}")
+        config_doc.update(file_doc)
     if args.alpha is not None:
         config_doc["alpha"] = args.alpha
-    config = ExperimentConfig.from_dict(config_doc) if config_doc else ExperimentConfig()
+    config = ExperimentConfig.from_dict(config_doc)
     out_dir = args.out or _default_out("run")
     report = run_experiment(config, out_dir=out_dir)
     sys.stdout.write(report.to_text())

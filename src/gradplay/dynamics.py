@@ -179,7 +179,6 @@ def run(
     x0: np.ndarray,
     max_iters: int,
     tol: float = 0.0,
-    record: bool = True,
 ):
     """Iterate gradient play until the NE distance drops to ``tol`` or
     ``max_iters`` steps have been taken.
@@ -201,13 +200,11 @@ def run(
     tol : float
         Stop once the Frobenius distance to the consensual equilibrium
         matrix is <= tol.  The default 0 gives a fixed horizon.
-    record : bool
-        When set, the trace has one row per visited state (including the
-        initial one); otherwise it is empty.
 
     Returns
     -------
     (final, trace) : (ndarray, np.recarray of dtype IterationTrace)
+        The trace has one row per visited state, the initial one included.
 
     Raises
     ------
@@ -248,10 +245,9 @@ def run(
         avg = x.mean(axis=0)
         dist = float(np.linalg.norm(x - x_star_mat))
         g = _own_gradient(game, x)
-        if record:
-            cv = float(np.linalg.norm(x - avg))
-            avg_dist = math.sqrt(n) * float(np.linalg.norm(avg - x_star))
-            norms.append((cv, dist, avg_dist, float(np.linalg.norm(g))))
+        cv = float(np.linalg.norm(x - avg))
+        avg_dist = math.sqrt(n) * float(np.linalg.norm(avg - x_star))
+        norms.append((cv, dist, avg_dist, float(np.linalg.norm(g))))
 
         if dist <= tol:
             break

@@ -34,7 +34,7 @@ from .dynamics import (
     step,
     trace_to_csv,
 )
-from .errors import DivergenceError, PerfectMixingError
+from .errors import DivergenceError, InadmissibleStepSizeError, PerfectMixingError
 from .game import (
     _dump_game,
     estimate_constants,
@@ -84,6 +84,25 @@ TOPOLOGIES = ("tree", "ring", "complete", "star")
 SLACK_TOL = 1e-9
 
 
+#: Accepted value types of each :class:`ExperimentConfig` annotation, and
+#: how a refusal names them.
+_FIELD_TYPES = {
+    "int": (int, "an integer"),
+    "float": ((int, float), "a number"),
+    "float | str": ((int, float, str), 'a number or "auto"'),
+    "str": (str, "a string"),
+    "bool": (bool, "true or false"),
+}
+
+
+def _finite(x) -> bool:
+    """``math.isfinite``, except that an int beyond the float range is not."""
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
+
+
 @dataclass
 class ExperimentConfig:
     """Everything needed to reproduce one experiment bit-for-bit.
@@ -105,6 +124,12 @@ class ExperimentConfig:
     check_lemmas: bool = True
 
     def validate(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            types, expected = _FIELD_TYPES[f.type]
+            # bool is an int subclass: only a bool field takes true/false
+            if isinstance(value, bool) != (f.type == "bool") or not isinstance(value, types):
+                raise ValueError(f"{f.name} must be {expected}, got {value!r}")
         if self.n < 2:
             raise ValueError(f"n must be >= 2, got {self.n}")
         if self.topology not in TOPOLOGIES:
@@ -113,16 +138,16 @@ class ExperimentConfig:
             )
         if self.topology == "ring" and self.n < 3:
             raise ValueError("ring topology needs n >= 3")
-        if not 0 <= self.coupling_scale < math.inf:
+        if not (_finite(self.coupling_scale) and self.coupling_scale >= 0):
             raise ValueError(f"coupling_scale must be finite and >= 0, got {self.coupling_scale}")
         if isinstance(self.alpha, str):
             if self.alpha != "auto":
                 raise ValueError(f'alpha must be a number or "auto", got {self.alpha!r}')
-        elif not 0 < self.alpha < math.inf:
+        elif not (_finite(self.alpha) and self.alpha > 0):
             raise ValueError(f"alpha must be finite and > 0, got {self.alpha}")
         if self.max_iters < 0:
             raise ValueError("max_iters must be >= 0")
-        if not 0 <= self.tol < math.inf:
+        if not (_finite(self.tol) and self.tol >= 0):
             raise ValueError(f"tol must be finite and >= 0, got {self.tol}")
 
     def to_dict(self) -> dict:
@@ -130,6 +155,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
+        if not isinstance(doc, dict):
+            raise ValueError(f"config must be a JSON object, got {type(doc).__name__}")
         known = set(cls.__dataclass_fields__)
         unknown = set(doc) - known
         if unknown:
@@ -451,35 +478,36 @@ print("wrote", out)
 """
 
 
-def _resolve_alpha(config, mu, l, sigma, n):
-    """Returns (alpha, terms, ceiling, admissible, note)."""
-    terms = ceiling = None
-    note = ""
+def _resolve_alpha(alpha, mu, l, sigma, n):
+    """Resolve ``alpha`` (``"auto"`` or a number) against the certificate.
+
+    Returns ``(alpha, terms, ceiling, admissible, note, plan)``: ``plan`` is
+    the :class:`~gradplay.bounds.StepSizePlan` of an admissible alpha and
+    None otherwise; ``terms``, ``ceiling`` and ``admissible`` are None when
+    perfect mixing leaves no ceiling.
+    """
     try:
         terms = bounds.step_size_terms(mu, l, sigma, n)
-        ceiling = min(terms)
     except PerfectMixingError as exc:
         note = f"step-size ceiling unavailable: {exc}"
-    if isinstance(config.alpha, str):  # "auto"
-        if ceiling is None:
-            raise PerfectMixingError(
-                "alpha='auto' needs a step-size ceiling, but " + note
-            )
-        alpha = 0.9 * ceiling
-        admissible = True
-        note = "alpha resolved to 0.9 * alpha_max"
-    else:
-        alpha = float(config.alpha)
-        admissible = None if ceiling is None else bool(0 < alpha < ceiling)
-        if admissible is False:
-            note = (
-                f"alpha={alpha} exceeds the certified ceiling "
-                f"alpha_max={ceiling!r}; geometric-rate certificate does not "
-                "apply (divergence guard stays active)"
-            )
-        elif admissible:
-            note = "explicit alpha below the certified ceiling"
-    return alpha, terms, ceiling, admissible, note
+        if alpha == "auto":
+            raise PerfectMixingError("alpha='auto' needs a step-size ceiling, but " + note)
+        return float(alpha), None, None, None, note, None
+    ceiling = min(terms)
+    if alpha == "auto":
+        plan = bounds.step_size_plan(mu, l, sigma, n)
+        return plan.alpha, terms, ceiling, True, "alpha resolved to 0.9 * alpha_max", plan
+    alpha = float(alpha)
+    try:
+        plan = bounds.step_size_plan(mu, l, sigma, n, alpha)
+    except InadmissibleStepSizeError:
+        note = (
+            f"alpha={alpha} exceeds the certified ceiling "
+            f"alpha_max={ceiling!r}; geometric-rate certificate does not "
+            "apply (divergence guard stays active)"
+        )
+        return alpha, terms, ceiling, False, note, None
+    return alpha, terms, ceiling, True, "explicit alpha below the certified ceiling", plan
 
 
 def run_experiment(config: ExperimentConfig, out_dir=None, game=None, graph=None, x0=None):
@@ -500,20 +528,15 @@ def run_experiment(config: ExperimentConfig, out_dir=None, game=None, graph=None
         raise ValueError(f"graph has {graph.n} nodes but game has {game.n} players")
     w = metropolis_weights(graph)
     consts = estimate_constants(game)
-    alpha, terms, ceiling, admissible, note = _resolve_alpha(
-        config, consts.mu, consts.l, w.sigma, game.n
+    alpha, terms, ceiling, admissible, note, plan = _resolve_alpha(
+        config.alpha, consts.mu, consts.l, w.sigma, game.n
     )
-    q = None
-    if admissible:
-        q = bounds.rate_bound(consts.mu, consts.l, w.sigma, game.n, alpha).q
 
     if x0 is None:
         x0 = initial_estimates(game.n, config.init_seed)
     diverged = False
     try:
-        final, trace = run(
-            game, w, alpha, x0, max_iters=config.max_iters, tol=config.tol, record=True
-        )
+        final, trace = run(game, w, alpha, x0, max_iters=config.max_iters, tol=config.tol)
     except DivergenceError as exc:
         diverged = True
         trace = exc.trace
@@ -544,7 +567,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None, game=None, graph=None
         alpha=alpha,
         alpha_admissible=admissible,
         alpha_note=note,
-        q=q,
+        q=plan.q if plan else None,
         iterations=max(len(trace) - 1, 0),
         initial_distance=initial_distance,
         final_distance=final_distance,
@@ -701,12 +724,12 @@ def _audit_mixing(graph, w):
         float(np.max(np.abs(w.w.sum(axis=0) - 1.0))),
     )
     symmetric = bool(np.array_equal(w.w, w.w.T))
-    edges = set(graph.edges)
-    sparsity_ok = True
-    for i in range(graph.n):
-        for j in range(i + 1, graph.n):
-            if ((i, j) in edges) != (w.w[i, j] > 0):
-                sparsity_ok = False
+    edges = np.array(graph.edges, dtype=int).reshape(-1, 2)
+    adjacency = np.zeros((graph.n, graph.n), dtype=bool)
+    adjacency[edges[:, 0], edges[:, 1]] = adjacency[edges[:, 1], edges[:, 0]] = True
+    support = w.w > 0
+    np.fill_diagonal(support, False)
+    sparsity_ok = np.array_equal(support, adjacency)
     diag_ok = bool(np.all(np.diag(w.w) > 0))
     ok = err <= 1e-12 and symmetric and sparsity_ok and diag_ok and 0 <= w.sigma < 1
     return ok, err
@@ -803,9 +826,9 @@ def _audit_cell(n, topology, seed, coupling_scale, iters, alpha_override, eq5_sa
             checks=checks,
         )
 
-    ceiling = bounds.alpha_max(consts.mu, consts.l, w.sigma, n)
-    alpha = alpha_override if alpha_override is not None else 0.9 * ceiling
-    admissible = bool(0 < alpha < ceiling)
+    alpha, _terms, ceiling, admissible, _note, plan = _resolve_alpha(
+        "auto" if alpha_override is None else alpha_override, consts.mu, consts.l, w.sigma, n
+    )
     checks.append(
         AuditCheck(
             "admissible_step",
@@ -818,7 +841,7 @@ def _audit_cell(n, topology, seed, coupling_scale, iters, alpha_override, eq5_sa
     x0 = initial_estimates(n, seed=3000 + seed)
     diverged = False
     try:
-        _, trace = run(game, w, alpha, x0, max_iters=iters, tol=0.0, record=True)
+        _, trace = run(game, w, alpha, x0, max_iters=iters, tol=0.0)
     except DivergenceError as exc:
         diverged = True
         trace = exc.trace
@@ -843,24 +866,22 @@ def _audit_cell(n, topology, seed, coupling_scale, iters, alpha_override, eq5_sa
     checks.append(AuditCheck("average_recursion", resid <= 1e-12, resid))
 
     if admissible:
-        rb = bounds.rate_bound(consts.mu, consts.l, w.sigma, n, alpha)
-        z = bounds.z_matrix(consts.mu, consts.l, w.sigma, n, alpha)
-        eig = np.sort(np.linalg.eigvals(z).real)
-        eig_err = max(abs(eig[1] - rb.lambda1), abs(eig[0] - rb.lambda2))
+        eig = np.sort(np.linalg.eigvals(plan.z).real)
+        eig_err = max(abs(eig[1] - plan.lambda1), abs(eig[0] - plan.lambda2))
         rate_ok = (
-            0 < rb.q < 1
-            and rb.lambda1 > abs(rb.lambda2)
+            0 < plan.q < 1
+            and plan.lambda1 > abs(plan.lambda2)
             and eig_err <= 1e-12
         )
         checks.append(AuditCheck("rate_certificate", rate_ok, eig_err))
-        t5 = bounds.step_size_terms(consts.mu, consts.l, w.sigma, n)[4]
+        t5 = plan.terms[4]
         alt = bounds.quadratic_form_alpha_bound(consts.mu, consts.l, w.sigma, n)
         t5_err = abs(t5 - alt) / abs(t5)
         checks.append(AuditCheck("fifth_term_equivalence", t5_err <= 1e-12, t5_err))
         if len(trace):
-            zdom = zdomination_excess(trace, z)
+            zdom = zdomination_excess(trace, plan.z)
             checks.append(AuditCheck("z_domination", zdom <= SLACK_TOL, zdom))
-            env = envelope_excess(trace, z, rb.lambda1, rb.lambda2)
+            env = envelope_excess(trace, plan.z, plan.lambda1, plan.lambda2)
             checks.append(AuditCheck("geometric_envelope", env <= SLACK_TOL, env))
 
     return AuditCell(

@@ -15,7 +15,7 @@ matrix of the 2-node complete graph).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -111,14 +111,17 @@ SPARSE_FILL_RATIO = 75
 class MixingMatrix:
     """A doubly stochastic weight matrix together with its contraction factor.
 
-    ``sigma`` is the second largest singular value of ``w`` (equivalently the
-    top singular value of the deflated matrix ``w - (1/n) 11^T``).  The
-    constructor enforces double stochasticity to 1e-12 and ``sigma < 1``;
-    ``sigma = 0`` is admitted as the perfect-mixing boundary case.
+    ``sigma`` is computed here, never passed in: the second largest singular
+    value of ``w`` (equivalently the top singular value of the deflated
+    matrix ``w - (1/n) 11^T``), with values below 1e-12 snapped to exactly
+    0.  On a complete graph the true ``sigma`` is 0 but rounding reports
+    ~1e-16, so the snap makes the perfect-mixing boundary case
+    deterministic.  The constructor enforces double stochasticity to 1e-12
+    and ``sigma < 1``.
     """
 
     w: np.ndarray
-    sigma: float
+    sigma: float = field(init=False)
 
     def __post_init__(self):
         w = np.array(self.w, dtype=float)
@@ -133,19 +136,17 @@ class MixingMatrix:
                 f"matrix is not doubly stochastic: row error {row_err:.3e}, "
                 f"column error {col_err:.3e} (tolerance 1e-12)"
             )
-        if not 0.0 <= self.sigma < 1.0:
+        sigma = second_largest_singular_value(w)
+        if sigma < 1e-12:
+            sigma = 0.0
+        if not sigma < 1.0:
             raise ValueError(
-                f"sigma={self.sigma!r} outside [0, 1): the graph cannot be "
+                f"sigma={sigma!r} outside [0, 1): the graph cannot be "
                 "connected (or the matrix does not mix)"
             )
         w.setflags(write=False)
         object.__setattr__(self, "w", w)
-        object.__setattr__(self, "sigma", float(self.sigma))
-
-    @classmethod
-    def from_matrix(cls, w: np.ndarray) -> "MixingMatrix":
-        """Wrap an existing doubly stochastic matrix, computing sigma."""
-        return cls(w=np.asarray(w, dtype=float), sigma=second_largest_singular_value(w))
+        object.__setattr__(self, "sigma", sigma)
 
     @property
     def n(self) -> int:
@@ -209,10 +210,8 @@ def metropolis_weights(g: Graph) -> MixingMatrix:
     strictly positive diagonal, and its off-diagonal support is exactly the
     edge set.
 
-    On a complete graph every weight is ``1/n``, i.e. exact averaging; its
-    true ``sigma`` is 0 but floating rounding reports ~1e-16, so values at
-    rounding level are snapped to exactly 0 to make the perfect-mixing
-    boundary case deterministic.
+    On a complete graph every weight is ``1/n``, i.e. exact averaging, and
+    ``sigma`` is exactly 0 (see :class:`MixingMatrix`).
     """
     if not g.is_connected():
         raise DisconnectedGraphError(
@@ -224,10 +223,7 @@ def metropolis_weights(g: Graph) -> MixingMatrix:
         w[i, j] = w[j, i] = 1.0 / (1.0 + max(deg[i], deg[j]))
     for i in range(g.n):
         w[i, i] = 1.0 - float(np.sum(w[i]))
-    sigma = second_largest_singular_value(w)
-    if sigma < 1e-12:
-        sigma = 0.0
-    return MixingMatrix(w=w, sigma=sigma)
+    return MixingMatrix(w)
 
 
 def second_largest_singular_value(w: np.ndarray) -> float:

@@ -91,7 +91,7 @@ def _make_run(n, topology, seed, iters):
     rb = bounds.rate_bound(consts.mu, consts.l, w.sigma, n, alpha)
     z = bounds.z_matrix(consts.mu, consts.l, w.sigma, n, alpha)
     x0 = initial_estimates(n, 500 + seed)
-    _, trace = run(game, w, alpha, x0, max_iters=iters, tol=0.0, record=True)
+    _, trace = run(game, w, alpha, x0, max_iters=iters, tol=0.0)
     return SweepRun(
         n=n,
         topology=topology,

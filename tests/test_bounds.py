@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import gradplay
 from gradplay import (
     InadmissibleStepSizeError,
     PerfectMixingError,
@@ -269,7 +270,32 @@ class TestStepSizePlan:
         assert repr(plan.q) in text  # full precision in the text report
 
 
+    def test_rate_bound_and_z_matrix_are_views_of_the_plan(self):
+        plan = step_size_plan(1.2, 2.0, 0.7, 6, alpha=1e-4)
+        assert rate_bound(1.2, 2.0, 0.7, 6, 1e-4) == plan
+        z = z_matrix(1.2, 2.0, 0.7, 6, 1e-4)
+        assert np.array_equal(z, plan.z)
+        assert not z.flags.writeable
+        assert "z" not in plan.to_dict() and "z" not in plan.to_json()
+        assert not hasattr(gradplay, "RateBound")
+
+
 class TestGraneComparison:
+    def test_to_dict_fields_in_order(self):
+        cmp = grane_rate_comparison(1.0, 2.0, 12, sigma=0.9)
+        doc = cmp.to_dict()
+        assert list(doc) == [
+            "grane_gap",
+            "play_gap",
+            "ratio_play_over_grane",
+            "kappa",
+            "play_faster",
+            "asymptotic_regime",
+            "alpha_asymptotic",
+            "grane_gamma_r",
+        ]
+        assert doc["ratio_play_over_grane"] == cmp.play_gap / cmp.grane_gap
+
     def test_frozen_twenty_players(self):
         cmp = grane_rate_comparison(1.0, 1.0, 20)
         assert cmp.grane_gap == 1.0 / 20**6
@@ -340,3 +366,4 @@ class TestRateGrid:
         assert len(alphas) == len(qs) == 50
         assert np.all(alphas > 0) and np.all(alphas < ceiling)
         assert np.all(qs < 1)
+        assert qs[7] == step_size_plan(1.0, 1.0, 0.5, 2, alpha=float(alphas[7])).q

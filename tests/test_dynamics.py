@@ -41,7 +41,7 @@ def identity_game(n=2, b=None):
 
 
 def half_mixing():
-    return MixingMatrix.from_matrix(np.full((2, 2), 0.5))
+    return MixingMatrix(np.full((2, 2), 0.5))
 
 
 class TestDiagGradient:

@@ -28,6 +28,7 @@ from gradplay import (
 from gradplay.cli import main
 from gradplay.harness import (
     AuditReport,
+    _audit_mixing,
     envelope_excess,
     first_lemma_violation,
     fit_tail_contraction,
@@ -79,10 +80,13 @@ class TestExperimentConfig:
             small_config(tol=-1.0).validate()
 
     @pytest.mark.parametrize("key", ["alpha", "tol", "coupling_scale"])
-    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 10**400])
     def test_non_finite_values_rejected(self, key, value):
         with pytest.raises(ValueError, match="finite"):
             small_config(**{key: value}).validate()
+
+    def test_numbers_accept_ints(self):
+        small_config(coupling_scale=1, alpha=1, tol=0).validate()
 
     def test_paper_sim_preset(self):
         config = paper_sim_config()
@@ -356,6 +360,27 @@ class TestAudit:
         assert doc["ok"] is False
         assert doc["failures"]
 
+    def test_mixing_support_must_match_graph(self):
+        assert _audit_mixing(ring(6), metropolis_weights(ring(6)))[0]
+        # doubly stochastic and symmetric, but with the support of a star
+        assert not _audit_mixing(ring(6), metropolis_weights(star(6)))[0]
+        # one edge too few: the ring's W against the ring plus a chord
+        chord = graph_from_edgelist("1 2\n2 3\n3 4\n4 5\n5 6\n6 1\n1 4\n")
+        assert not _audit_mixing(chord, metropolis_weights(ring(6)))[0]
+
+    def test_one_plan_per_cell(self, monkeypatch):
+        calls = []
+        terms = bounds.step_size_terms
+        monkeypatch.setattr(
+            bounds, "step_size_terms", lambda *args: calls.append(args) or terms(*args)
+        )
+        report = audit(sizes=(5,), topologies=("tree", "star"), seeds=2, iters=20)
+        assert all(cell.admissible for cell in report.cells)
+        assert len(calls) == 2 * len(report.cells)
+        calls.clear()
+        report = audit(sizes=(5,), topologies=("star",), seeds=1, iters=5, alpha_override=0.5)
+        assert not report.ok and len(calls) == 2
+
     def test_empty_audit_fails(self):
         assert not AuditReport(cells=[]).ok
         report = audit(seeds=0)
@@ -462,6 +487,44 @@ class TestCli:
     def test_audit_bad_topology_is_input_error(self, capsys):
         assert main(["audit", "--topologies", "moebius"]) == 2
         assert "unknown topology" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"n": "20"}', "n must be an integer, got '20'"),
+            ('{"max_iters": 1.5}', "max_iters must be an integer, got 1.5"),
+            ('{"n": 2.0}', "n must be an integer, got 2.0"),
+            ("[1, 2]", "config must be a JSON object, got list"),
+            ('{"check_lemmas": "no"}', "check_lemmas must be true or false, got 'no'"),
+            ('{"n": true}', "n must be an integer, got True"),
+            ('{"game_seed": "1"}', "game_seed must be an integer"),
+            ('{"coupling_scale": false}', "coupling_scale must be a number, got False"),
+            ('{"alpha": null}', 'alpha must be a number or "auto", got None'),
+            ('{"tol": [0.0]}', "tol must be a number"),
+            ('{"topology": 3}', "topology must be a string, got 3"),
+            ('{"check_lemmas": 1}', "check_lemmas must be true or false, got 1"),
+        ],
+    )
+    def test_run_config_value_types_are_input_errors(self, text, message, tmp_path, capsys):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(text)
+        assert main(["run", "--config", str(config_path), "--out", str(tmp_path / "o")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and captured.err.startswith("error: " + message)
+        assert not (tmp_path / "o").exists()
+
+    def test_run_experiment_plans_once(self, monkeypatch):
+        calls = []
+        terms = bounds.step_size_terms
+        monkeypatch.setattr(
+            bounds, "step_size_terms", lambda *args: calls.append(args) or terms(*args)
+        )
+        for alpha in ("auto", 1e-6, 0.05):
+            calls.clear()
+            report = run_experiment(small_config(alpha=alpha, max_iters=5))
+            assert len(calls) <= 2
+            assert (report.q is not None) == report.alpha_admissible
 
     def test_default_out_dir_env(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("GRADPLAY_OUT_DIR", str(tmp_path / "envout"))

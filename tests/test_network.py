@@ -137,7 +137,7 @@ class TestSecondLargestSingularValue:
         # doubly stochastic but not mixing; the query reports sigma = 1
         assert second_largest_singular_value(np.eye(5)) == pytest.approx(1.0, rel=1e-14)
         with pytest.raises(ValueError):
-            MixingMatrix.from_matrix(np.eye(5))  # violates sigma < 1
+            MixingMatrix(np.eye(5))  # violates sigma < 1
 
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
@@ -184,7 +184,7 @@ class TestSigmaAgainstSvd:
         shift = np.roll(np.eye(n), 1, axis=1)
         w = 0.5 * np.eye(n) + 0.3 * shift + 0.2 * np.full((n, n), 1 / n)
         assert not np.array_equal(w, w.T)
-        assert MixingMatrix.from_matrix(w).sigma == sigma_svd_oracle(w)
+        assert MixingMatrix(w).sigma == sigma_svd_oracle(w)
 
 
 class TestOperator:
@@ -236,16 +236,28 @@ class TestMixingMatrixValidation:
     def test_not_doubly_stochastic_rejected(self):
         bad = np.array([[0.7, 0.2], [0.3, 0.8]])
         with pytest.raises(ValueError):
-            MixingMatrix.from_matrix(bad)
+            MixingMatrix(bad)
 
     def test_negative_entries_rejected(self):
         bad = np.array([[1.2, -0.2], [-0.2, 1.2]])
         with pytest.raises(ValueError):
-            MixingMatrix.from_matrix(bad)
+            MixingMatrix(bad)
 
-    def test_from_matrix_computes_sigma(self):
-        w = MixingMatrix.from_matrix(metropolis_weights(ring(6)).w)
+    def test_constructor_computes_sigma(self):
+        w = MixingMatrix(metropolis_weights(ring(6)).w)
         assert 0 < w.sigma < 1
+        assert w.sigma == metropolis_weights(ring(6)).sigma
+
+    def test_sigma_cannot_be_passed(self):
+        # A caller-supplied sigma could disagree with w and void every
+        # certificate built on it.
+        with pytest.raises(TypeError):
+            MixingMatrix(metropolis_weights(ring(6)).w, sigma=0.01)
+
+    def test_exact_averaging_snaps_to_zero(self):
+        w = metropolis_weights(complete(7)).w  # rounding leaves ~1.7e-16
+        assert second_largest_singular_value(w) > 0
+        assert MixingMatrix(w).sigma == 0.0
 
 
 class TestSerialization:
