@@ -92,10 +92,19 @@ def _own_gradient(game: QuadraticGame, x_mat: np.ndarray) -> np.ndarray:
     return np.sum(game.mapping_matrix * x_mat, axis=1) + game.b
 
 
-def _update(w_op, x_mat: np.ndarray, alpha: float, g: np.ndarray) -> np.ndarray:
+def _norm(v: np.ndarray) -> float:
+    """``np.linalg.norm(v)`` of a real array, Frobenius for a matrix: the same
+    BLAS dot of the flattened array, without its per-call overhead.  The
+    flattened temporary dies with the call, so ``run()`` keeps no extra
+    ``n x n`` array alive into the next step."""
+    v = v.ravel()
+    return math.sqrt(v @ v)
+
+
+def _update(w_op, x_mat: np.ndarray, alpha: float, g: np.ndarray, own) -> np.ndarray:
     # w_op is a dense matrix or MixingMatrix.operator; both give an ndarray.
+    # own is np.arange(n), made once by a caller that updates many times.
     out = w_op @ x_mat
-    own = np.arange(x_mat.shape[0])
     out[own, own] -= alpha * g
     return out
 
@@ -140,7 +149,8 @@ def step(x_mat: np.ndarray, w, alpha: float, game) -> np.ndarray:
         raise ValueError(
             f"shape mismatch: mixing matrix {w_op.shape}, estimates {x_mat.shape}"
         )
-    return _update(w_op, x_mat, alpha, diag_gradient(game, x_mat))
+    own = np.arange(x_mat.shape[0])
+    return _update(w_op, x_mat, alpha, diag_gradient(game, x_mat), own)
 
 
 def running_average(x_mat: np.ndarray) -> np.ndarray:
@@ -228,6 +238,8 @@ def run(
     x = np.array(x0, dtype=float)
     if x.shape != (n, n):
         raise ValueError(f"x0 has shape {x.shape}, expected ({n}, {n})")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("x0 must be finite")
     if w.n != n:
         raise ValueError(f"mixing matrix is {w.n} x {w.n}, game has n={n}")
 
@@ -240,29 +252,34 @@ def run(
     def trace():
         return _trace_from_norms(norms, w.sigma, consts.mu, consts.l, alpha, n)
 
-    initial_dist = float(np.linalg.norm(x - x_star_mat))
-    for t in range(max_iters + 1):
-        avg = x.mean(axis=0)
-        dist = float(np.linalg.norm(x - x_star_mat))
-        g = _own_gradient(game, x)
-        cv = float(np.linalg.norm(x - avg))
-        avg_dist = math.sqrt(n) * float(np.linalg.norm(avg - x_star))
-        norms.append((cv, dist, avg_dist, float(np.linalg.norm(g))))
+    own = np.arange(n)
+    sqrt_n = math.sqrt(n)
+    # Each mean is a sum over n: the floating-point operations of mean,
+    # without its per-call overhead.  A diverging run overflows; the guard
+    # below turns the non-finite distance into a DivergenceError.
+    with np.errstate(over="ignore", invalid="ignore"):
+        initial_dist = _norm(x - x_star_mat)
+        dist_limit = DIVERGENCE_FACTOR * max(initial_dist, 1e-300)
+        for t in range(max_iters + 1):
+            avg = x.sum(axis=0) / n
+            dist = _norm(x - x_star_mat)
+            g = _own_gradient(game, x)
+            norms.append((_norm(x - avg), dist, sqrt_n * _norm(avg - x_star), _norm(g)))
 
-        if dist <= tol:
-            break
-        if not math.isfinite(dist) or dist > DIVERGENCE_FACTOR * max(initial_dist, 1e-300):
-            err = DivergenceError(
-                f"diverged at iteration {t}: distance {dist:.3e} exceeds "
-                f"{DIVERGENCE_FACTOR:.0e} x initial {initial_dist:.3e} "
-                f"(alpha={alpha} too large)"
-            )
-            err.iteration = t
-            err.trace = trace()  # partial trace for post-mortem reporting
-            raise err
-        if t == max_iters:
-            break
-        x = _update(w_op, x, alpha, g)
+            if dist <= tol:
+                break
+            if not math.isfinite(dist) or dist > dist_limit:
+                err = DivergenceError(
+                    f"diverged at iteration {t}: distance {dist:.3e} exceeds "
+                    f"{DIVERGENCE_FACTOR:.0e} x initial {initial_dist:.3e} "
+                    f"(alpha={alpha} too large)"
+                )
+                err.iteration = t
+                err.trace = trace()  # partial trace for post-mortem reporting
+                raise err
+            if t == max_iters:
+                break
+            x = _update(w_op, x, alpha, g, own)
 
     return x, trace()
 
@@ -278,15 +295,17 @@ def _trace_from_norms(norms, sigma, mu, big_l, alpha, n) -> np.recarray:
     trace.avg_distance_to_ne = avg_d
     trace.grad_norm = gn
     trace.lemma1_slack[:1] = trace.lemma3_slack[:1] = math.nan
-    trace.lemma1_slack[1:] = (
-        sigma * cv[:-1] + alpha * math.sqrt((n - 1) / n) * gn[:-1] - cv[1:]
-    )
-    trace.lemma2_slack = big_l * dist - gn
-    trace.lemma3_slack[1:] = (
-        avg_d[:-1] ** 2
-        + (big_l**2 * alpha / mu) * cv[:-1] ** 2
-        - (1.0 + mu * alpha / n) * avg_d[1:] ** 2
-    )
+    # the norms of a diverged run may be inf or NaN: their slacks are too
+    with np.errstate(over="ignore", invalid="ignore"):
+        trace.lemma1_slack[1:] = (
+            sigma * cv[:-1] + alpha * math.sqrt((n - 1) / n) * gn[:-1] - cv[1:]
+        )
+        trace.lemma2_slack = big_l * dist - gn
+        trace.lemma3_slack[1:] = (
+            avg_d[:-1] ** 2
+            + (big_l**2 * alpha / mu) * cv[:-1] ** 2
+            - (1.0 + mu * alpha / n) * avg_d[1:] ** 2
+        )
     return trace
 
 

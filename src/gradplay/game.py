@@ -82,6 +82,8 @@ class QuadraticGame:
             )
         if not np.all(a > 0):
             raise ValueError("all self-coefficients a_i must be > 0")
+        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b)) and np.all(np.isfinite(c))):
+            raise ValueError("game coefficients a, b and c must all be finite")
         if np.any(np.diag(c) != 0.0):
             raise ValueError("coupling matrix c must have an exactly zero diagonal")
         object.__setattr__(self, "a", a)
@@ -165,12 +167,14 @@ def game_mapping(game: QuadraticGame, x: np.ndarray) -> np.ndarray:
     """Evaluate the stacked gradient mapping ``F(x) = A x + b``.
 
     Component ``i`` is player i's partial gradient of her own cost at the
-    joint action ``x``.
+    joint action ``x``.  ``x`` may also be a stack of joint actions, shape
+    ``(k, n)``; row ``r`` of the result is then ``F(x[r])``, computed as the
+    same matrix-vector product as a single call on ``x[r]``.
     """
     x = np.asarray(x, dtype=float)
-    if x.shape != (game.n,):
-        raise ValueError(f"x has shape {x.shape}, expected ({game.n},)")
-    return game.mapping_matrix @ x + game.b
+    if x.ndim not in (1, 2) or x.shape[-1] != game.n:
+        raise ValueError(f"x has shape {x.shape}, expected ({game.n},) or (k, {game.n})")
+    return (game.mapping_matrix @ x[..., None])[..., 0] + game.b
 
 
 def local_gradient(game: QuadraticGame, i: int, x_local: np.ndarray) -> float:

@@ -26,23 +26,11 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from . import bounds
-from .dynamics import (
-    diag_gradient,
-    initial_estimates,
-    run,
-    running_average,
-    step,
-    trace_to_csv,
-)
+from .dynamics import _norm, _own_gradient, _update, initial_estimates, run, trace_to_csv
 from .errors import DivergenceError, InadmissibleStepSizeError, PerfectMixingError
-from .game import (
-    _dump_game,
-    estimate_constants,
-    game_mapping,
-    local_gradient,
-    random_game,
-)
+from .game import _dump_game, estimate_constants, game_mapping, random_game
 from .network import (
+    _row_dots,
     average_property_check,
     complete,
     graph_to_edgelist,
@@ -217,13 +205,15 @@ def _normalized_slacks(trace, mu: float, alpha: float, n: int) -> dict:
     Keys come in check order (lemma2, lemma1, lemma3); values are columns
     with NaN where the inequality has no transition (``t = 0``).
     """
-    lhs3 = (1.0 + mu * alpha / n) * trace.avg_distance_to_ne**2
-    pairs = {
-        "lemma2": (trace.lemma2_slack, trace.grad_norm),
-        "lemma1": (trace.lemma1_slack, trace.consensus_violation),
-        "lemma3": (trace.lemma3_slack, lhs3),
-    }
-    return {name: slack / (1.0 + np.abs(slack + lhs)) for name, (slack, lhs) in pairs.items()}
+    # a diverged run's trace may end in inf or NaN; its slacks stay non-finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        lhs3 = (1.0 + mu * alpha / n) * trace.avg_distance_to_ne**2
+        pairs = {
+            "lemma2": (trace.lemma2_slack, trace.grad_norm),
+            "lemma1": (trace.lemma1_slack, trace.consensus_violation),
+            "lemma3": (trace.lemma3_slack, lhs3),
+        }
+        return {name: slack / (1.0 + np.abs(slack + lhs)) for name, (slack, lhs) in pairs.items()}
 
 
 def lemma_slack_minima(trace, mu: float, l: float, alpha: float, n: int) -> dict:
@@ -326,18 +316,22 @@ def recursion_residual(game, w, alpha: float, x0: np.ndarray, iters: int) -> flo
 
     Compares the column means after one update step against
     ``avg - (alpha / n) * g`` computed independently; both sides agree to
-    rounding for every state.
+    rounding for every state.  The iteration is replayed here, apart from
+    :func:`~gradplay.dynamics.run`, through the bare update kernel on
+    ``w.operator`` (``game`` a QuadraticGame, ``w`` a MixingMatrix).  Means
+    and norms are the float operations of ``mean`` and ``np.linalg.norm``.
     """
     x = np.array(x0, dtype=float)
     n = x.shape[0]
+    w_op = w.operator
+    own = np.arange(n)
     worst = 0.0
     for _ in range(iters):
-        g = diag_gradient(game, x)
-        predicted = running_average(x) - (alpha / n) * g
-        x = step(x, w, alpha, game)
-        actual = running_average(x)
-        resid = float(np.linalg.norm(actual - predicted))
-        worst = max(worst, resid / (1.0 + float(np.linalg.norm(predicted))))
+        g = _own_gradient(game, x)
+        predicted = x.sum(axis=0) / n - (alpha / n) * g
+        x = _update(w_op, x, alpha, g, own)
+        resid = _norm(x.sum(axis=0) / n - predicted)
+        worst = max(worst, resid / (1.0 + _norm(predicted)))
     return worst
 
 
@@ -696,26 +690,33 @@ class AuditReport:
 
 
 def _audit_game_assumptions(game, consts, rng, samples=100):
-    """Worst normalized margins of monotonicity and the Lipschitz bounds."""
+    """Worst normalized margins of monotonicity and the Lipschitz bounds.
+
+    Each sample draws a pair of joint actions ``u``, ``v`` and a player
+    ``i``; the margins are then column expressions over all samples.
+    """
     n = game.n
-    worst_mono = math.inf
-    worst_lip = math.inf
-    for _ in range(samples):
-        u = rng.uniform(-5, 5, n)
-        v = rng.uniform(-5, 5, n)
-        du = u - v
-        lhs = float((game_mapping(game, u) - game_mapping(game, v)) @ du)
-        rhs = consts.mu * float(du @ du)
-        worst_mono = min(worst_mono, (lhs - rhs) / (1.0 + abs(rhs)))
-        # per-player and full-mapping Lipschitz bounds
-        i = int(rng.integers(0, n))
-        g_diff = abs(local_gradient(game, i, u) - local_gradient(game, i, v))
-        lip_rhs = consts.l_per_player[i] * float(np.linalg.norm(du))
-        worst_lip = min(worst_lip, (lip_rhs - g_diff) / (1.0 + lip_rhs))
-        f_diff = float(np.linalg.norm(game_mapping(game, u) - game_mapping(game, v)))
-        map_rhs = consts.l_mapping * float(np.linalg.norm(du))
-        worst_lip = min(worst_lip, (map_rhs - f_diff) / (1.0 + map_rhs))
-    return worst_mono, worst_lip
+    u = np.empty((samples, n))
+    v = np.empty((samples, n))
+    players = np.empty(samples, dtype=int)
+    for k in range(samples):
+        u[k] = rng.uniform(-5, 5, n)
+        v[k] = rng.uniform(-5, 5, n)
+        players[k] = rng.integers(0, n)
+    f = game_mapping(game, np.concatenate([u, v]))
+    f_diff = f[:samples] - f[samples:]
+    du = u - v
+    du_sq = _row_dots(du, du)
+    du_norm = np.sqrt(du_sq)
+    rhs = consts.mu * du_sq
+    mono = (_row_dots(f_diff, du) - rhs) / (1.0 + np.abs(rhs))
+    # per-player bound on column i of F(u) - F(v), and the full-mapping bound
+    g_diff = np.abs(f_diff[np.arange(samples), players])
+    f_norm = np.sqrt(_row_dots(f_diff, f_diff))
+    lip_rhs = consts.l_per_player[players] * du_norm
+    map_rhs = consts.l_mapping * du_norm
+    lip = np.minimum((lip_rhs - g_diff) / (1.0 + lip_rhs), (map_rhs - f_norm) / (1.0 + map_rhs))
+    return float(np.min(mono, initial=math.inf)), float(np.min(lip, initial=math.inf))
 
 
 def _audit_mixing(graph, w):
@@ -736,12 +737,10 @@ def _audit_mixing(graph, w):
 
 
 def _audit_average_property(w, rng, samples=200):
-    worst = math.inf
-    for _ in range(samples):
-        x = rng.uniform(-10, 10, w.n)
-        lhs, rhs = average_property_check(w, x)
-        worst = min(worst, (rhs - lhs + 1e-12) / (1.0 + rhs))
-    return worst
+    """Worst normalized margin of the averaging contraction over ``samples``
+    vectors drawn in one call (the same values as one draw per vector)."""
+    lhs, rhs = average_property_check(w, rng.uniform(-10, 10, (samples, w.n)))
+    return float(np.min((rhs - lhs + 1e-12) / (1.0 + rhs), initial=math.inf))
 
 
 def audit(

@@ -246,19 +246,32 @@ def second_largest_singular_value(w: np.ndarray) -> float:
     return float(np.linalg.svd(deflated, compute_uv=False)[0])
 
 
+def _row_dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Dot products of ``u`` and ``v`` along the last axis, one per vector of
+    a stack.  Each is the BLAS dot that ``np.linalg.norm`` takes for a single
+    vector, so a row of a stack gets the bits of that vector alone."""
+    return (u[..., None, :] @ v[..., :, None])[..., 0, 0]
+
+
 def average_property_check(w: MixingMatrix, x: np.ndarray):
     """Both sides of the averaging contraction for one vector.
 
     Returns ``(lhs, rhs) = (||W x - 1 xbar||, sigma * ||x - 1 xbar||)``;
-    the mixing property asserts ``lhs <= rhs`` (up to rounding).
+    the mixing property asserts ``lhs <= rhs`` (up to rounding).  For a stack
+    of vectors, shape ``(k, n)``, ``lhs`` and ``rhs`` are arrays with one
+    entry per row, each computed with the same operations as a single call.
     """
     x = np.asarray(x, dtype=float)
     n = w.n
-    if x.shape != (n,):
-        raise ValueError(f"x has shape {x.shape}, expected ({n},)")
-    xbar = float(np.mean(x))
-    lhs = float(np.linalg.norm(w.w @ x - xbar))
-    rhs = w.sigma * float(np.linalg.norm(x - xbar))
+    if x.ndim not in (1, 2) or x.shape[-1] != n:
+        raise ValueError(f"x has shape {x.shape}, expected ({n},) or (k, {n})")
+    xbar = x.mean(axis=-1, keepdims=True)
+    mixed = (w.w @ x[..., None])[..., 0] - xbar
+    spread = x - xbar
+    lhs = np.sqrt(_row_dots(mixed, mixed))
+    rhs = w.sigma * np.sqrt(_row_dots(spread, spread))
+    if x.ndim == 1:
+        return float(lhs), float(rhs)
     return lhs, rhs
 
 

@@ -230,11 +230,29 @@ class TestRun:
         g = random_game(4, 0)
         w = metropolis_weights(complete(4))
         x0 = initial_estimates(4, 0)
-        x0[1, 2] = math.nan
+        x0[1, 2] = 1e308  # finite, but its squared distance overflows to inf
         with pytest.raises(DivergenceError) as excinfo:
             run(g, w, 0.01, x0, max_iters=50)
         assert excinfo.value.iteration == 0
         assert len(excinfo.value.trace) == 1
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_x0_rejected(self, bad):
+        # A NaN x0 once ran and ended as a divergence at t = 0.
+        g = random_game(4, 0)
+        w = metropolis_weights(complete(4))
+        x0 = initial_estimates(4, 0)
+        x0[1, 2] = bad
+        with pytest.raises(ValueError, match="x0 must be finite"):
+            run(g, w, 0.01, x0, max_iters=50)
+
+    def test_overflowing_run_warns_nothing(self, recwarn):
+        g = random_game(5, 0)
+        w = metropolis_weights(ring(5))
+        with pytest.raises(DivergenceError) as excinfo:
+            run(g, w, 1e300, initial_estimates(5, 0), max_iters=50)
+        assert not math.isfinite(excinfo.value.trace[-1].distance_to_ne)
+        assert not [wn for wn in recwarn if issubclass(wn.category, RuntimeWarning)]
 
     @pytest.mark.parametrize("alpha", [math.nan, math.inf])
     def test_non_finite_step_size_rejected(self, alpha):
@@ -299,6 +317,56 @@ def dense_reference_run(game, w_dense, alpha, x0, iters):
         if t < iters:
             x = w_dense @ x - alpha * np.diag(g)
     return x, np.array(rows)
+
+
+def reference_norm_columns(game, w, alpha, x0, iters):
+    """The four norm columns of ``run()``, recorded with ``np.linalg.norm``
+    and ``mean`` on states advanced by ``step()``."""
+    n = game.n
+    x_star = solve_nash_equilibrium(game)
+    x_star_mat = consensual_matrix(x_star)
+    x = np.array(x0, dtype=float)
+    rows = []
+    for t in range(iters + 1):
+        avg = x.mean(axis=0)
+        g = diag_gradient(game, x)
+        rows.append(
+            (
+                np.linalg.norm(x - avg),
+                np.linalg.norm(x - x_star_mat),
+                math.sqrt(n) * np.linalg.norm(avg - x_star),
+                np.linalg.norm(g),
+            )
+        )
+        if t < iters:
+            x = step(x, w, alpha, game)
+    return np.array(rows)
+
+
+class TestRecordedNorms:
+    """run() records each norm as sqrt(v @ v) and each mean as a sum over n:
+    the columns must equal np.linalg.norm and mean to the bit."""
+
+    NORMS = ("consensus_violation", "distance_to_ne", "avg_distance_to_ne", "grad_norm")
+
+    def check(self, game, w, alpha, x0, iters):
+        _, trace = run(game, w, alpha, x0, max_iters=iters)
+        ref = reference_norm_columns(game, w, alpha, x0, iters)
+        for k, name in enumerate(self.NORMS):
+            np.testing.assert_array_equal(trace[name], ref[:, k])
+
+    def test_paper_sim(self):
+        from gradplay import build_graph, paper_sim_config
+
+        c = paper_sim_config()
+        game = random_game(c.n, c.game_seed, c.coupling_scale)
+        w = metropolis_weights(build_graph(c.topology, c.n, c.graph_seed))
+        self.check(game, w, c.alpha, initial_estimates(c.n, c.init_seed), c.max_iters)
+
+    def test_ring240_sparse_operator(self):
+        w = metropolis_weights(ring(240))
+        assert w.operator.format == "csr"
+        self.check(random_game(240, 21), w, 0.02, initial_estimates(240, 22), 30)
 
 
 class TestSparseOperator:

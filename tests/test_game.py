@@ -80,6 +80,19 @@ class TestGameMapping:
         with pytest.raises(ValueError):
             game_mapping(identity_game(), np.zeros(3))
 
+    def test_stack_gives_one_row_per_vector(self):
+        g = random_game(6, 4)
+        xs = np.random.default_rng(5).uniform(-3, 3, (9, 6))
+        got = game_mapping(g, xs)
+        assert got.shape == (9, 6)
+        assert_allclose(got, [game_mapping(g, x) for x in xs], rtol=1e-15)
+        assert game_mapping(g, xs[:0]).shape == (0, 6)
+
+    @pytest.mark.parametrize("shape", [(4, 3), (3,), (2, 2, 2), ()])
+    def test_stack_with_wrong_last_dimension_rejected(self, shape):
+        with pytest.raises(ValueError, match="expected"):
+            game_mapping(identity_game(), np.zeros(shape))
+
 
 class TestLocalGradient:
     def test_identity(self):
@@ -303,6 +316,24 @@ class TestConstruction:
         with pytest.raises(ValueError):
             QuadraticGame(a=np.ones(2), b=np.zeros(3), c=np.zeros((2, 2)))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_b_rejected(self, bad):
+        # A NaN b once passed the equilibrium residual test (NaN > tol is
+        # False) and surfaced only as a divergence at t = 0.
+        with pytest.raises(ValueError, match="finite"):
+            QuadraticGame(a=np.ones(2), b=np.array([0.5, bad]), c=np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_c_rejected(self, bad):
+        c = np.zeros((2, 2))
+        c[0, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            QuadraticGame(a=np.ones(2), b=np.zeros(2), c=c)
+
+    def test_infinite_a_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            QuadraticGame(a=np.array([1.0, math.inf]), b=np.zeros(2), c=np.zeros((2, 2)))
+
     def test_arrays_immutable(self):
         g = identity_game()
         with pytest.raises(ValueError):
@@ -349,10 +380,10 @@ class TestSerialization:
         assert np.array_equal(back.c, g.c)
         assert back.seed == seed
 
-    def test_streamed_non_finite_spelled_as_json_dump(self):
+    def test_streamed_extreme_floats_spelled_as_json_dump(self):
         g = QuadraticGame(
             a=np.array([1.0, 2.0, 3.0]),
-            b=np.array([math.nan, math.inf, -math.inf]),
+            b=np.array([-0.0, 1.7976931348623157e308, -5e-324]),
             c=np.array([[0.0, -0.0, 1e-300], [5e-324, 0.0, 1e300], [0.1, 2.5, 0.0]]),
         )
         out = io.StringIO()

@@ -13,6 +13,7 @@ from gradplay import (
     ExperimentConfig,
     QuadraticGame,
     audit,
+    build_graph,
     complete,
     consensual_matrix,
     estimate_constants,
@@ -28,6 +29,8 @@ from gradplay import (
 from gradplay.cli import main
 from gradplay.harness import (
     AuditReport,
+    _audit_average_property,
+    _audit_game_assumptions,
     _audit_mixing,
     envelope_excess,
     first_lemma_violation,
@@ -37,7 +40,8 @@ from gradplay.harness import (
     zdomination_excess,
 )
 from gradplay import bounds, dynamics
-from gradplay.network import graph_from_edgelist
+from gradplay.game import game_mapping, local_gradient
+from gradplay.network import average_property_check, graph_from_edgelist
 
 
 def small_config(**overrides):
@@ -272,6 +276,24 @@ class TestTraceHelpers:
         x0 = dynamics.initial_estimates(6, 2)
         assert recursion_residual(game, w, 0.03, x0, iters=60) <= 1e-12
 
+    @pytest.mark.parametrize(
+        "n, topology", [(6, "tree"), (20, "tree"), (5, "complete"), (240, "ring")]
+    )
+    def test_recursion_residual_matches_step_replay(self, n, topology):
+        game = random_game(n, 8)
+        w = metropolis_weights(build_graph(topology, n, 8))
+        x0 = dynamics.initial_estimates(n, 8)
+        alpha, iters = 0.03, 60 if n < 100 else 5
+        x = np.array(x0)
+        worst = 0.0
+        for _ in range(iters):
+            g = dynamics.diag_gradient(game, x)
+            predicted = dynamics.running_average(x) - (alpha / n) * g
+            x = dynamics.step(x, w, alpha, game)
+            resid = float(np.linalg.norm(dynamics.running_average(x) - predicted))
+            worst = max(worst, resid / (1.0 + float(np.linalg.norm(predicted))))
+        assert recursion_residual(game, w, alpha, x0, iters) == worst
+
     def test_averaged_step_slacks_general_theta(self):
         from gradplay.harness import averaged_step_slacks
 
@@ -308,6 +330,79 @@ class TestTraceHelpers:
         rb = bounds.rate_bound(consts.mu, consts.l, w.sigma, 5, alpha)
         assert zdomination_excess(trace, z) <= 1e-9
         assert envelope_excess(trace, z, rb.lambda1, rb.lambda2) <= 1e-9
+
+
+def reference_average_property(w, rng, samples):
+    """One draw and one 1-D average_property_check per sample."""
+    worst = math.inf
+    for _ in range(samples):
+        lhs, rhs = average_property_check(w, rng.uniform(-10, 10, w.n))
+        worst = min(worst, (rhs - lhs + 1e-12) / (1.0 + rhs))
+    return worst
+
+
+def reference_game_assumptions(game, consts, rng, samples=100):
+    """One sample at a time, through the 1-D game_mapping and local_gradient."""
+    n = game.n
+    worst_mono = worst_lip = math.inf
+    for _ in range(samples):
+        u = rng.uniform(-5, 5, n)
+        v = rng.uniform(-5, 5, n)
+        du = u - v
+        f_diff = game_mapping(game, u) - game_mapping(game, v)
+        rhs = consts.mu * float(du @ du)
+        worst_mono = min(worst_mono, (float(f_diff @ du) - rhs) / (1.0 + abs(rhs)))
+        i = int(rng.integers(0, n))
+        g_diff = abs(local_gradient(game, i, u) - local_gradient(game, i, v))
+        lip_rhs = consts.l_per_player[i] * float(np.linalg.norm(du))
+        worst_lip = min(worst_lip, (lip_rhs - g_diff) / (1.0 + lip_rhs))
+        map_rhs = consts.l_mapping * float(np.linalg.norm(du))
+        worst_lip = min(worst_lip, (map_rhs - float(np.linalg.norm(f_diff))) / (1.0 + map_rhs))
+    return worst_mono, worst_lip
+
+
+class TestSampledChecks:
+    """The batched sampled checks against one 1-D call per sample, on the
+    same draws.  The per-player Lipschitz margin reads column i of the
+    batched mapping instead of local_gradient; at n = 2 that margin cancels
+    to as little as 3e-6, where one ulp of its order-one terms is a relative
+    4e-11, so the comparison allows 1e-15 absolute besides 1e-12 relative."""
+
+    CELLS = [
+        (n, topology, seed)
+        for n in (2, 5, 10, 20)
+        for topology in ("tree", "ring", "complete", "star")
+        for seed in (0, 2)
+        if not (topology == "ring" and n < 3)
+    ]
+
+    @pytest.mark.parametrize("n", [2, 5, 10, 20])
+    def test_one_draw_equals_per_sample_draws(self, n):
+        batched = np.random.default_rng(n).uniform(-10, 10, (200, n))
+        rng = np.random.default_rng(n)
+        assert np.array_equal(batched, [rng.uniform(-10, 10, n) for _ in range(200)])
+
+    @pytest.mark.parametrize("n, topology, seed", CELLS)
+    def test_worst_margins_match_per_sample_loop(self, n, topology, seed):
+        w = metropolis_weights(build_graph(topology, n, 1000 + seed))
+        game = random_game(n, 2000 + seed)
+        consts = estimate_constants(game)
+        rng, ref_rng = np.random.default_rng(seed + n), np.random.default_rng(seed + n)
+        got = [_audit_average_property(w, rng), *_audit_game_assumptions(game, consts, rng)]
+        ref = [
+            reference_average_property(w, ref_rng, 200),
+            *reference_game_assumptions(game, consts, ref_rng),
+        ]
+        assert got == pytest.approx(ref, rel=1e-12, abs=1e-15)
+        # the same number of draws, in the same order
+        assert rng.random() == ref_rng.random()
+
+    def test_no_samples_give_an_infinite_worst(self):
+        w = metropolis_weights(ring(5))
+        assert _audit_average_property(w, np.random.default_rng(0), 0) == math.inf
+        report = audit(sizes=(5,), topologies=("ring",), seeds=1, iters=20, eq5_samples=0)
+        check = next(c for c in report.cells[0].checks if c.name == "averaging_contraction")
+        assert check.worst == math.inf and check.passed
 
 
 class TestAudit:
@@ -437,6 +532,22 @@ class TestCli:
         assert code == 0
         summary = json.loads((out_dir / "summary.json").read_text())
         assert summary["alpha"] == 0.01
+
+    def test_diverging_run_prints_only_its_verdict(self, tmp_path):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"n": 5, "alpha": 1e300, "max_iters": 50}))
+        src = str(Path(dynamics.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        argv = ["run", "--config", str(config_path), "--out", str(tmp_path / "o")]
+        proc = subprocess.run(
+            [sys.executable, "-m", "gradplay.cli", *argv],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env=env,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr == "check failed: divergence guard tripped\n"
 
     def test_run_divergent_config_exits_nonzero(self, tmp_path, capsys):
         config_path = tmp_path / "config.json"

@@ -231,6 +231,26 @@ class TestAveragingContraction:
         with pytest.raises(ValueError):
             average_property_check(metropolis_weights(ring(4)), np.ones(5))
 
+    def test_stack_gives_one_pair_per_row(self):
+        w = metropolis_weights(random_tree(20, 5))
+        xs = np.random.default_rng(13).uniform(-10, 10, (50, 20))
+        lhs, rhs = average_property_check(w, xs)
+        assert lhs.shape == rhs.shape == (50,)
+        ref = np.array([average_property_check(w, x) for x in xs])
+        np.testing.assert_allclose(lhs, ref[:, 0], rtol=1e-12)
+        np.testing.assert_allclose(rhs, ref[:, 1], rtol=1e-12)
+        empty = average_property_check(w, xs[:0])
+        assert empty[0].shape == empty[1].shape == (0,)
+
+    def test_single_vector_gives_floats(self):
+        lhs, rhs = average_property_check(metropolis_weights(ring(4)), np.arange(4.0))
+        assert type(lhs) is float and type(rhs) is float
+
+    @pytest.mark.parametrize("shape", [(3, 5), (5,), (2, 4, 4), ()])
+    def test_stack_with_wrong_last_dimension_rejected(self, shape):
+        with pytest.raises(ValueError, match="expected"):
+            average_property_check(metropolis_weights(ring(4)), np.ones(shape))
+
 
 class TestMixingMatrixValidation:
     def test_not_doubly_stochastic_rejected(self):
