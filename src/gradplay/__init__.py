@@ -14,7 +14,6 @@ from .bounds import (
     grane_rate_comparison,
     quadratic_form_alpha_bound,
     rate_bound,
-    rate_grid,
     step_size_plan,
     step_size_terms,
     z_matrix,
@@ -25,10 +24,8 @@ from .dynamics import (
     diag_gradient,
     initial_estimates,
     run,
-    running_average,
     step,
     trace_to_csv,
-    write_trace_csv,
 )
 from .errors import (
     DisconnectedGraphError,
@@ -67,11 +64,9 @@ from .network import (
     complete,
     graph_from_edgelist,
     graph_to_edgelist,
-    load_graph,
     metropolis_weights,
     random_tree,
     ring,
-    save_graph,
     save_mixing_matrix,
     second_largest_singular_value,
     star,

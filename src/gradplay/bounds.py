@@ -40,15 +40,14 @@ __all__ = [
     "quadratic_form_alpha_bound",
     "step_size_plan",
     "grane_rate_comparison",
-    "rate_grid",
 ]
 
 
 def _validate_constants(mu: float, l: float, sigma: float, n: int) -> None:
-    if mu <= 0:
-        raise ValueError(f"mu must be > 0, got {mu}")
-    if l <= 0:
-        raise ValueError(f"l must be > 0, got {l}")
+    if not 0 < mu < math.inf:
+        raise ValueError(f"mu must be finite and > 0, got {mu}")
+    if not 0 < l < math.inf:
+        raise ValueError(f"l must be finite and > 0, got {l}")
     if l < mu:
         # mu <= a_i <= ||row i of A|| <= l in every game.
         raise ValueError(f"l must be >= mu, got l={l} < mu={mu}")
@@ -66,6 +65,11 @@ def _validate_constants(mu: float, l: float, sigma: float, n: int) -> None:
         )
 
 
+def _check_double_range(values, constants: str) -> None:
+    if not all(0 < v < math.inf for v in values):
+        raise ValueError(f"{constants}: a derived quantity leaves the double range")
+
+
 def step_size_terms(mu: float, l: float, sigma: float, n: int):
     """The five step-size ceiling terms, in order.
 
@@ -79,7 +83,8 @@ def step_size_terms(mu: float, l: float, sigma: float, n: int):
       / (2 mu)``
 
     All five are strictly positive on the admissible domain.  ``t5`` is by
-    far the smallest for large ``n`` or poorly mixing graphs.
+    far the smallest for large ``n`` or poorly mixing graphs.  Constants that
+    take a term out of the double range raise ``ValueError``.
 
     Differences of nearby quantities (``sqrt(2) - sqrt(1+sigma^2)``,
     ``sqrt(n^2 + x) - n``, ``1 - sigma^2``) are evaluated in rationalized
@@ -90,56 +95,34 @@ def step_size_terms(mu: float, l: float, sigma: float, n: int):
     one_minus_s2 = (1.0 - sigma) * (1.0 + sigma)
     one_plus_s2 = 1.0 + sigma * sigma
     root_1s2 = math.sqrt(one_plus_s2)
-    t1 = 1.0
-    t2 = mu / (2.0 * l * l)
-    # sqrt(2)/sqrt(1+s^2) - 1 == (1 - s^2) / (sqrt(1+s^2) (sqrt(2) + sqrt(1+s^2)))
-    t3 = (
-        sigma
-        / (2.0 * l)
-        * math.sqrt(n / (n - 1.0))
-        * one_minus_s2
-        / (root_1s2 * (math.sqrt(2.0) + root_1s2))
-    )
-    # (sqrt(1+s^2) - sqrt(2))^2 == (1 - s^2)^2 / (sqrt(1+s^2) + sqrt(2))^2
-    t4 = n / mu * (
-        8.0 * (root_1s2 + math.sqrt(2.0)) ** 2 / (one_minus_s2 * one_minus_s2) - 1.0
-    )
-    # sqrt(n^2 + x) - n == x / (sqrt(n^2 + x) + n)
-    x = 2.0 * mu**4 * one_minus_s2 / ((n - 1.0) * l**4 * one_plus_s2)
-    t5 = x / ((math.sqrt(n * n + x) + n) * 2.0 * mu)
-    return t1, t2, t3, t4, t5
+    try:
+        t1 = 1.0
+        t2 = mu / (2.0 * l * l)
+        # sqrt(2)/sqrt(1+s^2) - 1 == (1 - s^2) / (sqrt(1+s^2) (sqrt(2) + sqrt(1+s^2)))
+        t3 = (
+            sigma
+            / (2.0 * l)
+            * math.sqrt(n / (n - 1.0))
+            * one_minus_s2
+            / (root_1s2 * (math.sqrt(2.0) + root_1s2))
+        )
+        # (sqrt(1+s^2) - sqrt(2))^2 == (1 - s^2)^2 / (sqrt(1+s^2) + sqrt(2))^2
+        t4 = n / mu * (
+            8.0 * (root_1s2 + math.sqrt(2.0)) ** 2 / (one_minus_s2 * one_minus_s2) - 1.0
+        )
+        # sqrt(n^2 + x) - n == x / (sqrt(n^2 + x) + n)
+        x = 2.0 * mu**4 * one_minus_s2 / ((n - 1.0) * l**4 * one_plus_s2)
+        t5 = x / ((math.sqrt(n * n + x) + n) * 2.0 * mu)
+        terms = t1, t2, t3, t4, t5
+    except ArithmeticError:  # a power overflows, or a square underflows to 0
+        terms = (math.nan,)
+    _check_double_range(terms, f"mu={mu!r}, l={l!r}, sigma={sigma!r}, n={n}")
+    return terms
 
 
 def alpha_max(mu: float, l: float, sigma: float, n: int) -> float:
     """Minimum of the five ceiling terms; the certified step-size supremum."""
     return min(step_size_terms(mu, l, sigma, n))
-
-
-def _rate_quantities(mu, l, sigma, n, alpha):
-    # Raw closed forms, no admissibility gating; callers gate as needed.
-    # 1 - sigma^2 and the derived ratios are kept in cancellation-free form.
-    one_minus_s2 = (1.0 - sigma) * (1.0 + sigma)
-    one_plus_s2 = 1.0 + sigma * sigma
-    beta = one_minus_s2 / (2.0 * sigma * sigma)  # == (1/sigma^2 - 1) / 2
-    one_plus_beta = one_plus_s2 / (2.0 * sigma * sigma)
-    gamma = 1.0 / (1.0 + mu * alpha / n)
-    s = sigma + alpha * math.sqrt((n - 1.0) / n) * l
-    a22 = one_plus_beta * s * s
-    # (1 + beta) / beta == (1 + sigma^2) / (1 - sigma^2)
-    d = (gamma - a22) ** 2 + 8.0 * (n - 1.0) / (
-        n + mu * alpha
-    ) * alpha**3 / mu * one_plus_s2 / one_minus_s2 * l**4
-    sqrt_d = math.sqrt(d)
-    lambda1 = (gamma + a22 + sqrt_d) / 2.0
-    lambda2 = (gamma + a22 - sqrt_d) / 2.0
-    z = np.array(
-        [
-            [gamma, gamma * 2.0 * l * l * alpha / mu],
-            [one_plus_s2 / one_minus_s2 * (n - 1.0) / n * alpha * alpha * l * l, a22],
-        ]
-    )
-    z.setflags(write=False)
-    return beta, gamma, d, lambda1, lambda2, z
 
 
 def rate_bound(mu: float, l: float, sigma: float, n: int, alpha: float) -> StepSizePlan:
@@ -194,9 +177,7 @@ class StepSizePlan:
     ``terms`` are the five ceiling terms, ``alpha_max`` their minimum,
     ``alpha`` the chosen value (strictly inside ``(0, alpha_max)``), and the
     remaining fields the spectral quantities of the coupled error recursion
-    at that ``alpha``.  ``theta`` is the free parameter of the
-    averaged-iterate contraction inequality, fixed to ``mu`` for the
-    headline rate.  ``z`` is the read-only comparison matrix of
+    at that ``alpha``.  ``z`` is the read-only comparison matrix of
     :func:`z_matrix`; :meth:`to_dict` leaves it out.
     """
 
@@ -209,7 +190,6 @@ class StepSizePlan:
     alpha: float
     beta: float
     gamma: float
-    theta: float
     d: float
     lambda1: float
     lambda2: float
@@ -226,7 +206,7 @@ class StepSizePlan:
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2) + "\n"
+        return json.dumps(self.to_dict(), indent=2, allow_nan=False) + "\n"
 
 
 def step_size_plan(
@@ -248,7 +228,28 @@ def step_size_plan(
             f"alpha={alpha!r} outside (0, {ceiling!r}): contraction rate "
             "q < 1 is not guaranteed"
         )
-    beta, gamma, d, lambda1, lambda2, z = _rate_quantities(mu, l, sigma, n, alpha)
+    # 1 - sigma^2 and the derived ratios are kept in cancellation-free form.
+    one_minus_s2 = (1.0 - sigma) * (1.0 + sigma)
+    one_plus_s2 = 1.0 + sigma * sigma
+    beta = one_minus_s2 / (2.0 * sigma * sigma)  # == (1/sigma^2 - 1) / 2
+    one_plus_beta = one_plus_s2 / (2.0 * sigma * sigma)
+    gamma = 1.0 / (1.0 + mu * alpha / n)
+    s = sigma + alpha * math.sqrt((n - 1.0) / n) * l
+    a22 = one_plus_beta * s * s
+    # (1 + beta) / beta == (1 + sigma^2) / (1 - sigma^2)
+    d = (gamma - a22) ** 2 + 8.0 * (n - 1.0) / (
+        n + mu * alpha
+    ) * alpha**3 / mu * one_plus_s2 / one_minus_s2 * l**4
+    sqrt_d = math.sqrt(d)
+    lambda1 = (gamma + a22 + sqrt_d) / 2.0
+    lambda2 = (gamma + a22 - sqrt_d) / 2.0
+    z = np.array(
+        [
+            [gamma, gamma * 2.0 * l * l * alpha / mu],
+            [one_plus_s2 / one_minus_s2 * (n - 1.0) / n * alpha * alpha * l * l, a22],
+        ]
+    )
+    z.setflags(write=False)
     return StepSizePlan(
         mu=float(mu),
         l=float(l),
@@ -259,7 +260,6 @@ def step_size_plan(
         alpha=float(alpha),
         beta=beta,
         gamma=gamma,
-        theta=float(mu),
         d=d,
         lambda1=lambda1,
         lambda2=lambda2,
@@ -303,7 +303,7 @@ class RateComparison:
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2) + "\n"
+        return json.dumps(self.to_dict(), indent=2, allow_nan=False) + "\n"
 
 
 def grane_rate_comparison(
@@ -332,39 +332,45 @@ def grane_rate_comparison(
     informational output; it comes from the GRANE's own analysis and plays
     no role in the gap comparison.
     """
-    if mu <= 0 or l <= 0:
-        raise ValueError(f"mu and l must be > 0, got mu={mu}, l={l}")
+    if not (0 < mu < math.inf and 0 < l < math.inf):
+        raise ValueError(f"mu and l must be finite and > 0, got mu={mu}, l={l}")
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
-    kappa = l * math.sqrt(n) / mu
+    try:
+        kappa = l * math.sqrt(n) / mu
+        grane_gap = mu**6 / (l**6 * float(n) ** 6)
+        play_gap = mu**4 / (l**4 * float(n) ** 2 * (n - 1.0))
+        alpha_asymptotic = None
+        if sigma is not None:
+            if not 0 <= sigma < 1:
+                raise ValueError(f"sigma must lie in [0, 1), got {sigma}")
+            alpha_asymptotic = (
+                mu**3
+                * (1.0 - sigma)
+                * (1.0 + sigma)
+                / (2.0 * n * (n - 1.0) * l**4 * (1.0 + sigma * sigma))
+            )
+        gamma_r = None
+        if lap_sigma_max is not None and lap_lambda_min_nonzero is not None:
+            if not (lap_sigma_max >= 0 and lap_lambda_min_nonzero > 0):
+                raise ValueError("lap_sigma_max must be >= 0 and lap_lambda_min_nonzero > 0")
+            gamma_r = 2.0 * n * (
+                l / mu
+                + (l / mu)
+                * (1.0 + n * n * l * l / (mu * mu))
+                * lap_sigma_max
+                / lap_lambda_min_nonzero
+            )
+        values = [kappa, grane_gap, play_gap, play_gap / grane_gap]
+        values += [v for v in (alpha_asymptotic, gamma_r) if v is not None]
+    except ArithmeticError:  # a power overflows, or a gap underflows to 0
+        values = [math.nan]
+    _check_double_range(values, f"mu={mu!r}, l={l!r}, n={n}")
     if kappa < 1:
         raise ValueError(
             f"condition number l*sqrt(n)/mu = {kappa:.6g} < 1 is inconsistent "
             "with a strongly monotone mapping whose per-player Lipschitz "
             "constant is l (it must be >= 1)"
-        )
-    grane_gap = mu**6 / (l**6 * float(n) ** 6)
-    play_gap = mu**4 / (l**4 * float(n) ** 2 * (n - 1.0))
-    alpha_asymptotic = None
-    if sigma is not None:
-        if not 0 <= sigma < 1:
-            raise ValueError(f"sigma must lie in [0, 1), got {sigma}")
-        alpha_asymptotic = (
-            mu**3
-            * (1.0 - sigma)
-            * (1.0 + sigma)
-            / (2.0 * n * (n - 1.0) * l**4 * (1.0 + sigma * sigma))
-        )
-    gamma_r = None
-    if lap_sigma_max is not None and lap_lambda_min_nonzero is not None:
-        if lap_lambda_min_nonzero <= 0:
-            raise ValueError("lap_lambda_min_nonzero must be > 0")
-        gamma_r = 2.0 * n * (
-            l / mu
-            + (l / mu)
-            * (1.0 + n * n * l * l / (mu * mu))
-            * lap_sigma_max
-            / lap_lambda_min_nonzero
         )
     return RateComparison(
         grane_gap=grane_gap,
@@ -376,17 +382,3 @@ def grane_rate_comparison(
         alpha_asymptotic=alpha_asymptotic,
         grane_gamma_r=gamma_r,
     )
-
-
-def rate_grid(mu: float, l: float, sigma: float, n: int, points: int = 200):
-    """1-D grid of ``(alpha, q(alpha))`` over the admissible interval.
-
-    A plain lookup utility for picking a step size by inspection; it carries
-    no optimality guarantee.
-    """
-    ceiling = alpha_max(mu, l, sigma, n)
-    alphas = np.linspace(ceiling / points, ceiling * (1 - 1.0 / points), points)
-    qs = np.array(
-        [_rate_quantities(mu, l, sigma, n, float(a))[3] for a in alphas]
-    )
-    return alphas, qs

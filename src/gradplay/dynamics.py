@@ -34,12 +34,10 @@ __all__ = [
     "TRACE_COLUMNS",
     "diag_gradient",
     "step",
-    "running_average",
     "consensual_matrix",
     "initial_estimates",
     "run",
     "trace_to_csv",
-    "write_trace_csv",
 ]
 
 #: Divergence guard: abort when the distance to the equilibrium exceeds this
@@ -88,8 +86,13 @@ def _check_step_size(alpha) -> None:
         raise ValueError(f"step size must be finite and > 0, got {alpha}")
 
 
+def _check_game(game) -> None:
+    if not isinstance(game, QuadraticGame):
+        raise TypeError(f"expected a QuadraticGame, got {type(game).__name__}")
+
+
 def _own_gradient(game: QuadraticGame, x_mat: np.ndarray) -> np.ndarray:
-    return np.sum(game.mapping_matrix * x_mat, axis=1) + game.b
+    return (game.mapping_matrix * x_mat).sum(axis=1) + game.b
 
 
 def _norm(v: np.ndarray) -> float:
@@ -109,32 +112,22 @@ def _update(w_op, x_mat: np.ndarray, alpha: float, g: np.ndarray, own) -> np.nda
     return out
 
 
-def diag_gradient(game, x_mat: np.ndarray) -> np.ndarray:
+def diag_gradient(game: QuadraticGame, x_mat: np.ndarray) -> np.ndarray:
     """Each player's own partial gradient evaluated at her own row.
 
     Component ``i`` equals ``game_mapping(row i)[i]``.  The diagonal matrix
     carrying this vector is the gradient-correction term of the update; its
     Frobenius norm is the Euclidean norm of the returned vector.
-
-    ``game`` may also be a callable ``x_mat -> vector`` supplying the same
-    per-row gradients for a non-quadratic game.
     """
+    _check_game(game)
     x_mat = np.asarray(x_mat, dtype=float)
-    if callable(game):
-        g = np.asarray(game(x_mat), dtype=float)
-        if g.shape != (x_mat.shape[0],):
-            raise ValueError(
-                f"gradient callback returned shape {g.shape}, "
-                f"expected ({x_mat.shape[0]},)"
-            )
-        return g
     n = game.n
     if x_mat.shape != (n, n):
         raise ValueError(f"estimation matrix has shape {x_mat.shape}, expected ({n}, {n})")
     return _own_gradient(game, x_mat)
 
 
-def step(x_mat: np.ndarray, w, alpha: float, game) -> np.ndarray:
+def step(x_mat: np.ndarray, w, alpha: float, game: QuadraticGame) -> np.ndarray:
     """One gradient-play update ``W x - alpha * Diag(g)``.
 
     Only the diagonal (own-action) entries receive the gradient correction;
@@ -153,33 +146,16 @@ def step(x_mat: np.ndarray, w, alpha: float, game) -> np.ndarray:
     return _update(w_op, x_mat, alpha, diag_gradient(game, x_mat), own)
 
 
-def running_average(x_mat: np.ndarray) -> np.ndarray:
-    """Column means: the network-wide average estimate of each action."""
-    x_mat = np.asarray(x_mat, dtype=float)
-    return x_mat.mean(axis=0)
-
-
 def consensual_matrix(v: np.ndarray) -> np.ndarray:
     """Matrix with every row equal to ``v``."""
     v = np.asarray(v, dtype=float)
     return np.tile(v, (v.shape[0], 1))
 
 
-def initial_estimates(n: int, seed: int = 0, kind: str = "uniform") -> np.ndarray:
-    """Starting estimation matrix, deterministic in ``seed``.
-
-    ``uniform``: entrywise uniform on [-1, 1] (default).
-    ``zero``: all zeros.
-    ``self``: random own action on the diagonal, zero estimates elsewhere.
-    """
-    if kind == "zero":
-        return np.zeros((n, n))
-    rng = np.random.default_rng(seed)
-    if kind == "uniform":
-        return rng.uniform(-1.0, 1.0, (n, n))
-    if kind == "self":
-        return np.diag(rng.uniform(-1.0, 1.0, n))
-    raise ValueError(f"unknown initializer kind {kind!r}")
+def initial_estimates(n: int, seed: int = 0) -> np.ndarray:
+    """Starting estimation matrix: entrywise uniform on [-1, 1],
+    deterministic in ``seed``."""
+    return np.random.default_rng(seed).uniform(-1.0, 1.0, (n, n))
 
 
 def run(
@@ -223,11 +199,7 @@ def run(
         ``DIVERGENCE_FACTOR`` times its initial value (step size far above
         the ceiling).  Its ``trace`` holds the rows up to that iteration.
     """
-    if not isinstance(game, QuadraticGame):
-        raise TypeError(
-            "run() needs a QuadraticGame (exact equilibrium and constants); "
-            "for a plain gradient callback iterate step() directly"
-        )
+    _check_game(game)
     _check_step_size(alpha)
     if tol < 0:
         raise ValueError(f"tolerance must be >= 0, got {tol}")
@@ -314,8 +286,3 @@ def trace_to_csv(trace) -> str:
     columns = [map(repr, trace[name].tolist()) for name in TRACE_COLUMNS]
     lines = [",".join(TRACE_COLUMNS), *map(",".join, zip(*columns))]
     return "\n".join(lines) + "\n"
-
-
-def write_trace_csv(trace, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(trace_to_csv(trace))

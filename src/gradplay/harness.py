@@ -54,7 +54,6 @@ __all__ = [
     "run_experiment",
     "audit",
     "lemma_slack_minima",
-    "averaged_step_slacks",
     "first_lemma_violation",
     "zdomination_excess",
     "envelope_excess",
@@ -229,33 +228,6 @@ def lemma_slack_minima(trace, mu: float, l: float, alpha: float, n: int) -> dict
     }
     mins["lemma3_applicable"] = alpha <= mu / l**2
     return mins
-
-
-def averaged_step_slacks(trace, mu: float, l: float, alpha: float, n: int, theta=None):
-    """Slacks of the averaged-iterate contraction for a general ``theta``.
-
-    For any ``theta > 0`` and ``alpha <= theta / l**2`` the transition into
-    each iterate satisfies
-
-        (1 + (2 alpha / n)(mu - theta/2)) * avg_d**2
-            <= avg_d_prev**2 + (l**2 alpha / theta) * cv_prev**2
-
-    ``theta=None`` uses ``mu``, the choice behind the headline rate (and the
-    ``lemma3_slack`` trace column).  Returns one ``rhs - lhs`` value per
-    transition.
-    """
-    theta = mu if theta is None else float(theta)
-    if theta <= 0:
-        raise ValueError(f"theta must be > 0, got {theta}")
-    if alpha > theta / l**2:
-        raise ValueError(
-            f"alpha={alpha} exceeds theta/l^2={theta / l**2}; the inequality "
-            "is not asserted there"
-        )
-    avg_d2 = trace.avg_distance_to_ne**2
-    lhs = (1.0 + (2.0 * alpha / n) * (mu - theta / 2.0)) * avg_d2[1:]
-    rhs = avg_d2[:-1] + (l**2 * alpha / theta) * trace.consensus_violation[:-1] ** 2
-    return rhs - lhs
 
 
 def first_lemma_violation(trace, mu, l, alpha, n, tol=SLACK_TOL):

@@ -34,8 +34,6 @@ __all__ = [
     "average_property_check",
     "graph_to_edgelist",
     "graph_from_edgelist",
-    "save_graph",
-    "load_graph",
     "save_mixing_matrix",
 ]
 
@@ -65,11 +63,6 @@ class Graph:
                 raise ValueError(f"edge ({i}, {j}) out of range for n={self.n}")
             normalized.add((min(i, j), max(i, j)))
         object.__setattr__(self, "edges", tuple(sorted(normalized)))
-
-    def neighbors(self, i: int) -> tuple:
-        return tuple(
-            sorted(j if u == i else u for u, j in self.edges if i in (u, j))
-        )
 
     @property
     def degrees(self) -> np.ndarray:
@@ -297,16 +290,6 @@ def graph_from_edgelist(text: str, n: int | None = None) -> Graph:
             raise ValueError("empty edge list and no node count given")
         n = max(max(e) for e in edges) + 1
     return Graph(n=n, edges=tuple(edges))
-
-
-def save_graph(g: Graph, path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(graph_to_edgelist(g))
-
-
-def load_graph(path, n: int | None = None) -> Graph:
-    with open(path, "r", encoding="utf-8") as f:
-        return graph_from_edgelist(f.read(), n=n)
 
 
 def save_mixing_matrix(w: MixingMatrix, path) -> None:

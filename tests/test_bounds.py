@@ -14,7 +14,6 @@ from gradplay import (
     grane_rate_comparison,
     quadratic_form_alpha_bound,
     rate_bound,
-    rate_grid,
     step_size_plan,
     step_size_terms,
     z_matrix,
@@ -104,6 +103,15 @@ class TestStepSizeTerms:
             step_size_terms(1.0, -1.0, 0.5, 2)
         with pytest.raises(ValueError):
             step_size_terms(1.0, 1.0, 0.5, 1)
+        for mu, l, sigma in [(math.nan, 2.0, 0.5), (1.0, math.inf, 0.5), (1.0, 2.0, math.nan)]:
+            with pytest.raises(ValueError, match="must"):
+                step_size_terms(mu, l, sigma, 20)
+        # l**4 overflows; mu**4 underflows (t5 = 0); l*l underflows (t2 divides
+        # by 0); n does not convert to a float
+        out_of_range = [(1.0, 1e200, 20), (1e-100, 1.0, 20), (1e-170, 1e-170, 20), (1, 1, 10**400)]
+        for mu, l, n in out_of_range:
+            with pytest.raises(ValueError, match="leaves the double range"):
+                step_size_terms(mu, l, 0.5, n)
 
 
 class TestRateBound:
@@ -248,7 +256,6 @@ class TestStepSizePlan:
         assert plan.alpha == pytest.approx(0.9 * plan.alpha_max, rel=1e-15)
         assert plan.alpha_max == min(plan.terms)
         assert plan.q == plan.lambda1
-        assert plan.theta == plan.mu
         assert 0 < plan.gamma < 1
         assert plan.beta > 0
         assert plan.q < 1
@@ -258,6 +265,10 @@ class TestStepSizePlan:
         plan = step_size_plan(1.0, 1.0, 0.5, 2, alpha=ALPHA_HALF_T3)
         assert plan.alpha == ALPHA_HALF_T3
         assert plan.q == pytest.approx(LAMBDA1_AT_HALF_T3, rel=1e-14)
+        # q < 1 across the admissible interval, close to both of its ends
+        ceiling = plan.alpha_max
+        for alpha in np.linspace(ceiling / 50, ceiling * (1 - 1 / 50), 50):
+            assert 0 < step_size_plan(1.0, 1.0, 0.5, 2, alpha=float(alpha)).q < 1
 
     def test_serialization(self):
         plan = step_size_plan(1.2, 2.0, 0.7, 6)
@@ -357,13 +368,14 @@ class TestGraneComparison:
             grane_rate_comparison(1.0, 1.0, 1)
         with pytest.raises(ValueError):
             grane_rate_comparison(1.0, 1.0, 5, sigma=1.0)
+        for mu, l in [(math.nan, 1.0), (1.0, math.inf), (math.inf, math.inf)]:
+            with pytest.raises(ValueError, match="finite"):
+                grane_rate_comparison(mu, l, 20)
+        with pytest.raises(ValueError, match="lap_lambda_min_nonzero"):
+            grane_rate_comparison(1.0, 1.0, 20, None, math.nan, 1.0)
+        # l**6 overflows; the GRANE gap underflows to 0; gamma_r overflows to inf
+        for mu, l, lap in [(1.0, 1e60, None), (1e-60, 1.0, None), (1.0, 1.0, (1e300, 1e-300))]:
+            lap_sigma_max, lap_lambda_min = lap or (None, None)
+            with pytest.raises(ValueError, match="leaves the double range"):
+                grane_rate_comparison(mu, l, 20, None, lap_sigma_max, lap_lambda_min)
 
-
-class TestRateGrid:
-    def test_grid_inside_admissible_interval(self):
-        alphas, qs = rate_grid(1.0, 1.0, 0.5, 2, points=50)
-        ceiling = alpha_max(1.0, 1.0, 0.5, 2)
-        assert len(alphas) == len(qs) == 50
-        assert np.all(alphas > 0) and np.all(alphas < ceiling)
-        assert np.all(qs < 1)
-        assert qs[7] == step_size_plan(1.0, 1.0, 0.5, 2, alpha=float(alphas[7])).q

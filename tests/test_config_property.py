@@ -1,16 +1,22 @@
-"""Property test: any JSON object given to ``gradplay run --config`` either
-runs to a checked result or is refused, and never escapes as an exception.
+"""Property tests: any JSON object given to ``gradplay run --config``, and
+any numbers given to ``gradplay bounds`` and ``gradplay compare-grane``,
+either give a checked result or are refused, and never escape as an
+exception.
 
 Sizes stay small: an integer ``n`` is drawn only from 2-12 (the state is
 ``n x n``) and ``max_iters`` stays at or below 50.  Every other field takes
 arbitrary JSON values, so wrong types, huge integers, non-finite floats and
-nested containers all reach the validator.
+nested containers all reach the validator.  The certificate commands
+allocate nothing of size ``n``, so their ``n`` may be huge.
 """
 
+import io
 import json
 import math
 import os
+import re
 import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -77,3 +83,49 @@ def test_any_json_config_exits_cleanly(doc):
     assert summary["ok"] == (code == 0)
     assert not (summary["ok"] and not math.isfinite(summary["final_distance"]))
     assert summary["config"] == ExperimentConfig.from_dict(doc).to_dict()
+
+
+# Plausible constants mixed with nan, inf, huge, tiny and negative floats.
+numbers = (
+    st.floats(0.01, 10.0)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.sampled_from([math.nan, math.inf, -math.inf, 1e200, 1.7e308, 1e-100, 5e-324, -1.0, 0.0])
+)
+certificate_options = st.dictionaries(
+    st.sampled_from(["sigma", "alpha", "lap-sigma-max", "lap-lambda-min"]), numbers
+)
+
+
+def reject_constant(name):
+    raise ValueError(f"non-finite JSON constant {name}")
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(
+    st.sampled_from(["bounds", "compare-grane"]),
+    numbers,
+    numbers,
+    st.integers(-2, 40) | st.integers(2, 10**400),
+    certificate_options,
+    st.booleans(),
+)
+def test_certificate_commands_exit_cleanly(command, mu, l, n, options, as_json):
+    if command == "bounds":
+        options = {"sigma": 0.5, **options}  # --sigma is required
+        allowed = ("sigma", "alpha")
+    else:
+        allowed = ("sigma", "lap-sigma-max", "lap-lambda-min")
+    argv = [command, f"--mu={mu!r}", f"--L={l!r}", f"--n={n}"]
+    argv += [f"--{key}={value!r}" for key, value in options.items() if key in allowed]
+    argv += ["--json"] if as_json else []
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2)
+    if code == 2:
+        assert out.getvalue() == "" and err.getvalue().count("\n") == 1
+        return
+    if as_json:
+        json.loads(out.getvalue(), parse_constant=reject_constant)
+    else:
+        assert not re.search(r"\b(nan|inf)\b", out.getvalue())

@@ -39,7 +39,8 @@ from gradplay.harness import (
     recursion_residual,
     zdomination_excess,
 )
-from gradplay import bounds, dynamics
+import gradplay
+from gradplay import bounds, dynamics, harness
 from gradplay.game import game_mapping, local_gradient
 from gradplay.network import average_property_check, graph_from_edgelist
 
@@ -288,35 +289,11 @@ class TestTraceHelpers:
         worst = 0.0
         for _ in range(iters):
             g = dynamics.diag_gradient(game, x)
-            predicted = dynamics.running_average(x) - (alpha / n) * g
+            predicted = x.mean(axis=0) - (alpha / n) * g
             x = dynamics.step(x, w, alpha, game)
-            resid = float(np.linalg.norm(dynamics.running_average(x) - predicted))
+            resid = float(np.linalg.norm(x.mean(axis=0) - predicted))
             worst = max(worst, resid / (1.0 + float(np.linalg.norm(predicted))))
         assert recursion_residual(game, w, alpha, x0, iters) == worst
-
-    def test_averaged_step_slacks_general_theta(self):
-        from gradplay.harness import averaged_step_slacks
-
-        game = random_game(6, 3)
-        consts = estimate_constants(game)
-        w = metropolis_weights(random_tree(6, 3))
-        alpha = 0.9 * bounds.alpha_max(consts.mu, consts.l, w.sigma, 6)
-        _, trace = dynamics.run(
-            game, w, alpha, dynamics.initial_estimates(6, 3), max_iters=250
-        )
-        # theta = mu reproduces the recorded slack field
-        default = averaged_step_slacks(trace, consts.mu, consts.l, alpha, 6)
-        recorded = [row.lemma3_slack for row in trace[1:]]
-        np.testing.assert_allclose(default, recorded, rtol=1e-12, atol=1e-15)
-        # the inequality also holds for other admissible theta choices
-        for theta in (0.5 * consts.mu, consts.mu, 2.0 * consts.mu):
-            slacks = averaged_step_slacks(trace, consts.mu, consts.l, alpha, 6, theta=theta)
-            assert min(slacks) >= -1e-9
-        with pytest.raises(ValueError):
-            averaged_step_slacks(trace, consts.mu, consts.l, alpha, 6, theta=-1.0)
-        with pytest.raises(ValueError):
-            # alpha above theta / l^2 is outside the inequality's domain
-            averaged_step_slacks(trace, consts.mu, consts.l, 10.0, 6, theta=consts.mu)
 
     def test_zdom_and_envelope_on_admissible_run(self):
         game = random_game(5, 4)
@@ -491,6 +468,31 @@ class TestAudit:
         assert len(doc["cells"]) == 1
 
 
+class TestBenchmarkEntryPoints:
+    """The names and arguments ``perfbench/`` calls.  Its traced mode counts
+    iterations through the module global ``harness.run``, so the audit must
+    go through it."""
+
+    def test_called_names_and_arguments(self):
+        game = gradplay.random_game(5, 1)
+        w = gradplay.metropolis_weights(gradplay.build_graph("tree", 5, seed=2))
+        consts = gradplay.estimate_constants(game)
+        ceiling = gradplay.alpha_max(consts.mu, consts.l, w.sigma, 5)
+        alpha = gradplay.rate_bound(consts.mu, consts.l, w.sigma, 5, 0.9 * ceiling).alpha
+        x = gradplay.initial_estimates(5, 3)
+        assert np.array_equal(x, gradplay.initial_estimates(5, seed=3))
+        assert dynamics.step(x, w, alpha, game).shape == (5, 5)
+        report = gradplay.audit(sizes=(5,), topologies=("tree",), seeds=1, iters=5, eq5_samples=3)
+        assert report.ok
+
+    def test_default_audit_runs_each_cell_through_harness_run(self, monkeypatch):
+        calls = []
+        run = harness.run
+        monkeypatch.setattr(harness, "run", lambda *a, **kw: calls.append(a) or run(*a, **kw))
+        report = gradplay.audit()
+        assert len(calls) == sum(not cell.degenerate for cell in report.cells) == 45
+
+
 class TestCli:
     def test_bounds_text_and_json(self, capsys):
         assert main(["bounds", "--mu", "1", "--L", "1", "--sigma", "0.5", "--n", "2"]) == 0
@@ -501,6 +503,22 @@ class TestCli:
         ) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["q"] < 1
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            ("bounds --mu nan --L 2 --sigma 0.5 --n 20", "mu must be finite and > 0"),
+            ("compare-grane --mu nan --L 1 --n 20 --json", "mu and l must be finite"),
+            ("compare-grane --mu 1 --L inf --n 20", "mu and l must be finite"),
+            ("bounds --mu 1 --L 1e200 --sigma 0.5 --n 20", "leaves the double range"),
+            ("bounds --mu 1 --L inf --sigma 0.5 --n 20", "l must be finite and > 0"),
+        ],
+    )
+    def test_certificate_bad_constants_are_input_errors(self, argv, message, capsys):
+        assert main(argv.split()) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and message in captured.err
 
     def test_bounds_perfect_mixing_is_input_error(self, capsys):
         assert main(["bounds", "--mu", "1", "--L", "1", "--sigma", "0", "--n", "2"]) == 2

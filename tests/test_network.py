@@ -73,11 +73,6 @@ class TestGraphConstructors:
         # symmetric storage: (2, 0) normalizes to (0, 2)
         assert Graph(n=3, edges=((2, 0),)).edges == ((0, 2),)
 
-    def test_neighbors(self):
-        g = star(4)
-        assert g.neighbors(0) == (1, 2, 3)
-        assert g.neighbors(2) == (0,)
-
     def test_connectivity(self):
         assert not Graph(n=4, edges=((0, 1), (2, 3))).is_connected()
         assert Graph(n=4, edges=((0, 1), (1, 2), (2, 3))).is_connected()
