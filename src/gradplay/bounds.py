@@ -163,11 +163,16 @@ def quadratic_form_alpha_bound(mu: float, l: float, sigma: float, n: int) -> flo
     routes serve as mutual cross-checks.
     """
     _validate_constants(mu, l, sigma, n)
-    one_minus_s2 = (1.0 - sigma) * (1.0 + sigma)
-    c = 2.0 * (n - 1.0) / mu**3 * (1.0 + sigma * sigma) / one_minus_s2 * l**4
-    y = 4.0 * mu / c
-    # -n + sqrt(n^2 + y) == y / (n + sqrt(n^2 + y))
-    return y / ((n + math.sqrt(n * n + y)) * 2.0 * mu)
+    try:
+        one_minus_s2 = (1.0 - sigma) * (1.0 + sigma)
+        c = 2.0 * (n - 1.0) / mu**3 * (1.0 + sigma * sigma) / one_minus_s2 * l**4
+        y = 4.0 * mu / c
+        # -n + sqrt(n^2 + y) == y / (n + sqrt(n^2 + y))
+        t5 = y / ((n + math.sqrt(n * n + y)) * 2.0 * mu)
+    except ArithmeticError:  # a power overflows, or mu**3 underflows to 0
+        t5 = math.nan
+    _check_double_range((t5,), f"mu={mu!r}, l={l!r}, sigma={sigma!r}, n={n}")
+    return t5
 
 
 @dataclass(frozen=True)

@@ -13,10 +13,9 @@ in matrix form ``x <- W x - alpha * Diag(g)``.  The column means (the
 network-wide running average) then follow the exact recursion
 ``avg <- avg - (alpha / n) * g``.
 
-:func:`run` iterates this update and records four norms per iteration:
-consensus violation, distances to the equilibrium and gradient norm.  After
-the loop it derives, column-wise, the slack (rhs - lhs) of the three
-per-step inequalities that drive the geometric-rate proof.
+:func:`run` iterates this update and records per iteration four norms and the
+recursion residual.  After the loop it derives, column-wise, the slack
+(rhs - lhs) of the three per-step inequalities of the geometric-rate proof.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ import numpy as np
 
 from .errors import DivergenceError
 from .game import QuadraticGame, estimate_constants, solve_nash_equilibrium
-from .network import MixingMatrix
+from .network import MixingMatrix, _row_dots
 
 __all__ = [
     "IterationTrace",
@@ -44,6 +43,9 @@ __all__ = [
 #: multiple of its initial value.  Admissible step sizes contract, so the
 #: guard only ever trips on a step size far beyond the certified ceiling.
 DIVERGENCE_FACTOR = 1e12
+
+#: Most states whose column means and own gradients :func:`run` holds at once.
+_BLOCK = 256
 
 #: Trace columns, in ``trace.csv`` order.  All norms are Frobenius norms of
 #: ``n x n`` matrices.  The slack columns hold ``rhs - lhs`` of the
@@ -75,9 +77,12 @@ TRACE_COLUMNS = (
 #: Record dtype of a trace: one row per visited state, ``t`` an integer and
 #: every other column a float.  :func:`run` returns a ``np.recarray`` of it,
 #: so ``trace.distance_to_ne`` is a column and ``trace[-1].distance_to_ne``
-#: a single value.
+#: a single value.  After the ``trace.csv`` columns, ``recursion_residual``
+#: is ``|avg - pred| / (1 + |pred|)`` for the transition into this state,
+#: ``pred = avg_prev - (alpha / n) * g_prev`` (NaN at ``t = 0``).
 IterationTrace = np.dtype(
-    [(TRACE_COLUMNS[0], np.int64)] + [(name, np.float64) for name in TRACE_COLUMNS[1:]]
+    [(TRACE_COLUMNS[0], np.int64)]
+    + [(name, np.float64) for name in (*TRACE_COLUMNS[1:], "recursion_residual")]
 )
 
 
@@ -104,11 +109,12 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(v @ v)
 
 
-def _update(w_op, x_mat: np.ndarray, alpha: float, g: np.ndarray, own) -> np.ndarray:
-    # w_op is a dense matrix or MixingMatrix.operator; both give an ndarray.
-    # own is np.arange(n), made once by a caller that updates many times.
+def _update(w_op, x_mat: np.ndarray, alpha: float, g: np.ndarray) -> np.ndarray:
+    # w_op is a dense matrix or MixingMatrix.operator; both give an ndarray,
+    # whose diagonal einsum returns as a writable view.
     out = w_op @ x_mat
-    out[own, own] -= alpha * g
+    diagonal = np.einsum("ii->i", out)
+    diagonal -= alpha * g
     return out
 
 
@@ -142,8 +148,7 @@ def step(x_mat: np.ndarray, w, alpha: float, game: QuadraticGame) -> np.ndarray:
         raise ValueError(
             f"shape mismatch: mixing matrix {w_op.shape}, estimates {x_mat.shape}"
         )
-    own = np.arange(x_mat.shape[0])
-    return _update(w_op, x_mat, alpha, diag_gradient(game, x_mat), own)
+    return _update(w_op, x_mat, alpha, diag_gradient(game, x_mat))
 
 
 def consensual_matrix(v: np.ndarray) -> np.ndarray:
@@ -219,13 +224,23 @@ def run(
     x_star = solve_nash_equilibrium(game)
     x_star_mat = consensual_matrix(x_star)
     w_op = w.operator
-    norms = []  # (consensus_violation, distance_to_ne, avg_distance_to_ne, grad_norm)
+    norms = []  # (consensus_violation, distance_to_ne) per state
+    blocks = []  # (avg_distance_to_ne, grad_norm, recursion_residual) per block
+    # Column means (0) and own gradients (1) of a block's states in rows 1..;
+    # row 0 carries the last state of the block before (NaN before t = 0).
+    block = min(_BLOCK, max_iters + 1)
+    held = np.full((2, block + 1, n), math.nan)
+    filled = 1
+
+    def reduce_block():
+        nonlocal filled
+        blocks.append(_block_columns(*held[:, :filled], x_star, alpha, n))
+        held[:, 0], filled = held[:, filled - 1], 1
 
     def trace():
-        return _trace_from_norms(norms, w.sigma, consts.mu, consts.l, alpha, n)
+        reduce_block()
+        return _trace_from_columns(norms, blocks, w.sigma, consts.mu, consts.l, alpha, n)
 
-    own = np.arange(n)
-    sqrt_n = math.sqrt(n)
     # Each mean is a sum over n: the floating-point operations of mean,
     # without its per-call overhead.  A diverging run overflows; the guard
     # below turns the non-finite distance into a DivergenceError.
@@ -233,10 +248,13 @@ def run(
         initial_dist = _norm(x - x_star_mat)
         dist_limit = DIVERGENCE_FACTOR * max(initial_dist, 1e-300)
         for t in range(max_iters + 1):
-            avg = x.sum(axis=0) / n
+            avg = held[0, filled] = x.sum(axis=0) / n
+            g = held[1, filled] = _own_gradient(game, x)
             dist = _norm(x - x_star_mat)
-            g = _own_gradient(game, x)
-            norms.append((_norm(x - avg), dist, sqrt_n * _norm(avg - x_star), _norm(g)))
+            norms.append((_norm(x - avg), dist))
+            filled += 1
+            if filled > block:
+                reduce_block()
 
             if dist <= tol:
                 break
@@ -251,21 +269,27 @@ def run(
                 raise err
             if t == max_iters:
                 break
-            x = _update(w_op, x, alpha, g, own)
+            x = _update(w_op, x, alpha, g)
+        return x, trace()
 
-    return x, trace()
+
+def _block_columns(means, grads, x_star, alpha, n) -> np.ndarray:
+    """avg_distance_to_ne, grad_norm and recursion_residual of the states in
+    rows 1.. (row 0 is the state before), each norm the BLAS dot of _norm."""
+    pred = means[:-1] - (alpha / n) * grads[:-1]
+    vectors = (means[1:] - x_star, grads[1:], means[1:] - pred, pred)
+    dev, gn, miss, pred_norm = np.sqrt([_row_dots(v, v) for v in vectors])
+    return np.stack([math.sqrt(n) * dev, gn, miss / (1.0 + pred_norm)])
 
 
-def _trace_from_norms(norms, sigma, mu, big_l, alpha, n) -> np.recarray:
-    """The trace of a run from its per-state norms: the slack columns are
-    shifts and products of whole norm columns."""
+def _trace_from_columns(norms, blocks, sigma, mu, big_l, alpha, n) -> np.recarray:
+    """The trace of a run from its per-state and per-block norms: the slack
+    columns are shifts and products of whole norm columns."""
     trace = np.recarray(len(norms), dtype=IterationTrace)
-    cv, dist, avg_d, gn = np.array(norms, dtype=float).reshape(-1, 4).T
     trace.t = np.arange(len(norms))
-    trace.consensus_violation = cv
-    trace.distance_to_ne = dist
-    trace.avg_distance_to_ne = avg_d
-    trace.grad_norm = gn
+    trace.consensus_violation, trace.distance_to_ne = np.array(norms).reshape(-1, 2).T
+    trace.avg_distance_to_ne, trace.grad_norm, trace.recursion_residual = np.hstack(blocks)
+    cv, dist, avg_d, gn = (trace[name] for name in TRACE_COLUMNS[1:5])
     trace.lemma1_slack[:1] = trace.lemma3_slack[:1] = math.nan
     # the norms of a diverged run may be inf or NaN: their slacks are too
     with np.errstate(over="ignore", invalid="ignore"):

@@ -14,6 +14,7 @@ estimating them from samples, so every downstream bound check is noise-free.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -228,15 +229,20 @@ def random_game(n: int, seed: int, coupling_scale: float = 0.2) -> QuadraticGame
     """
     if n < 2:
         raise ValueError(f"need at least 2 players, got n={n}")
-    if coupling_scale < 0:
-        raise ValueError("coupling_scale must be >= 0")
+    if not 0 <= coupling_scale < math.inf:
+        raise ValueError(f"coupling_scale must be finite and >= 0, got {coupling_scale}")
     rng = np.random.default_rng(seed)
     a = rng.uniform(1.0, 2.0, n)
     b = rng.uniform(-1.0, 1.0, n)
     c = coupling_scale * rng.uniform(-1.0, 1.0, (n, n))
     np.fill_diagonal(c, 0.0)
     for i in range(n):
-        row_sum = float(np.sum(np.abs(c[i])))
+        with np.errstate(over="ignore"):  # an infinite row sum is refused below
+            row_sum = float(np.sum(np.abs(c[i])))
+        if row_sum == math.inf:
+            raise ValueError(
+                f"coupling_scale={coupling_scale!r} is too large: a row sum of |c| overflows"
+            )
         budget = 0.9 * a[i]
         if row_sum > budget:
             c[i] *= budget / row_sum

@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from . import bounds
-from .dynamics import _norm, _own_gradient, _update, initial_estimates, run, trace_to_csv
+from .dynamics import initial_estimates, run, trace_to_csv
 from .errors import DivergenceError, InadmissibleStepSizeError, PerfectMixingError
 from .game import _dump_game, estimate_constants, game_mapping, random_game
 from .network import (
@@ -57,7 +57,6 @@ __all__ = [
     "first_lemma_violation",
     "zdomination_excess",
     "envelope_excess",
-    "recursion_residual",
     "fit_tail_contraction",
     "OUT_DIR_ENV",
 ]
@@ -283,30 +282,6 @@ def envelope_excess(trace, z: np.ndarray, lambda1: float, lambda2: float) -> flo
     return float(np.max((trace.distance_to_ne[1:] ** 2 - env) / (1.0 + env)))
 
 
-def recursion_residual(game, w, alpha: float, x0: np.ndarray, iters: int) -> float:
-    """Max normalized residual of the running-average recursion over a run.
-
-    Compares the column means after one update step against
-    ``avg - (alpha / n) * g`` computed independently; both sides agree to
-    rounding for every state.  The iteration is replayed here, apart from
-    :func:`~gradplay.dynamics.run`, through the bare update kernel on
-    ``w.operator`` (``game`` a QuadraticGame, ``w`` a MixingMatrix).  Means
-    and norms are the float operations of ``mean`` and ``np.linalg.norm``.
-    """
-    x = np.array(x0, dtype=float)
-    n = x.shape[0]
-    w_op = w.operator
-    own = np.arange(n)
-    worst = 0.0
-    for _ in range(iters):
-        g = _own_gradient(game, x)
-        predicted = x.sum(axis=0) / n - (alpha / n) * g
-        x = _update(w_op, x, alpha, g, own)
-        resid = _norm(x.sum(axis=0) / n - predicted)
-        worst = max(worst, resid / (1.0 + _norm(predicted)))
-    return worst
-
-
 def fit_tail_contraction(trace, burn_frac: float = 0.5, min_points: int = 20):
     """Least-squares line through ``log(dist^2)`` over the trace tail.
 
@@ -444,6 +419,24 @@ print("wrote", out)
 """
 
 
+def _json_safe(value):
+    """``value`` with every non-finite float in it, at any depth, as None."""
+    if isinstance(value, dict):
+        return {key: _json_safe(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_safe(item) for item in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
+
+
+def _write_json(path, doc) -> None:
+    """Write ``doc`` as strict JSON: a non-finite float becomes ``null``."""
+    with open(path, "w", encoding="utf-8") as f:
+        json.dump(_json_safe(doc), f, indent=2, allow_nan=False)
+        f.write("\n")
+
+
 def _resolve_alpha(alpha, mu, l, sigma, n):
     """Resolve ``alpha`` (``"auto"`` or a number) against the certificate.
 
@@ -554,9 +547,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None, game=None, graph=None
             f.write(trace_to_csv(trace))
         with open(os.path.join(out_dir, "summary.txt"), "w", encoding="utf-8") as f:
             f.write(report.to_text())
-        with open(os.path.join(out_dir, "summary.json"), "w", encoding="utf-8") as f:
-            json.dump(report.to_dict(), f, indent=2)
-            f.write("\n")
+        _write_json(os.path.join(out_dir, "summary.json"), report.to_dict())
         with open(os.path.join(out_dir, "plot.py"), "w", encoding="utf-8") as f:
             f.write(_PLOT_SCRIPT)
         with open(os.path.join(out_dir, "game.json"), "w", encoding="utf-8") as f:
@@ -751,9 +742,7 @@ def audit(
     report = AuditReport(cells=cells)
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-        with open(os.path.join(out_dir, "audit.json"), "w", encoding="utf-8") as f:
-            json.dump(report.to_dict(), f, indent=2)
-            f.write("\n")
+        _write_json(os.path.join(out_dir, "audit.json"), report.to_dict())
         with open(os.path.join(out_dir, "audit.txt"), "w", encoding="utf-8") as f:
             f.write(report.to_text())
     return report
@@ -833,7 +822,7 @@ def _audit_cell(n, topology, seed, coupling_scale, iters, alpha_override, eq5_sa
                 AuditCheck("lemma3", mins["lemma3"] >= -SLACK_TOL, mins["lemma3"])
             )
 
-    resid = recursion_residual(game, w, alpha, x0, iters=min(iters, 100))
+    resid = np.fmax.reduce(trace.recursion_residual[1:], initial=0.0)
     checks.append(AuditCheck("average_recursion", resid <= 1e-12, resid))
 
     if admissible:

@@ -249,6 +249,14 @@ class TestQuadraticFormBound:
         with pytest.raises(PerfectMixingError):
             quadratic_form_alpha_bound(1.0, 1.0, 0.0, 2)
 
+    def test_mu_cubed_underflow_rejected(self):
+        with pytest.raises(ValueError, match="double range"):
+            quadratic_form_alpha_bound(1e-110, 1.0, 0.5, 20)
+
+    def test_l_fourth_overflow_rejected(self):
+        with pytest.raises(ValueError, match="double range"):
+            quadratic_form_alpha_bound(1.0, 1e200, 0.5, 20)
+
 
 class TestStepSizePlan:
     def test_default_alpha_is_ninety_percent_of_ceiling(self):

@@ -1,13 +1,14 @@
-"""Property tests: any JSON object given to ``gradplay run --config``, and
-any numbers given to ``gradplay bounds`` and ``gradplay compare-grane``,
-either give a checked result or are refused, and never escape as an
-exception.
+"""Property tests: any JSON object given to ``gradplay run --config``, any
+numbers given to ``gradplay bounds`` and ``gradplay compare-grane``, and any
+floats given to ``gradplay audit`` either give a checked result or are
+refused, and never escape as an exception.
 
 Sizes stay small: an integer ``n`` is drawn only from 2-12 (the state is
 ``n x n``) and ``max_iters`` stays at or below 50.  Every other field takes
 arbitrary JSON values, so wrong types, huge integers, non-finite floats and
 nested containers all reach the validator.  The certificate commands
-allocate nothing of size ``n``, so their ``n`` may be huge.
+allocate nothing of size ``n``, so their ``n`` may be huge.  An audit takes
+sizes from {2, 3, 5}, at most 40 iterations and at most 2 seeds.
 """
 
 import io
@@ -60,6 +61,10 @@ configs = st.fixed_dictionaries(
 )
 
 
+def reject_constant(name):
+    raise ValueError(f"non-finite JSON constant {name}")
+
+
 @settings(
     max_examples=150,
     deadline=None,
@@ -79,7 +84,7 @@ def test_any_json_config_exits_cleanly(doc):
         if code == 2:
             return
         with open(os.path.join(out_dir, "summary.json"), encoding="utf-8") as f:
-            summary = json.load(f)
+            summary = json.loads(f.read(), parse_constant=reject_constant)
     assert summary["ok"] == (code == 0)
     assert not (summary["ok"] and not math.isfinite(summary["final_distance"]))
     assert summary["config"] == ExperimentConfig.from_dict(doc).to_dict()
@@ -94,10 +99,6 @@ numbers = (
 certificate_options = st.dictionaries(
     st.sampled_from(["sigma", "alpha", "lap-sigma-max", "lap-lambda-min"]), numbers
 )
-
-
-def reject_constant(name):
-    raise ValueError(f"non-finite JSON constant {name}")
 
 
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
@@ -129,3 +130,41 @@ def test_certificate_commands_exit_cleanly(command, mu, l, n, options, as_json):
         json.loads(out.getvalue(), parse_constant=reject_constant)
     else:
         assert not re.search(r"\b(nan|inf)\b", out.getvalue())
+
+
+# Floats for the audit's options: plausible values, non-finite, huge and subnormal.
+audit_floats = (
+    st.floats(0.01, 1.0)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.sampled_from([math.nan, math.inf, -math.inf, 1e308, 5e-324, 0.0, -1.0])
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    st.lists(st.sampled_from([2, 3, 5]), min_size=1, max_size=3, unique=True),
+    st.lists(st.sampled_from(["tree", "ring", "complete", "star"]), min_size=1, unique=True),
+    st.integers(0, 40),
+    st.integers(1, 2),
+    st.none() | audit_floats,
+    st.none() | audit_floats,
+)
+def test_audit_argv_exits_cleanly(sizes, topologies, iters, seeds, coupling, alpha):
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = ["audit", "--sizes", ",".join(map(str, sizes))]
+        argv += ["--topologies", ",".join(topologies), f"--iters={iters}", f"--seeds={seeds}"]
+        argv += [f"--coupling-scale={coupling!r}"] if coupling is not None else []
+        argv += [f"--alpha-override={alpha!r}"] if alpha is not None else []
+        out_dir = os.path.join(tmp, "out")
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv + ["--out", out_dir])
+        assert code in (0, 1, 2)
+        assert not re.search("Traceback|Warning", err.getvalue())
+        if code == 2:
+            assert err.getvalue().count("\n") == 1
+        json_path = os.path.join(out_dir, "audit.json")
+        if os.path.exists(json_path):
+            with open(json_path, encoding="utf-8") as f:
+                doc = json.loads(f.read(), parse_constant=reject_constant)
+            assert doc["ok"] == (code == 0)

@@ -24,6 +24,7 @@ from gradplay import (
     step,
     trace_to_csv,
 )
+from gradplay import dynamics
 
 SPEC_HEADER = (
     "t,consensus_violation,distance_to_ne,avg_distance_to_ne,grad_norm,"
@@ -258,10 +259,24 @@ class TestRun:
         g = random_game(5, 1)
         w = metropolis_weights(ring(5))
         _, trace = run(g, w, 1e-3, initial_estimates(5, 0), max_iters=7)
-        assert trace.dtype.names == tuple(SPEC_HEADER.split(","))
+        assert dynamics.TRACE_COLUMNS == tuple(SPEC_HEADER.split(","))
+        assert trace.dtype.names == dynamics.TRACE_COLUMNS + ("recursion_residual",)
+        assert trace_to_csv(trace).splitlines()[0] == SPEC_HEADER
+        assert all(line.count(",") == 7 for line in trace_to_csv(trace).splitlines())
         assert list(trace.t) == list(range(8))
         assert trace.distance_to_ne.tolist() == [row.distance_to_ne for row in trace]
         assert trace[-1].distance_to_ne == trace.distance_to_ne[-1]
+
+    def test_shorter_horizon_is_a_prefix(self):
+        # horizons that end a block exactly, or one state into the next
+        g = random_game(6, 8)
+        w = metropolis_weights(random_tree(6, 8))
+        block = dynamics._BLOCK
+        _, full = run(g, w, 0.03, initial_estimates(6, 8), max_iters=2 * block + 5)
+        for iters in (0, block - 1, block, 2 * block - 1):
+            _, trace = run(g, w, 0.03, initial_estimates(6, 8), max_iters=iters)
+            for name in trace.dtype.names:
+                np.testing.assert_array_equal(trace[name], full[name][: iters + 1])
 
     def test_determinism_bytes(self):
         g = random_game(6, 5)

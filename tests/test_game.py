@@ -299,6 +299,13 @@ class TestRandomGame:
             random_game(1, 0)
         with pytest.raises(ValueError):
             random_game(5, 0, coupling_scale=-0.1)
+        for scale in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                random_game(5, 0, coupling_scale=scale)
+        # each entry is finite, but a row sum of four of them overflows
+        with pytest.raises(ValueError, match="overflows"):
+            random_game(5, 0, coupling_scale=1e308)
+        assert np.isfinite(random_game(2, 0, coupling_scale=1e308).c).all()
 
 
 class TestConstruction:

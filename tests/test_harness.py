@@ -10,6 +10,7 @@ import pytest
 
 from gradplay import (
     ring,
+    DivergenceError,
     ExperimentConfig,
     QuadraticGame,
     audit,
@@ -36,13 +37,16 @@ from gradplay.harness import (
     first_lemma_violation,
     fit_tail_contraction,
     lemma_slack_minima,
-    recursion_residual,
     zdomination_excess,
 )
 import gradplay
 from gradplay import bounds, dynamics, harness
 from gradplay.game import game_mapping, local_gradient
 from gradplay.network import average_property_check, graph_from_edgelist
+
+
+def reject_json_constant(name):
+    raise ValueError(f"non-finite JSON constant {name}")
 
 
 def small_config(**overrides):
@@ -275,25 +279,36 @@ class TestTraceHelpers:
         game = random_game(6, 2)
         w = metropolis_weights(random_tree(6, 2))
         x0 = dynamics.initial_estimates(6, 2)
-        assert recursion_residual(game, w, 0.03, x0, iters=60) <= 1e-12
+        _, trace = dynamics.run(game, w, 0.03, x0, max_iters=60)
+        assert math.isnan(trace.recursion_residual[0])
+        assert np.fmax.reduce(trace.recursion_residual[1:], initial=0.0) <= 1e-12
 
     @pytest.mark.parametrize(
         "n, topology", [(6, "tree"), (20, "tree"), (5, "complete"), (240, "ring")]
     )
     def test_recursion_residual_matches_step_replay(self, n, topology):
+        # run() reduces its columns a block of states at a time; this horizon
+        # crosses two block boundaries and ends inside a third block
         game = random_game(n, 8)
         w = metropolis_weights(build_graph(topology, n, 8))
         x0 = dynamics.initial_estimates(n, 8)
-        alpha, iters = 0.03, 60 if n < 100 else 5
-        x = np.array(x0)
-        worst = 0.0
-        for _ in range(iters):
-            g = dynamics.diag_gradient(game, x)
-            predicted = x.mean(axis=0) - (alpha / n) * g
-            x = dynamics.step(x, w, alpha, game)
-            resid = float(np.linalg.norm(x.mean(axis=0) - predicted))
-            worst = max(worst, resid / (1.0 + float(np.linalg.norm(predicted))))
-        assert recursion_residual(game, w, alpha, x0, iters) == worst
+        _, trace = dynamics.run(game, w, 0.03, x0, max_iters=2 * dynamics._BLOCK + 37)
+        check_block_columns(trace, game, w, 0.03, x0)
+
+    @pytest.mark.parametrize(
+        "n, topology, alpha",
+        [(6, "tree", 0.7), (20, "tree", 0.7), (5, "complete", 0.6), (240, "ring", 0.65)],
+    )
+    def test_divergence_mid_block_matches_step_replay(self, n, topology, alpha):
+        game = random_game(n, 8)
+        w = metropolis_weights(build_graph(topology, n, 8))
+        x0 = dynamics.initial_estimates(n, 8)
+        with pytest.raises(DivergenceError) as excinfo:
+            dynamics.run(game, w, alpha, x0, max_iters=3 * dynamics._BLOCK)
+        t = excinfo.value.iteration
+        assert t > dynamics._BLOCK and t % dynamics._BLOCK not in (0, dynamics._BLOCK - 1)
+        assert len(excinfo.value.trace) == t + 1
+        check_block_columns(excinfo.value.trace, game, w, alpha, x0)
 
     def test_zdom_and_envelope_on_admissible_run(self):
         game = random_game(5, 4)
@@ -307,6 +322,28 @@ class TestTraceHelpers:
         rb = bounds.rate_bound(consts.mu, consts.l, w.sigma, 5, alpha)
         assert zdomination_excess(trace, z) <= 1e-9
         assert envelope_excess(trace, z, rb.lambda1, rb.lambda2) <= 1e-9
+
+
+def check_block_columns(trace, game, w, alpha, x0):
+    """The columns run() reduces a block at a time (avg_distance_to_ne,
+    grad_norm, recursion_residual) equal, bit for bit, np.linalg.norm and
+    mean of states advanced one at a time by the public step()."""
+    n = game.n
+    x_star = solve_nash_equilibrium(game)
+    x = np.array(x0)
+    predicted = None
+    for row in trace:
+        avg = x.mean(axis=0)
+        g = dynamics.diag_gradient(game, x)
+        assert row.avg_distance_to_ne == math.sqrt(n) * np.linalg.norm(avg - x_star)
+        assert row.grad_norm == np.linalg.norm(g)
+        if predicted is None:
+            assert math.isnan(row.recursion_residual)
+        else:
+            resid = np.linalg.norm(avg - predicted) / (1.0 + np.linalg.norm(predicted))
+            assert row.recursion_residual == resid <= 1e-12
+        predicted = avg - (alpha / n) * g
+        x = dynamics.step(x, w, alpha, game)
 
 
 def reference_average_property(w, rng, samples):
@@ -566,6 +603,33 @@ class TestCli:
         )
         assert proc.returncode == 1
         assert proc.stderr == "check failed: divergence guard tripped\n"
+
+    def test_json_artifacts_are_strict(self, tmp_path):
+        # a diverged run and an audit of zero iterations hold non-finite
+        # values: the JSON files write null, the text files keep repr
+        def strict(path):
+            return json.loads(path.read_text(), parse_constant=reject_json_constant)
+
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"n": 5, "alpha": 1e300, "max_iters": 50}))
+        assert main(["run", "--config", str(config_path), "--out", str(tmp_path / "r")]) == 1
+        summary = strict(tmp_path / "r" / "summary.json")
+        assert summary["final_distance"] is None and summary["diverged"] is True
+        assert "final_distance: inf" in (tmp_path / "r" / "summary.txt").read_text()
+        argv = ["audit", "--sizes", "5", "--topologies", "tree", "--seeds", "1", "--iters", "0"]
+        assert main([*argv, "--out", str(tmp_path / "a")]) == 0
+        cell = strict(tmp_path / "a" / "audit.json")["cells"][0]
+        checks = {check["name"]: check["worst"] for check in cell["checks"]}
+        assert checks["lemma1"] is checks["lemma3"] is checks["z_domination"] is None
+        assert checks["average_recursion"] == 0.0
+
+    @pytest.mark.parametrize("scale", ["1e308", "inf"])
+    def test_audit_overflowing_coupling_is_input_error(self, scale, tmp_path, capsys):
+        argv = ["audit", "--sizes", "5", "--topologies", "tree", "--seeds", "1", "--iters", "30"]
+        assert main([*argv, "--coupling-scale", scale, "--out", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert "coupling_scale" in captured.err
 
     def test_run_divergent_config_exits_nonzero(self, tmp_path, capsys):
         config_path = tmp_path / "config.json"
