@@ -13,14 +13,20 @@ in matrix form ``x <- W x - alpha * Diag(g)``.  The column means (the
 network-wide running average) then follow the exact recursion
 ``avg <- avg - (alpha / n) * g``.
 
-:func:`run` iterates this update and records per iteration four norms and the
-recursion residual.  After the loop it derives, column-wise, the slack
-(rhs - lhs) of the three per-step inequalities of the geometric-rate proof.
+:func:`run` iterates this update and records four norms and the recursion
+residual of every state.  Its loop only steps: it computes the own gradients,
+applies the update and holds the states.  The two norms of the ``n x n``
+states are reduced once per chunk of held states (as many as fit in a cache-
+sized byte budget; one state from n = 91), the column means, gradient norms
+and residuals once per block of 256 states.  After the loop it derives,
+column-wise, the slack (rhs - lhs) of the three per-step inequalities of the
+geometric-rate proof.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -46,6 +52,10 @@ DIVERGENCE_FACTOR = 1e12
 
 #: Most states whose column means and own gradients :func:`run` holds at once.
 _BLOCK = 256
+
+#: Most bytes of ``n x n`` states that :func:`run` holds for one reduction of
+#: their norms, so that a chunk stays in cache (see :func:`_record_spans`).
+_CHUNK_BYTES = 256 * 1024
 
 #: Trace columns, in ``trace.csv`` order.  All norms are Frobenius norms of
 #: ``n x n`` matrices.  The slack columns hold ``rhs - lhs`` of the
@@ -212,7 +222,7 @@ def run(
         raise ValueError(f"max_iters must be >= 0, got {max_iters}")
 
     n = game.n
-    x = np.array(x0, dtype=float)
+    x = np.array(x0, dtype=float, order="C")
     if x.shape != (n, n):
         raise ValueError(f"x0 has shape {x.shape}, expected ({n}, {n})")
     if not np.all(np.isfinite(x)):
@@ -224,53 +234,97 @@ def run(
     x_star = solve_nash_equilibrium(game)
     x_star_mat = consensual_matrix(x_star)
     w_op = w.operator
-    norms = []  # (consensus_violation, distance_to_ne) per state
+    chunk, block = (min(span, max_iters + 1) for span in _record_spans(n))
+    # a chunk's stacked states (0) and its differences (1), allocated once
+    work = np.empty((2, chunk, n, n)) if chunk > 1 else None
+    cvs, dists = [], []  # consensus_violation and distance_to_ne per state
     blocks = []  # (avg_distance_to_ne, grad_norm, recursion_residual) per block
     # Column means (0) and own gradients (1) of a block's states in rows 1..;
     # row 0 carries the last state of the block before (NaN before t = 0).
-    block = min(_BLOCK, max_iters + 1)
+    # A chunk divides the block, so its rows never straddle two blocks.
     held = np.full((2, block + 1, n), math.nan)
     filled = 1
 
-    def reduce_block():
-        nonlocal filled
-        blocks.append(_block_columns(*held[:, :filled], x_star, alpha, n))
-        held[:, 0], filled = held[:, filled - 1], 1
-
     def trace():
-        reduce_block()
-        return _trace_from_columns(norms, blocks, w.sigma, consts.mu, consts.l, alpha, n)
+        blocks.append(_block_columns(*held[:, :filled], x_star, alpha, n))
+        return _trace_from_columns(cvs, dists, blocks, w.sigma, consts.mu, consts.l, alpha, n)
 
-    # Each mean is a sum over n: the floating-point operations of mean,
-    # without its per-call overhead.  A diverging run overflows; the guard
-    # below turns the non-finite distance into a DivergenceError.
+    # A diverging run overflows; the guard below turns the non-finite
+    # distance into a DivergenceError.
     with np.errstate(over="ignore", invalid="ignore"):
         initial_dist = _norm(x - x_star_mat)
-        dist_limit = DIVERGENCE_FACTOR * max(initial_dist, 1e-300)
-        for t in range(max_iters + 1):
-            avg = held[0, filled] = x.sum(axis=0) / n
+        # a state whose distance is not <= this finite limit (NaN and inf
+        # included) diverged, unless its distance is <= tol
+        dist_limit = min(DIVERGENCE_FACTOR * max(initial_dist, 1e-300), sys.float_info.max)
+        t = 0  # iteration of the chunk's first state
+        while True:
+            # Step through one chunk, holding its states; then reduce them.
+            size = min(chunk, max_iters + 1 - t)
+            states = [x]
             g = held[1, filled] = _own_gradient(game, x)
-            dist = _norm(x - x_star_mat)
-            norms.append((_norm(x - avg), dist))
-            filled += 1
-            if filled > block:
-                reduce_block()
+            for row in range(filled + 1, filled + size):
+                x = _update(w_op, x, alpha, g)
+                states.append(x)
+                g = held[1, row] = _own_gradient(game, x)
 
-            if dist <= tol:
-                break
-            if not math.isfinite(dist) or dist > dist_limit:
+            held[0, filled : filled + size], cv, dist = _chunk_norms(states, x_star_mat, n, work)
+            stop = next((k for k, d in enumerate(dist) if d <= tol or not d <= dist_limit), None)
+            kept = size if stop is None else stop + 1
+            cvs += cv[:kept]
+            dists += dist[:kept]
+            filled += kept
+            if filled > block:
+                blocks.append(_block_columns(*held[:, :filled], x_star, alpha, n))
+                held[:, 0], filled = held[:, filled - 1], 1
+
+            if stop is not None and not dist[stop] <= tol:
+                t += stop
                 err = DivergenceError(
-                    f"diverged at iteration {t}: distance {dist:.3e} exceeds "
+                    f"diverged at iteration {t}: distance {dist[stop]:.3e} exceeds "
                     f"{DIVERGENCE_FACTOR:.0e} x initial {initial_dist:.3e} "
                     f"(alpha={alpha} too large)"
                 )
                 err.iteration = t
                 err.trace = trace()  # partial trace for post-mortem reporting
                 raise err
-            if t == max_iters:
-                break
+            t += size
+            if stop is not None or t > max_iters:
+                return states[kept - 1], trace()
             x = _update(w_op, x, alpha, g)
-        return x, trace()
+
+
+def _record_spans(n: int) -> tuple:
+    """``(chunk, block)``: how many states :func:`run` holds for one
+    reduction of their ``n x n`` norms, and for one reduction of their column
+    means and own gradients.  A chunk is the largest power of two of states
+    within ``_CHUNK_BYTES``, at most a block, so it divides ``_BLOCK``.
+    Stacking a chunk copies its states, which pays off only for four or
+    more: below that (from n = 91) a chunk is one state."""
+    fit = _CHUNK_BYTES // (8 * n * n)
+    return (min(_BLOCK, 1 << (fit.bit_length() - 1)) if fit >= 4 else 1), _BLOCK
+
+
+def _chunk_norms(states, x_star_mat, n, work):
+    """Column means, and lists of the consensus violations and NE distances,
+    of a chunk of states.  Each mean is a sum over n (the floating-point
+    operations of mean) and each norm the BLAS dot of _norm.  Without
+    ``work`` the chunk is one state, reduced as it is; each n x n difference
+    is freed before the next is built."""
+    if work is None:
+        x = states[0]
+        mean = x.sum(axis=0) / n
+        return mean, [_norm(x - mean)], [_norm(x - x_star_mat)]
+    xs = np.stack(states, out=work[0, : len(states)])
+    diff = work[1, : len(states)]
+    means = xs.sum(axis=1) / n
+    cv = _flat_dots(np.subtract(xs, means[:, None], out=diff))
+    dist = _flat_dots(np.subtract(xs, x_star_mat, out=diff))
+    return (means, *np.sqrt([cv, dist]).tolist())
+
+
+def _flat_dots(stack: np.ndarray) -> np.ndarray:
+    flat = stack.reshape(len(stack), -1)
+    return _row_dots(flat, flat)
 
 
 def _block_columns(means, grads, x_star, alpha, n) -> np.ndarray:
@@ -282,12 +336,12 @@ def _block_columns(means, grads, x_star, alpha, n) -> np.ndarray:
     return np.stack([math.sqrt(n) * dev, gn, miss / (1.0 + pred_norm)])
 
 
-def _trace_from_columns(norms, blocks, sigma, mu, big_l, alpha, n) -> np.recarray:
+def _trace_from_columns(cvs, dists, blocks, sigma, mu, big_l, alpha, n) -> np.recarray:
     """The trace of a run from its per-state and per-block norms: the slack
     columns are shifts and products of whole norm columns."""
-    trace = np.recarray(len(norms), dtype=IterationTrace)
-    trace.t = np.arange(len(norms))
-    trace.consensus_violation, trace.distance_to_ne = np.array(norms).reshape(-1, 2).T
+    trace = np.recarray(len(dists), dtype=IterationTrace)
+    trace.t = np.arange(len(dists))
+    trace.consensus_violation, trace.distance_to_ne = cvs, dists
     trace.avg_distance_to_ne, trace.grad_norm, trace.recursion_residual = np.hstack(blocks)
     cv, dist, avg_d, gn = (trace[name] for name in TRACE_COLUMNS[1:5])
     trace.lemma1_slack[:1] = trace.lemma3_slack[:1] = math.nan

@@ -726,8 +726,11 @@ def audit(
     the comparison matrix, the spectral cross-checks and the geometric
     envelope.  Cells whose mixing matrix has ``sigma = 0`` (the 2-node
     complete graph) instead verify the documented degenerate-mixing error.
-    Invalid combinations (ring with n < 3) are skipped.
+    Invalid combinations (ring with n < 3) are skipped.  ``iters`` must be
+    at least 1: an audit that checks no transition would pass vacuously.
     """
+    if not iters >= 1:
+        raise ValueError(f"audit needs iters >= 1, got {iters}")
     cells = []
     for n in sizes:
         for topology in topologies:

@@ -9,6 +9,7 @@ from gradplay import (
     MixingMatrix,
     QuadraticGame,
     alpha_max,
+    build_graph,
     complete,
     consensual_matrix,
     diag_gradient,
@@ -268,15 +269,64 @@ class TestRun:
         assert trace[-1].distance_to_ne == trace.distance_to_ne[-1]
 
     def test_shorter_horizon_is_a_prefix(self):
-        # horizons that end a block exactly, or one state into the next
-        g = random_game(6, 8)
-        w = metropolis_weights(random_tree(6, 8))
-        block = dynamics._BLOCK
-        _, full = run(g, w, 0.03, initial_estimates(6, 8), max_iters=2 * block + 5)
-        for iters in (0, block - 1, block, 2 * block - 1):
-            _, trace = run(g, w, 0.03, initial_estimates(6, 8), max_iters=iters)
-            for name in trace.dtype.names:
-                np.testing.assert_array_equal(trace[name], full[name][: iters + 1])
+        # horizons that end a chunk or a block exactly, or one state into the
+        # next; chunks of 256, 64 and one state (the 240 ring is CSR)
+        for n, topology in ((6, "tree"), (20, "tree"), (240, "ring")):
+            g = random_game(n, 8)
+            w = metropolis_weights(build_graph(topology, n, 8))
+            chunk, block = dynamics._record_spans(n)
+            final, full = run(g, w, 0.03, initial_estimates(n, 8), max_iters=2 * block + 5)
+            assert len(full) == 2 * block + 6
+            horizons = {0, chunk - 1, chunk, 2 * chunk - 1, block - 1, block, 2 * block - 1}
+            for iters in sorted(horizons):
+                end, trace = run(g, w, 0.03, initial_estimates(n, 8), max_iters=iters)
+                for name in trace.dtype.names:
+                    np.testing.assert_array_equal(trace[name], full[name][: iters + 1])
+                if iters == 2 * block - 1:
+                    np.testing.assert_array_equal(run(g, w, 0.03, end, max_iters=6)[0], final)
+
+    @pytest.mark.parametrize("n, topology", [(6, "tree"), (20, "tree"), (240, "ring")])
+    def test_tol_stop_inside_a_chunk(self, n, topology):
+        # the run stops at the first state within tol, mid-chunk where a
+        # chunk holds more than one state: the rows after it are dropped and
+        # the final state is that state
+        g = random_game(n, 8)
+        w = metropolis_weights(build_graph(topology, n, 8))
+        x0 = initial_estimates(n, 8)
+        chunk, block = dynamics._record_spans(n)
+        _, full = run(g, w, 0.03, x0, max_iters=block + 100)
+        stop = block + 37
+        assert chunk == 1 or stop % chunk not in (0, chunk - 1)
+        tol = full.distance_to_ne[stop]
+        assert np.all(full.distance_to_ne[:stop] > tol)
+        final, trace = run(g, w, 0.03, x0, max_iters=block + 100, tol=tol)
+        assert len(trace) == stop + 1
+        for name in trace.dtype.names:
+            np.testing.assert_array_equal(trace[name], full[name][: stop + 1])
+        np.testing.assert_array_equal(final, run(g, w, 0.03, x0, max_iters=stop)[0])
+
+    @pytest.mark.parametrize("n", [20, 100])
+    def test_layout_of_x0_does_not_change_the_trace(self, n):
+        # a stacked chunk (n = 20) and a one-state chunk (n = 100) both sum
+        # the column means of a C-ordered state
+        g = random_game(n, 8)
+        w = metropolis_weights(random_tree(n, 8))
+        x0 = initial_estimates(n, 8)
+        final, trace = run(g, w, 0.03, x0, max_iters=70)
+        final_f, trace_f = run(g, w, 0.03, np.asfortranarray(x0), max_iters=70)
+        np.testing.assert_array_equal(final_f, final)
+        for name in trace.dtype.names:
+            np.testing.assert_array_equal(trace_f[name], trace[name])
+
+    def test_record_spans_bound_the_held_states(self):
+        # allocates nothing: a chunk's stacked states fit the byte budget
+        # unless it is one state, held as it is, as at n = 1000
+        for n in range(2, 2001):
+            chunk, block = dynamics._record_spans(n)
+            assert block == dynamics._BLOCK and block % chunk == 0
+            assert chunk == 1 or chunk * 8 * n * n <= dynamics._CHUNK_BYTES
+        assert dynamics._record_spans(20)[0] == 64
+        assert dynamics._record_spans(1000)[0] == 1
 
     def test_determinism_bytes(self):
         g = random_game(6, 5)

@@ -287,12 +287,16 @@ class TestTraceHelpers:
         "n, topology", [(6, "tree"), (20, "tree"), (5, "complete"), (240, "ring")]
     )
     def test_recursion_residual_matches_step_replay(self, n, topology):
-        # run() reduces its columns a block of states at a time; this horizon
-        # crosses two block boundaries and ends inside a third block
+        # run() reduces its norms a chunk of states at a time (one state on
+        # the 240 ring) and its vector columns a block at a time; this
+        # horizon crosses two block boundaries and ends inside a third block
         game = random_game(n, 8)
         w = metropolis_weights(build_graph(topology, n, 8))
         x0 = dynamics.initial_estimates(n, 8)
-        _, trace = dynamics.run(game, w, 0.03, x0, max_iters=2 * dynamics._BLOCK + 37)
+        chunk, block = dynamics._record_spans(n)
+        assert (chunk == 1) == (n == 240)
+        assert isinstance(w.operator, np.ndarray) == (n != 240)  # CSR on the ring
+        _, trace = dynamics.run(game, w, 0.03, x0, max_iters=2 * block + 37)
         check_block_columns(trace, game, w, 0.03, x0)
 
     @pytest.mark.parametrize(
@@ -303,10 +307,13 @@ class TestTraceHelpers:
         game = random_game(n, 8)
         w = metropolis_weights(build_graph(topology, n, 8))
         x0 = dynamics.initial_estimates(n, 8)
+        chunk, block = dynamics._record_spans(n)
         with pytest.raises(DivergenceError) as excinfo:
-            dynamics.run(game, w, alpha, x0, max_iters=3 * dynamics._BLOCK)
+            dynamics.run(game, w, alpha, x0, max_iters=3 * block)
         t = excinfo.value.iteration
-        assert t > dynamics._BLOCK and t % dynamics._BLOCK not in (0, dynamics._BLOCK - 1)
+        assert t > block and t % block not in (0, block - 1)
+        assert chunk == 1 or t % chunk not in (0, chunk - 1)
+        assert str(excinfo.value).startswith(f"diverged at iteration {t}: distance ")
         assert len(excinfo.value.trace) == t + 1
         check_block_columns(excinfo.value.trace, game, w, alpha, x0)
 
@@ -605,8 +612,8 @@ class TestCli:
         assert proc.stderr == "check failed: divergence guard tripped\n"
 
     def test_json_artifacts_are_strict(self, tmp_path):
-        # a diverged run and an audit of zero iterations hold non-finite
-        # values: the JSON files write null, the text files keep repr
+        # a diverged run and a diverged audit cell hold non-finite values:
+        # the JSON files write null, the text files keep repr
         def strict(path):
             return json.loads(path.read_text(), parse_constant=reject_json_constant)
 
@@ -616,12 +623,21 @@ class TestCli:
         summary = strict(tmp_path / "r" / "summary.json")
         assert summary["final_distance"] is None and summary["diverged"] is True
         assert "final_distance: inf" in (tmp_path / "r" / "summary.txt").read_text()
-        argv = ["audit", "--sizes", "5", "--topologies", "tree", "--seeds", "1", "--iters", "0"]
-        assert main([*argv, "--out", str(tmp_path / "a")]) == 0
+        argv = ["audit", "--sizes", "5", "--topologies", "tree", "--seeds", "1", "--iters", "30"]
+        assert main([*argv, "--alpha-override", "1e308", "--out", str(tmp_path / "a")]) == 1
         cell = strict(tmp_path / "a" / "audit.json")["cells"][0]
         checks = {check["name"]: check["worst"] for check in cell["checks"]}
-        assert checks["lemma1"] is checks["lemma3"] is checks["z_domination"] is None
+        assert checks["admissible_step"] is checks["no_divergence"] is checks["lemma1"] is None
         assert checks["average_recursion"] == 0.0
+        assert "no_divergence: worst=inf" in (tmp_path / "a" / "audit.txt").read_text()
+
+    def test_audit_zero_iterations_is_input_error(self, tmp_path, capsys):
+        # an audit that checks no transition would pass every lemma vacuously
+        argv = ["audit", "--sizes", "5", "--topologies", "tree", "--seeds", "1", "--iters", "0"]
+        assert main([*argv, "--out", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: audit needs iters >= 1, got 0\n"
+        assert not (tmp_path / "audit.json").exists()
 
     @pytest.mark.parametrize("scale", ["1e308", "inf"])
     def test_audit_overflowing_coupling_is_input_error(self, scale, tmp_path, capsys):
