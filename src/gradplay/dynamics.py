@@ -15,12 +15,15 @@ network-wide running average) then follow the exact recursion
 
 :func:`run` iterates this update and records four norms and the recursion
 residual of every state.  Its loop only steps: it computes the own gradients,
-applies the update and holds the states.  The two norms of the ``n x n``
-states are reduced once per chunk of held states (as many as fit in a cache-
-sized byte budget; one state from n = 91), the column means, gradient norms
-and residuals once per block of 256 states.  After the loop it derives,
-column-wise, the slack (rhs - lhs) of the three per-step inequalities of the
-geometric-rate proof.
+applies the update and holds the states.  The states of a chunk (as many as
+fit in a cache-sized byte budget; one state from n = 91) are stepped in place
+into one buffer allocated per run, each product written into its slot and
+the gradient correction applied through precomputed diagonal views; a one-
+state chunk allocates each new state.  The two norms of the ``n x n`` states
+are reduced once per chunk, the column means, gradient norms and residuals
+once per block of 256 states.  After the loop it derives, column-wise, the
+slack (rhs - lhs) of the three per-step inequalities of the geometric-rate
+proof.
 """
 
 from __future__ import annotations
@@ -235,8 +238,6 @@ def run(
     x_star_mat = consensual_matrix(x_star)
     w_op = w.operator
     chunk, block = (min(span, max_iters + 1) for span in _record_spans(n))
-    # a chunk's stacked states (0) and its differences (1), allocated once
-    work = np.empty((2, chunk, n, n)) if chunk > 1 else None
     cvs, dists = [], []  # consensus_violation and distance_to_ne per state
     blocks = []  # (avg_distance_to_ne, grad_norm, recursion_residual) per block
     # Column means (0) and own gradients (1) of a block's states in rows 1..;
@@ -244,6 +245,21 @@ def run(
     # A chunk divides the block, so its rows never straddle two blocks.
     held = np.full((2, block + 1, n), math.nan)
     filled = 1
+    work = diff = None
+    if chunk > 1:
+        # A chunk's states (0) and their differences (1), allocated once.  The
+        # loop steps in place: W times the state in slot k - 1 goes into slot
+        # k, and the own gradient into the held row.  Only a full chunk is
+        # followed by another, whose slot 0 takes the last slot (-1).  w_op is
+        # the dense w here: a CSR operator has no out= and needs n >= 225,
+        # where a chunk is one state.
+        work = np.empty((2, chunk, n, n))
+        work[0, 0] = x
+        slots = list(work[0])
+        diagonals = list(np.einsum("kii->ki", work[0]))
+        grads = list(held[1])
+        scratch = work[1, 0]  # free while stepping
+        a_mat, b = game.mapping_matrix, game.b
 
     def trace():
         blocks.append(_block_columns(*held[:, :filled], x_star, alpha, n))
@@ -260,14 +276,23 @@ def run(
         while True:
             # Step through one chunk, holding its states; then reduce them.
             size = min(chunk, max_iters + 1 - t)
-            states = [x]
-            g = held[1, filled] = _own_gradient(game, x)
-            for row in range(filled + 1, filled + size):
-                x = _update(w_op, x, alpha, g)
-                states.append(x)
-                g = held[1, row] = _own_gradient(game, x)
+            if work is None:
+                if t:
+                    x = _update(w_op, x, alpha, g)
+                xs = x[None]  # frees the state before, as the gradient allocates
+                g = held[1, filled] = _own_gradient(game, x)
+            else:
+                for k in range(size):
+                    if k or t:
+                        np.matmul(w_op, slots[k - 1], out=slots[k])
+                        diagonals[k] -= alpha * g
+                    np.multiply(a_mat, slots[k], out=scratch)
+                    g = np.add.reduce(scratch, axis=1, out=grads[filled + k])
+                    g += b
+                xs = work[0, :size]
+                diff = work[1, :size]
 
-            held[0, filled : filled + size], cv, dist = _chunk_norms(states, x_star_mat, n, work)
+            held[0, filled : filled + size], cv, dist = _chunk_norms(xs, x_star_mat, n, diff)
             stop = next((k for k, d in enumerate(dist) if d <= tol or not d <= dist_limit), None)
             kept = size if stop is None else stop + 1
             cvs += cv[:kept]
@@ -289,8 +314,8 @@ def run(
                 raise err
             t += size
             if stop is not None or t > max_iters:
-                return states[kept - 1], trace()
-            x = _update(w_op, x, alpha, g)
+                # a copy, so that the caller's final state is not a slot
+                return (x if work is None else slots[kept - 1].copy()), trace()
 
 
 def _record_spans(n: int) -> tuple:
@@ -298,24 +323,24 @@ def _record_spans(n: int) -> tuple:
     reduction of their ``n x n`` norms, and for one reduction of their column
     means and own gradients.  A chunk is the largest power of two of states
     within ``_CHUNK_BYTES``, at most a block, so it divides ``_BLOCK``.
-    Stacking a chunk copies its states, which pays off only for four or
-    more: below that (from n = 91) a chunk is one state."""
+    Below four states (from n = 91) a chunk is one state, stepped by
+    allocation; this keeps every CSR operator (n >= 225) off the in-place
+    path, whose products need ``out=``."""
     fit = _CHUNK_BYTES // (8 * n * n)
     return (min(_BLOCK, 1 << (fit.bit_length() - 1)) if fit >= 4 else 1), _BLOCK
 
 
-def _chunk_norms(states, x_star_mat, n, work):
+def _chunk_norms(xs, x_star_mat, n, diff):
     """Column means, and lists of the consensus violations and NE distances,
-    of a chunk of states.  Each mean is a sum over n (the floating-point
-    operations of mean) and each norm the BLAS dot of _norm.  Without
-    ``work`` the chunk is one state, reduced as it is; each n x n difference
-    is freed before the next is built."""
-    if work is None:
-        x = states[0]
+    of a stack of states.  Each mean is a sum over n (the floating-point
+    operations of mean) and each norm the BLAS dot of _norm.  The differences
+    go into ``diff``.  Without it the stack is one state, reduced as it is
+    (the stacked reduction was 6-15 % slower per run at n = 100); each n x n
+    difference is freed before the next is built."""
+    if diff is None:
+        x = xs[0]
         mean = x.sum(axis=0) / n
         return mean, [_norm(x - mean)], [_norm(x - x_star_mat)]
-    xs = np.stack(states, out=work[0, : len(states)])
-    diff = work[1, : len(states)]
     means = xs.sum(axis=1) / n
     cv = _flat_dots(np.subtract(xs, means[:, None], out=diff))
     dist = _flat_dots(np.subtract(xs, x_star_mat, out=diff))

@@ -289,9 +289,8 @@ def _dump_game(game: QuadraticGame, f) -> None:
         for k, row in enumerate(rows):
             if k:
                 f.write(item_sep)
-            # Without indent json.dumps takes its C encoder; its float text
-            # (repr, NaN, Infinity) is what json.dump writes.
-            f.write(json.dumps(row.tolist())[1:-1].replace(", ", item_sep))
+            # json writes a finite float as its repr; a game holds no other
+            f.write(item_sep.join(map(repr, row.tolist())))
         f.write("\n  ]")
     if game.seed is not None:
         f.write(',\n  "seed": %d' % int(game.seed))

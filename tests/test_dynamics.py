@@ -399,6 +399,105 @@ def reference_norm_columns(game, w, alpha, x0, iters):
     return np.array(rows)
 
 
+def step_replay_final(game, w, alpha, x0, iters):
+    """The state after ``iters`` public ``step()`` calls from ``x0``."""
+    x = np.array(x0, dtype=float)
+    for _ in range(iters):
+        x = step(x, w, alpha, game)
+    return x
+
+
+class TestInPlaceStep:
+    """Where a chunk holds more than one state, run() steps in place into
+    one buffer per run.  Its states and norms must equal, bit for bit, those
+    of states advanced one at a time by the public step(), and its final
+    state must be the caller's own array, not a slot of that buffer."""
+
+    NORMS = (
+        "consensus_violation",
+        "distance_to_ne",
+        "avg_distance_to_ne",
+        "grad_norm",
+    )
+
+    @staticmethod
+    def setup_case(n, topology="tree"):
+        game = random_game(n, 8)
+        w = metropolis_weights(build_graph(topology, n, 8))
+        return game, w, initial_estimates(n, 8)
+
+    def check_final(self, final, expected):
+        assert final.base is None and final.flags.c_contiguous and final.flags.owndata
+        np.testing.assert_array_equal(final, expected)
+
+    @pytest.mark.parametrize("n", [6, 20, 90])
+    def test_horizons_around_a_chunk_match_step_replay(self, n):
+        game, w, x0 = self.setup_case(n)
+        chunk, _ = dynamics._record_spans(n)
+        assert chunk > 1 and isinstance(w.operator, np.ndarray)
+        for iters in sorted({0, 1, 2, chunk - 1, chunk, chunk + 1}):
+            final, trace = run(game, w, 0.03, x0, max_iters=iters)
+            assert len(trace) == iters + 1
+            self.check_final(final, step_replay_final(game, w, 0.03, x0, iters))
+            ref = reference_norm_columns(game, w, 0.03, x0, iters)
+            for k, name in enumerate(self.NORMS):
+                np.testing.assert_array_equal(trace[name], ref[:, k])
+
+    def test_tol_stop_inside_a_chunk_matches_step_replay(self):
+        game, w, x0 = self.setup_case(20)
+        chunk, _ = dynamics._record_spans(20)
+        _, full = run(game, w, 0.03, x0, max_iters=3 * chunk)
+        stop = chunk + chunk // 2 + 3
+        final, trace = run(game, w, 0.03, x0, max_iters=3 * chunk, tol=full.distance_to_ne[stop])
+        assert len(trace) == stop + 1 and 0 < stop % chunk < chunk - 1
+        self.check_final(final, step_replay_final(game, w, 0.03, x0, stop))
+
+    def test_divergence_inside_a_chunk_matches_step_replay(self):
+        game, w, x0 = self.setup_case(20)
+        chunk, block = dynamics._record_spans(20)
+        with pytest.raises(DivergenceError) as excinfo:
+            run(game, w, 0.7, x0, max_iters=3 * block)
+        t = excinfo.value.iteration
+        assert 0 < t % chunk < chunk - 1
+        ref = reference_norm_columns(game, w, 0.7, x0, t)
+        for k, name in enumerate(self.NORMS):
+            np.testing.assert_array_equal(excinfo.value.trace[name], ref[:, k])
+
+    def test_fortran_ordered_x0_is_read_not_written(self):
+        game, w, x0 = self.setup_case(20)
+        chunk, _ = dynamics._record_spans(20)
+        x0_f = np.asfortranarray(x0)
+        final, trace = run(game, w, 0.03, x0_f, max_iters=chunk + 1)
+        np.testing.assert_array_equal(x0_f, x0)
+        self.check_final(final, step_replay_final(game, w, 0.03, x0, chunk + 1))
+        np.testing.assert_array_equal(
+            trace.distance_to_ne, reference_norm_columns(game, w, 0.03, x0, chunk + 1)[:, 1]
+        )
+
+    @pytest.mark.parametrize("n, topology", [(20, "tree"), (100, "tree"), (240, "ring")])
+    def test_final_state_owns_its_data(self, n, topology):
+        # a copy of the last slot where a chunk holds several states, so it
+        # neither pins the run's buffer nor shares memory with it
+        game, w, x0 = self.setup_case(n, topology)
+        final, _ = run(game, w, 0.03, x0, max_iters=5)
+        self.check_final(final, step_replay_final(game, w, 0.03, x0, 5))
+
+    def test_multi_state_chunks_never_meet_a_sparse_operator(self):
+        # The in-place path needs out=, which a CSR operator lacks.  sigma < 1
+        # needs a connected support: at least 2(n - 1) off-diagonal nonzeros
+        # (3n - 2 in all for Metropolis weights, whose diagonal is positive).
+        # The CSR rule SPARSE_FILL_RATIO * nnz <= n**2 cannot hold at that
+        # count wherever a chunk holds more than one state.
+        from gradplay.network import SPARSE_FILL_RATIO
+
+        for n in range(2, 2001):
+            if dynamics._record_spans(n)[0] > 1:
+                assert SPARSE_FILL_RATIO * 2 * (n - 1) > n * n
+        assert dynamics._record_spans(90)[0] > 1 and dynamics._record_spans(91)[0] == 1
+        for topology in ("tree", "ring", "star"):
+            assert isinstance(metropolis_weights(build_graph(topology, 90, 1)).operator, np.ndarray)
+
+
 class TestRecordedNorms:
     """run() records each norm as sqrt(v @ v) and each mean as a sum over n:
     the columns must equal np.linalg.norm and mean to the bit."""

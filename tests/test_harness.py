@@ -217,6 +217,17 @@ class TestRunExperiment:
             tmp_path / "b/trace.csv"
         ).read_bytes()
 
+    @pytest.mark.parametrize("topology", ["tree", "ring", "complete", "star"])
+    def test_text_artifacts_equal_their_plain_encodings(self, topology, tmp_path):
+        # game.json is json.dump with indent 2; mixing.csv one repr per entry
+        run_experiment(small_config(topology=topology, n=12, alpha=0.01, max_iters=3), out_dir=tmp_path)
+        game = random_game(12, 1, 0.2)
+        expected = json.dumps(gradplay.game_to_dict(game), indent=2) + "\n"
+        assert (tmp_path / "game.json").read_text() == expected
+        w = metropolis_weights(build_graph(topology, 12, 2))
+        rows = [",".join(map(repr, row.tolist())) + "\n" for row in w.w]
+        assert (tmp_path / "mixing.csv").read_text() == "".join(rows)
+
     def test_mismatched_override_rejected(self):
         with pytest.raises(ValueError, match="players"):
             run_experiment(small_config(), game=random_game(6, 0))
@@ -630,6 +641,51 @@ class TestCli:
         assert checks["admissible_step"] is checks["no_divergence"] is checks["lemma1"] is None
         assert checks["average_recursion"] == 0.0
         assert "no_divergence: worst=inf" in (tmp_path / "a" / "audit.txt").read_text()
+
+    @staticmethod
+    def refused_before_allocating(argv, monkeypatch, capsys):
+        """main(argv) exits 2 with one line, builds no game and no audit
+        cell, and traces less than a megabyte of allocations."""
+        import tracemalloc
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a refused size reached the run")
+
+        monkeypatch.setattr(harness, "random_game", unreachable)
+        monkeypatch.setattr(harness, "_audit_cell", unreachable)
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.count("\n") == 1 and "of physical memory" in captured.err
+        assert peak < 2**20
+        return captured.err
+
+    @pytest.mark.parametrize("n", [10**6, 10**400])
+    def test_size_beyond_memory_is_input_error(self, n, tmp_path, monkeypatch, capsys):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(f'{{"n": {n}}}')
+        out = tmp_path / "o"
+        for argv in (["run", "--config", str(config_path)], ["audit", "--sizes", str(n)]):
+            err = self.refused_before_allocating([*argv, "--out", str(out)], monkeypatch, capsys)
+            assert err.startswith(f"error: n={n} and max_iters=")
+        assert not out.exists()
+
+    def test_horizon_beyond_memory_is_input_error(self, tmp_path, monkeypatch, capsys):
+        config_path = tmp_path / "config.json"
+        config_path.write_text('{"n": 20, "max_iters": 1000000000000000}')
+        out = tmp_path / "o"
+        for argv in (
+            ["run", "--config", str(config_path)],
+            ["audit", "--sizes", "20", "--iters", str(10**15)],
+        ):
+            err = self.refused_before_allocating([*argv, "--out", str(out)], monkeypatch, capsys)
+            assert err.startswith("error: n=20 and max_iters=1000000000000000 need an estimated")
+        assert not out.exists()
 
     def test_audit_zero_iterations_is_input_error(self, tmp_path, capsys):
         # an audit that checks no transition would pass every lemma vacuously
