@@ -99,12 +99,15 @@ def _physical_memory():
     return size if size > 0 else None
 
 
-def _check_footprint(n: int, max_iters: int) -> None:
+def _check_footprint(n: int, max_iters: int, tol: float = 0.0) -> None:
     """Refuse, before anything is allocated, a run of ``n`` players and
     ``max_iters`` steps whose estimated footprint exceeds physical memory:
-    it would end in an out-of-memory kill, not in an error."""
+    it would end in an out-of-memory kill, not in an error.  With
+    ``tol > 0`` the run may stop long before ``max_iters``, so only the
+    dense arrays count."""
     limit = _physical_memory()
-    need = _DENSE_ARRAYS * 8 * n * n + _TRACE_ROW_BYTES * (max_iters + 1)
+    rows = max_iters + 1 if tol == 0 else 0
+    need = _DENSE_ARRAYS * 8 * n * n + _TRACE_ROW_BYTES * rows
     if limit is not None and need > limit:
         gib = need / 2**30 if need < 2**1000 else math.inf  # an int beyond floats
         raise ValueError(
@@ -165,9 +168,9 @@ class ExperimentConfig:
             raise ValueError(f"alpha must be finite and > 0, got {self.alpha}")
         if self.max_iters < 0:
             raise ValueError("max_iters must be >= 0")
-        _check_footprint(self.n, self.max_iters)
         if not (_finite(self.tol) and self.tol >= 0):
             raise ValueError(f"tol must be finite and >= 0, got {self.tol}")
+        _check_footprint(self.n, self.max_iters, self.tol)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -762,6 +765,7 @@ def audit(
     Invalid combinations (ring with n < 3) are skipped.  ``iters`` must be
     at least 1: an audit that checks no transition would pass vacuously.
     """
+    sizes = tuple(sizes)
     if not iters >= 1:
         raise ValueError(f"audit needs iters >= 1, got {iters}")
     _check_footprint(max(sizes, default=0), iters)

@@ -295,18 +295,14 @@ def graph_from_edgelist(text: str, n: int | None = None) -> Graph:
 def save_mixing_matrix(w: MixingMatrix, path) -> None:
     """Dense CSV, row-major, shortest round-trip decimal per entry.
 
-    Only ``+0.0`` has all 64 bits clear, and its repr is ``"0.0"``: a row
-    that is mostly zeros, as in a sparse graph's matrix, starts from that
-    text and calls repr only for the entries with a bit set (``-0.0``
-    included)."""
+    Only ``+0.0`` has all 64 bits clear, and its repr is ``"0.0"``: each
+    row starts from that text and calls repr only for the entries with a
+    bit set (``-0.0`` included)."""
     with open(path, "w", encoding="utf-8") as f:
         for row in w.w:
-            values, bits = row.tolist(), row.view(np.int64)
-            if 2 * np.count_nonzero(bits) > len(values):
-                text = map(repr, values)
-            else:
-                text = ["0.0"] * len(values)
-                for j in np.flatnonzero(bits).tolist():
-                    text[j] = repr(values[j])
+            text = ["0.0"] * len(row)
+            nonzero = np.flatnonzero(row.view(np.int64))
+            for j, value in zip(nonzero.tolist(), row[nonzero].tolist()):
+                text[j] = repr(value)
             f.write(",".join(text))
             f.write("\n")

@@ -218,15 +218,12 @@ class TestRunExperiment:
         ).read_bytes()
 
     @pytest.mark.parametrize("topology", ["tree", "ring", "complete", "star"])
-    def test_text_artifacts_equal_their_plain_encodings(self, topology, tmp_path):
-        # game.json is json.dump with indent 2; mixing.csv one repr per entry
+    def test_game_json_equals_its_plain_encoding(self, topology, tmp_path):
+        # game.json is json.dump with indent 2
         run_experiment(small_config(topology=topology, n=12, alpha=0.01, max_iters=3), out_dir=tmp_path)
         game = random_game(12, 1, 0.2)
         expected = json.dumps(gradplay.game_to_dict(game), indent=2) + "\n"
         assert (tmp_path / "game.json").read_text() == expected
-        w = metropolis_weights(build_graph(topology, 12, 2))
-        rows = [",".join(map(repr, row.tolist())) + "\n" for row in w.w]
-        assert (tmp_path / "mixing.csv").read_text() == "".join(rows)
 
     def test_mismatched_override_rejected(self):
         with pytest.raises(ValueError, match="players"):
@@ -514,6 +511,13 @@ class TestAudit:
         assert report.cells == [] and not report.ok
         assert "all passed" not in report.to_text()
 
+    def test_sizes_may_be_an_iterator(self):
+        # the size guard reads sizes before the cells do
+        kwargs = dict(topologies=("tree", "star"), seeds=1, iters=5, eq5_samples=3)
+        report = audit(sizes=(n for n in (3, 5)), **kwargs)
+        assert len(report.cells) == 4 and report.ok
+        assert report.to_dict() == audit(sizes=(3, 5), **kwargs).to_dict()
+
     def test_report_serialization(self, tmp_path):
         report = audit(sizes=(5,), topologies=("star",), seeds=1, iters=80, out_dir=tmp_path)
         assert (tmp_path / "audit.json").exists()
@@ -686,6 +690,15 @@ class TestCli:
             err = self.refused_before_allocating([*argv, "--out", str(out)], monkeypatch, capsys)
             assert err.startswith("error: n=20 and max_iters=1000000000000000 need an estimated")
         assert not out.exists()
+
+    def test_tol_stopped_horizon_is_not_counted(self, tmp_path, capsys):
+        # a tol stop ends the run long before max_iters: only n is checked
+        config_path = tmp_path / "config.json"
+        config_path.write_text('{"n": 20, "alpha": 0.05, "max_iters": 1000000000000000, "tol": 1e-6}')
+        assert main(["run", "--config", str(config_path), "--out", str(tmp_path / "o")]) == 0
+        summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+        assert summary["iterations"] < 20_000 and summary["final_distance"] <= 1e-6
+        capsys.readouterr()
 
     def test_audit_zero_iterations_is_input_error(self, tmp_path, capsys):
         # an audit that checks no transition would pass every lemma vacuously

@@ -296,35 +296,20 @@ class TestSerialization:
         assert np.array_equal(back, w.w)
 
     def test_mixing_csv_bytes(self, tmp_path):
-        w = metropolis_weights(random_tree(30, 9))
-        path = tmp_path / "w.csv"
-        save_mixing_matrix(w, path)
-        expected = "".join(",".join(repr(float(v)) for v in row) + "\n" for row in w.w)
-        assert path.read_text() == expected
+        # one shortest repr per entry: zeros, -0.0 and dense rows alike
+        def one_repr_per_entry(w):
+            return "".join(",".join(repr(float(v)) for v in row) + "\n" for row in w.w)
 
-    @staticmethod
-    def one_repr_per_entry(w):
-        return "".join(",".join(map(repr, row.tolist())) + "\n" for row in w.w).encode()
-
-    @pytest.mark.parametrize("n", [5, 240])
-    @pytest.mark.parametrize("build", [lambda n: random_tree(n, 4), ring, complete, star])
-    def test_mixing_csv_bytes_on_every_topology(self, build, n, tmp_path):
-        # sparse rows take "0.0" for their zeros, dense rows repr throughout
-        w = metropolis_weights(build(n))
-        path = tmp_path / "w.csv"
-        save_mixing_matrix(w, path)
-        assert path.read_bytes() == self.one_repr_per_entry(w)
-
-    def test_mixing_csv_keeps_negative_zero(self, tmp_path):
-        # -0.0 in mostly-zero rows (a cyclic half step) and in a dense row
         cyclic = 0.5 * (np.eye(6) + np.roll(np.eye(6), 1, axis=1))
         cyclic[0, 3] = cyclic[4, 1] = -0.0
         dense = np.full((3, 3), 0.5)
-        dense[0, 0] = dense[1, 1] = dense[2, 2] = 0.0
+        dense[0, 0] = dense[2, 2] = 0.0
         dense[1, 1] = -0.0
-        for matrix in (cyclic, dense):
-            w = MixingMatrix(matrix)
-            path = tmp_path / "w.csv"
+        matrices = [metropolis_weights(random_tree(30, 9)), MixingMatrix(cyclic), MixingMatrix(dense)]
+        for n in (5, 240):
+            matrices += [metropolis_weights(b(n)) for b in (lambda n: random_tree(n, 4), ring, complete, star)]
+        path = tmp_path / "w.csv"
+        for w in matrices:
             save_mixing_matrix(w, path)
-            assert path.read_bytes() == self.one_repr_per_entry(w)
-            assert b"-0.0" in path.read_bytes()
+            assert path.read_text() == one_repr_per_entry(w)
+        assert "-0.0" in one_repr_per_entry(matrices[1]) and "-0.0" in one_repr_per_entry(matrices[2])
