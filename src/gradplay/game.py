@@ -234,18 +234,18 @@ def random_game(n: int, seed: int, coupling_scale: float = 0.2) -> QuadraticGame
     rng = np.random.default_rng(seed)
     a = rng.uniform(1.0, 2.0, n)
     b = rng.uniform(-1.0, 1.0, n)
-    c = coupling_scale * rng.uniform(-1.0, 1.0, (n, n))
+    draws = rng.uniform(-1.0, 1.0, (n, n))
+    c = coupling_scale * draws
     np.fill_diagonal(c, 0.0)
-    for i in range(n):
-        with np.errstate(over="ignore"):  # an infinite row sum is refused below
-            row_sum = float(np.sum(np.abs(c[i])))
-        if row_sum == math.inf:
-            raise ValueError(
-                f"coupling_scale={coupling_scale!r} is too large: a row sum of |c| overflows"
-            )
-        budget = 0.9 * a[i]
-        if row_sum > budget:
-            c[i] *= budget / row_sum
+    # |c| goes into the spent draws: a fresh n x n array raised peak RSS
+    with np.errstate(over="ignore"):  # an infinite row sum is refused below
+        row_sums = np.abs(c, out=draws).sum(axis=1)
+    if np.any(row_sums == math.inf):
+        raise ValueError(
+            f"coupling_scale={coupling_scale!r} is too large: a row sum of |c| overflows"
+        )
+    budget = 0.9 * a
+    c *= (budget / np.maximum(row_sums, budget))[:, None]
     return QuadraticGame(a=a, b=b, c=c, seed=seed)
 
 

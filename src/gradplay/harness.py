@@ -538,8 +538,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None, game=None, graph=None
         final = None
         note = (note + "; " if note else "") + str(exc)
 
-    distances = trace.distance_to_ne.tolist() if len(trace) else [math.nan]
-    initial_distance, final_distance = distances[0], distances[-1]
+    initial_distance, final_distance = trace.distance_to_ne[[0, -1]].tolist()
     rel = final_distance / initial_distance if initial_distance > 0 else 0.0
 
     mins = lemma_slack_minima(trace, consts.mu, consts.l, alpha, game.n)
@@ -563,7 +562,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None, game=None, graph=None
         alpha_admissible=admissible,
         alpha_note=note,
         q=plan.q if plan else None,
-        iterations=max(len(trace) - 1, 0),
+        iterations=len(trace) - 1,
         initial_distance=initial_distance,
         final_distance=final_distance,
         final_relative_error=rel,
@@ -691,17 +690,14 @@ class AuditReport:
 def _audit_game_assumptions(game, consts, rng, samples=100):
     """Worst normalized margins of monotonicity and the Lipschitz bounds.
 
-    Each sample draws a pair of joint actions ``u``, ``v`` and a player
-    ``i``; the margins are then column expressions over all samples.
+    Each sample is a pair of joint actions ``u``, ``v`` and a player ``i``,
+    drawn in one call each (``u``, then ``v``, then the players); the
+    margins are then column expressions over all samples.
     """
     n = game.n
-    u = np.empty((samples, n))
-    v = np.empty((samples, n))
-    players = np.empty(samples, dtype=int)
-    for k in range(samples):
-        u[k] = rng.uniform(-5, 5, n)
-        v[k] = rng.uniform(-5, 5, n)
-        players[k] = rng.integers(0, n)
+    u = rng.uniform(-5, 5, (samples, n))
+    v = rng.uniform(-5, 5, (samples, n))
+    players = rng.integers(0, n, samples)
     f = game_mapping(game, np.concatenate([u, v]))
     f_diff = f[:samples] - f[samples:]
     du = u - v
@@ -762,12 +758,19 @@ def audit(
     the comparison matrix, the spectral cross-checks and the geometric
     envelope.  Cells whose mixing matrix has ``sigma = 0`` (the 2-node
     complete graph) instead verify the documented degenerate-mixing error.
-    Invalid combinations (ring with n < 3) are skipped.  ``iters`` must be
-    at least 1: an audit that checks no transition would pass vacuously.
+    Invalid combinations (ring with n < 3) are skipped.  Before any cell
+    runs, ``iters`` must be at least 1 (an audit that checks no transition
+    would pass vacuously), every topology known and ``alpha_override``
+    finite and > 0 (an all-degenerate matrix never reaches ``run``'s check).
     """
-    sizes = tuple(sizes)
+    sizes, topologies = tuple(sizes), tuple(topologies)
     if not iters >= 1:
         raise ValueError(f"audit needs iters >= 1, got {iters}")
+    for t in topologies:
+        if t not in TOPOLOGIES:
+            raise ValueError(f"unknown topology {t!r}; choose from {TOPOLOGIES}")
+    if alpha_override is not None and not (_finite(alpha_override) and alpha_override > 0):
+        raise ValueError(f"alpha_override must be finite and > 0, got {alpha_override}")
     _check_footprint(max(sizes, default=0), iters)
     cells = []
     for n in sizes:
@@ -805,7 +808,9 @@ def _audit_cell(n, topology, seed, coupling_scale, iters, alpha_override, eq5_sa
     checks.append(AuditCheck("strong_monotonicity", mono_worst >= -SLACK_TOL, mono_worst))
     checks.append(AuditCheck("lipschitz_bounds", lip_worst >= -SLACK_TOL, lip_worst))
 
-    if w.sigma == 0.0:
+    degenerate = w.sigma == 0.0
+    alpha = admissible = None
+    if degenerate:
         # Degenerate perfect mixing: the ceiling terms must refuse, loudly.
         try:
             bounds.step_size_terms(consts.mu, consts.l, w.sigma, n)
@@ -814,72 +819,50 @@ def _audit_cell(n, topology, seed, coupling_scale, iters, alpha_override, eq5_sa
             )
         except PerfectMixingError:
             checks.append(AuditCheck("degenerate_mixing_error", True, 0.0))
-        return AuditCell(
-            n=n,
-            topology=topology,
-            seed=seed,
-            sigma=w.sigma,
-            mu=consts.mu,
-            l=consts.l,
-            alpha=None,
-            admissible=None,
-            degenerate=True,
-            checks=checks,
-        )
-
-    alpha, _terms, ceiling, admissible, _note, plan = _resolve_alpha(
-        "auto" if alpha_override is None else alpha_override, consts.mu, consts.l, w.sigma, n
-    )
-    checks.append(
-        AuditCheck(
-            "admissible_step",
-            admissible,
-            alpha / ceiling,
-            "" if admissible else f"alpha={alpha} vs ceiling={ceiling!r}",
-        )
-    )
-
-    x0 = initial_estimates(n, seed=3000 + seed)
-    diverged = False
-    try:
-        _, trace = run(game, w, alpha, x0, max_iters=iters, tol=0.0)
-    except DivergenceError as exc:
-        diverged = True
-        trace = exc.trace
-        checks.append(AuditCheck("no_divergence", False, math.inf, str(exc)))
-    if not diverged:
-        checks.append(AuditCheck("no_divergence", True, 0.0))
-
-    if len(trace):
-        mins = lemma_slack_minima(trace, consts.mu, consts.l, alpha, n)
-        checks.append(
-            AuditCheck("lemma1", mins["lemma1"] >= -SLACK_TOL, mins["lemma1"])
+    else:
+        alpha, _terms, ceiling, admissible, _note, plan = _resolve_alpha(
+            "auto" if alpha_override is None else alpha_override, consts.mu, consts.l, w.sigma, n
         )
         checks.append(
-            AuditCheck("lemma2", mins["lemma2"] >= -SLACK_TOL, mins["lemma2"])
-        )
-        if mins["lemma3_applicable"]:
-            checks.append(
-                AuditCheck("lemma3", mins["lemma3"] >= -SLACK_TOL, mins["lemma3"])
+            AuditCheck(
+                "admissible_step",
+                admissible,
+                alpha / ceiling,
+                "" if admissible else f"alpha={alpha} vs ceiling={ceiling!r}",
             )
-
-    resid = np.fmax.reduce(trace.recursion_residual[1:], initial=0.0)
-    checks.append(AuditCheck("average_recursion", resid <= 1e-12, resid))
-
-    if admissible:
-        eig = np.sort(np.linalg.eigvals(plan.z).real)
-        eig_err = max(abs(eig[1] - plan.lambda1), abs(eig[0] - plan.lambda2))
-        rate_ok = (
-            0 < plan.q < 1
-            and plan.lambda1 > abs(plan.lambda2)
-            and eig_err <= 1e-12
         )
-        checks.append(AuditCheck("rate_certificate", rate_ok, eig_err))
-        t5 = plan.terms[4]
-        alt = bounds.quadratic_form_alpha_bound(consts.mu, consts.l, w.sigma, n)
-        t5_err = abs(t5 - alt) / abs(t5)
-        checks.append(AuditCheck("fifth_term_equivalence", t5_err <= 1e-12, t5_err))
-        if len(trace):
+
+        x0 = initial_estimates(n, seed=3000 + seed)
+        try:
+            _, trace = run(game, w, alpha, x0, max_iters=iters, tol=0.0)
+        except DivergenceError as exc:
+            trace = exc.trace
+            checks.append(AuditCheck("no_divergence", False, math.inf, str(exc)))
+        else:
+            checks.append(AuditCheck("no_divergence", True, 0.0))
+
+        # run() records t = 0 before any stop, so every trace has a row
+        mins = lemma_slack_minima(trace, consts.mu, consts.l, alpha, n)
+        for name in ("lemma1", "lemma2", "lemma3"):
+            if name != "lemma3" or mins["lemma3_applicable"]:
+                checks.append(AuditCheck(name, mins[name] >= -SLACK_TOL, mins[name]))
+
+        resid = np.fmax.reduce(trace.recursion_residual[1:], initial=0.0)
+        checks.append(AuditCheck("average_recursion", resid <= 1e-12, resid))
+
+        if admissible:
+            eig = np.sort(np.linalg.eigvals(plan.z).real)
+            eig_err = max(abs(eig[1] - plan.lambda1), abs(eig[0] - plan.lambda2))
+            rate_ok = (
+                0 < plan.q < 1
+                and plan.lambda1 > abs(plan.lambda2)
+                and eig_err <= 1e-12
+            )
+            checks.append(AuditCheck("rate_certificate", rate_ok, eig_err))
+            t5 = plan.terms[4]
+            alt = bounds.quadratic_form_alpha_bound(consts.mu, consts.l, w.sigma, n)
+            t5_err = abs(t5 - alt) / abs(t5)
+            checks.append(AuditCheck("fifth_term_equivalence", t5_err <= 1e-12, t5_err))
             zdom = zdomination_excess(trace, plan.z)
             checks.append(AuditCheck("z_domination", zdom <= SLACK_TOL, zdom))
             env = envelope_excess(trace, plan.z, plan.lambda1, plan.lambda2)
@@ -894,6 +877,6 @@ def _audit_cell(n, topology, seed, coupling_scale, iters, alpha_override, eq5_sa
         l=consts.l,
         alpha=alpha,
         admissible=admissible,
-        degenerate=False,
+        degenerate=degenerate,
         checks=checks,
     )

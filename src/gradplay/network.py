@@ -66,11 +66,7 @@ class Graph:
 
     @property
     def degrees(self) -> np.ndarray:
-        deg = np.zeros(self.n, dtype=int)
-        for i, j in self.edges:
-            deg[i] += 1
-            deg[j] += 1
-        return deg
+        return np.bincount(np.ravel(self.edges).astype(int), minlength=self.n)
 
     def is_connected(self) -> bool:
         if self.n == 1:
@@ -211,11 +207,10 @@ def metropolis_weights(g: Graph) -> MixingMatrix:
             "metropolis_weights requires a connected graph"
         )
     deg = g.degrees
+    i, j = np.array(g.edges, dtype=int).reshape(-1, 2).T
     w = np.zeros((g.n, g.n))
-    for i, j in g.edges:
-        w[i, j] = w[j, i] = 1.0 / (1.0 + max(deg[i], deg[j]))
-    for i in range(g.n):
-        w[i, i] = 1.0 - float(np.sum(w[i]))
+    w[i, j] = w[j, i] = 1.0 / (1.0 + np.maximum(deg[i], deg[j]))
+    np.fill_diagonal(w, 1.0 - w.sum(axis=1))
     return MixingMatrix(w)
 
 

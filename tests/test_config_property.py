@@ -161,6 +161,9 @@ def test_audit_argv_exits_cleanly(sizes, topologies, iters, seeds, coupling, alp
             code = main(argv + ["--out", out_dir])
         assert code in (0, 1, 2)
         assert not re.search("Traceback|Warning", err.getvalue())
+        if alpha is not None and not (math.isfinite(alpha) and alpha > 0):
+            # refused up front, even where every cell is degenerate
+            assert code == 2
         if code == 2:
             assert err.getvalue().count("\n") == 1
         json_path = os.path.join(out_dir, "audit.json")

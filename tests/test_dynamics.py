@@ -224,10 +224,13 @@ class TestRun:
         w = metropolis_weights(complete(4))
         x0 = initial_estimates(4, 0)
         x0[1, 2] = 1e308  # finite, but its squared distance overflows to inf
-        with pytest.raises(DivergenceError) as excinfo:
-            run(g, w, 0.01, x0, max_iters=50)
-        assert excinfo.value.iteration == 0
-        assert len(excinfo.value.trace) == 1
+        # and 1e200 entries: each finite, but the distance sums to inf
+        for start in (x0, np.full((4, 4), 1e200)):
+            with pytest.raises(DivergenceError) as excinfo:
+                run(g, w, 0.01, start, max_iters=50)
+            # the t = 0 row is recorded before the stop
+            assert excinfo.value.iteration == 0
+            assert len(excinfo.value.trace) == 1
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_x0_rejected(self, bad):

@@ -294,6 +294,21 @@ class TestRandomGame:
             row_sums = np.sum(np.abs(g.c), axis=1)
             assert np.all(row_sums <= 0.9 * g.a + 1e-12)
 
+    @pytest.mark.parametrize("scale", [0.0, 0.01, 0.2, 1.0, 5.0])
+    def test_rescale_matches_per_row_loop(self, scale):
+        for n in (2, 7, 40):
+            g = random_game(n, n, coupling_scale=scale)
+            rng = np.random.default_rng(n)
+            a = rng.uniform(1.0, 2.0, n)
+            rng.uniform(-1.0, 1.0, n)
+            c = scale * rng.uniform(-1.0, 1.0, (n, n))
+            np.fill_diagonal(c, 0.0)
+            for i in range(n):
+                row_sum = float(np.sum(np.abs(c[i])))
+                if row_sum > 0.9 * a[i]:
+                    c[i] *= 0.9 * a[i] / row_sum
+            assert g.c.tobytes() == c.tobytes()
+
     def test_input_errors(self):
         with pytest.raises(ValueError):
             random_game(1, 0)

@@ -142,12 +142,18 @@ class TestRunExperiment:
         assert report.q is None
         assert not report.diverged
 
-    def test_divergence_path(self):
+    def test_divergence_path(self, tmp_path):
         report = run_experiment(small_config(alpha=80.0, max_iters=3000))
         assert report.diverged
         assert not report.ok
         assert "diverged" in report.alpha_note
         assert len(report.trace)  # partial trace retained
+        # a distance that overflows at t = 0 still leaves the t = 0 row
+        report = run_experiment(small_config(), out_dir=tmp_path, x0=np.full((5, 5), 1e200))
+        assert report.diverged and not report.ok
+        assert report.iterations == 0 and len(report.trace) == 1
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["iterations"] == 0 and summary["final_relative_error"] is None
 
     def test_artifacts_written(self, tmp_path):
         out = tmp_path / "exp"
@@ -371,17 +377,18 @@ def reference_average_property(w, rng, samples):
 
 
 def reference_game_assumptions(game, consts, rng, samples=100):
-    """One sample at a time, through the 1-D game_mapping and local_gradient."""
+    """The u, v and player blocks drawn first, in that order; then one sample
+    at a time, through the 1-D game_mapping and local_gradient."""
     n = game.n
+    us = rng.uniform(-5, 5, (samples, n))
+    vs = rng.uniform(-5, 5, (samples, n))
+    players = rng.integers(0, n, samples)
     worst_mono = worst_lip = math.inf
-    for _ in range(samples):
-        u = rng.uniform(-5, 5, n)
-        v = rng.uniform(-5, 5, n)
+    for u, v, i in zip(us, vs, players.tolist()):
         du = u - v
         f_diff = game_mapping(game, u) - game_mapping(game, v)
         rhs = consts.mu * float(du @ du)
         worst_mono = min(worst_mono, (float(f_diff @ du) - rhs) / (1.0 + abs(rhs)))
-        i = int(rng.integers(0, n))
         g_diff = abs(local_gradient(game, i, u) - local_gradient(game, i, v))
         lip_rhs = consts.l_per_player[i] * float(np.linalg.norm(du))
         worst_lip = min(worst_lip, (lip_rhs - g_diff) / (1.0 + lip_rhs))
@@ -512,11 +519,34 @@ class TestAudit:
         assert "all passed" not in report.to_text()
 
     def test_sizes_may_be_an_iterator(self):
-        # the size guard reads sizes before the cells do
-        kwargs = dict(topologies=("tree", "star"), seeds=1, iters=5, eq5_samples=3)
-        report = audit(sizes=(n for n in (3, 5)), **kwargs)
-        assert len(report.cells) == 4 and report.ok
-        assert report.to_dict() == audit(sizes=(3, 5), **kwargs).to_dict()
+        # the size guard reads sizes, and the topology check topologies,
+        # before the cells do; a generator must still feed every size
+        kwargs = dict(sizes=(3, 5), topologies=("tree", "star"), seeds=1, iters=5, eq5_samples=3)
+        expected = audit(**kwargs).to_dict()
+        for name in ("sizes", "topologies"):
+            report = audit(**{**kwargs, name: (item for item in kwargs[name])})
+            assert len(report.cells) == 4 and report.ok, name
+            assert report.to_dict() == expected, name
+
+    @pytest.mark.parametrize(
+        "bad, match",
+        [
+            (dict(topologies=("tree", "hypercube")), "unknown topology 'hypercube'"),
+            (dict(alpha_override=math.nan), "alpha_override must be finite and > 0"),
+            (dict(alpha_override=math.inf), "alpha_override must be finite and > 0"),
+            (dict(alpha_override=-1.0), "alpha_override must be finite and > 0"),
+            (dict(alpha_override=0), "alpha_override must be finite and > 0"),
+            (dict(sizes=(2,), alpha_override=math.nan), "alpha_override"),
+            (dict(topologies=("complete",), alpha_override=-1), "alpha_override"),
+        ],
+    )
+    def test_bad_input_refused_before_any_cell(self, monkeypatch, bad, match):
+        calls = []
+        monkeypatch.setattr(harness, "run", lambda *a, **kw: calls.append(a))
+        monkeypatch.setattr(harness, "_audit_cell", lambda *a: calls.append(a))
+        with pytest.raises(ValueError, match=match):
+            audit(**{"sizes": (5,), "seeds": 1, "iters": 5, **bad})
+        assert calls == []
 
     def test_report_serialization(self, tmp_path):
         report = audit(sizes=(5,), topologies=("star",), seeds=1, iters=80, out_dir=tmp_path)
@@ -708,6 +738,21 @@ class TestCli:
         assert captured.out == "" and captured.err == "error: audit needs iters >= 1, got 0\n"
         assert not (tmp_path / "audit.json").exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # every cell degenerate: no cell reaches run()'s step-size check
+            ["--sizes", "2", "--alpha-override", "nan"],
+            ["--sizes", "5", "--topologies", "complete", "--alpha-override", "-1"],
+        ],
+    )
+    def test_audit_bad_alpha_override_is_input_error(self, argv, tmp_path, capsys):
+        assert main(["audit", *argv, "--seeds", "1", "--out", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("error: alpha_override must be finite and > 0, got ")
+        assert not (tmp_path / "audit.json").exists()
+
     @pytest.mark.parametrize("scale", ["1e308", "inf"])
     def test_audit_overflowing_coupling_is_input_error(self, scale, tmp_path, capsys):
         argv = ["audit", "--sizes", "5", "--topologies", "tree", "--seeds", "1", "--iters", "30"]
@@ -763,8 +808,10 @@ class TestCli:
         assert captured.err.count("\n") == 1 and "l must be >= mu" in captured.err
 
     def test_audit_bad_topology_is_input_error(self, capsys):
-        assert main(["audit", "--topologies", "moebius"]) == 2
-        assert "unknown topology" in capsys.readouterr().err
+        assert main(["audit", "--topologies", "tree,moebius"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert "unknown topology 'moebius'" in captured.err
 
     @pytest.mark.parametrize(
         "text, message",

@@ -120,6 +120,24 @@ class TestMetropolisWeights:
         with pytest.raises(DisconnectedGraphError):
             metropolis_weights(Graph(n=4, edges=((0, 1), (2, 3))))
 
+    @pytest.mark.parametrize(
+        "graph",
+        [Graph(1, ()), complete(2), random_tree(40, 3), ring(17), complete(9), star(25)],
+        ids=["single", "complete2", "tree40", "ring17", "complete9", "star25"],
+    )
+    def test_matches_per_edge_loop(self, graph):
+        deg = np.zeros(graph.n, dtype=int)
+        for i, j in graph.edges:
+            deg[i] += 1
+            deg[j] += 1
+        ref = np.zeros((graph.n, graph.n))
+        for i, j in graph.edges:
+            ref[i, j] = ref[j, i] = 1.0 / (1.0 + max(deg[i], deg[j]))
+        for i in range(graph.n):
+            ref[i, i] = 1.0 - float(np.sum(ref[i]))
+        assert np.array_equal(graph.degrees, deg)
+        assert metropolis_weights(graph).w.tobytes() == ref.tobytes()
+
 
 class TestSecondLargestSingularValue:
     def test_exact_averaging_matrix(self):
