@@ -16,12 +16,9 @@ from .bounds import (
     rate_bound,
     step_size_plan,
     step_size_terms,
-    z_matrix,
 )
 from .dynamics import (
     IterationTrace,
-    consensual_matrix,
-    diag_gradient,
     initial_estimates,
     run,
     step,

@@ -11,7 +11,7 @@ the player count ``n``, this module evaluates:
   matrix that couples the squared averaged-iterate error and the squared
   consensus violation across one iteration, and its spectral quantities:
   discriminant, both eigenvalues and the contraction rate ``q = lambda1``.
-  :func:`rate_bound` and :func:`z_matrix` are views of that plan;
+  :func:`rate_bound` returns that plan;
 * the equivalent quadratic-root form of the fifth ceiling term
   (:func:`quadratic_form_alpha_bound`), a second route to the same number;
 * the asymptotic rate-gap comparison against the GRANE algorithm
@@ -35,7 +35,6 @@ __all__ = [
     "RateComparison",
     "step_size_terms",
     "alpha_max",
-    "z_matrix",
     "rate_bound",
     "quadratic_form_alpha_bound",
     "step_size_plan",
@@ -129,8 +128,8 @@ def rate_bound(mu: float, l: float, sigma: float, n: int, alpha: float) -> StepS
     """Contraction rate ``q(alpha)`` and the spectral data behind it.
 
     The :class:`StepSizePlan` of ``alpha``: ``q`` is the dominant
-    eigenvalue ``lambda1`` of :func:`z_matrix`, and the squared error
-    envelope decays like ``q**t``.  Guarantees on the admissible domain:
+    eigenvalue ``lambda1`` of its comparison matrix ``z``, and the squared
+    error envelope decays like ``q**t``.  Guarantees on the admissible domain:
     ``0 < q < 1`` and ``lambda1 > |lambda2|``.
 
     Precision note: once ``mu * alpha / n`` shrinks toward machine epsilon
@@ -138,20 +137,6 @@ def rate_bound(mu: float, l: float, sigma: float, n: int, alpha: float) -> StepS
     nothing useful anyway.
     """
     return step_size_plan(mu, l, sigma, n, alpha)
-
-
-def z_matrix(mu: float, l: float, sigma: float, n: int, alpha: float) -> np.ndarray:
-    """The 2x2 positive matrix driving the coupled error recursion (read-only).
-
-    With ``z_t = (||avg error||_F^2, ||consensus violation||_F^2)``, one
-    iteration satisfies ``z_{t+1} <= Z z_t`` elementwise, where::
-
-        Z = [[gamma,                               gamma * 2 l^2 alpha / mu],
-             [(1+beta)/beta * (n-1)/n * alpha^2 l^2,  (1+beta) * s^2      ]]
-
-    and ``s = sigma + alpha sqrt((n-1)/n) l``.
-    """
-    return step_size_plan(mu, l, sigma, n, alpha).z
 
 
 def quadratic_form_alpha_bound(mu: float, l: float, sigma: float, n: int) -> float:
@@ -182,8 +167,10 @@ class StepSizePlan:
     ``terms`` are the five ceiling terms, ``alpha_max`` their minimum,
     ``alpha`` the chosen value (strictly inside ``(0, alpha_max)``), and the
     remaining fields the spectral quantities of the coupled error recursion
-    at that ``alpha``.  ``z`` is the read-only comparison matrix of
-    :func:`z_matrix`; :meth:`to_dict` leaves it out.
+    at that ``alpha``.  ``z`` is the read-only 2x2 comparison matrix ``Z``:
+    one iteration satisfies ``z_{t+1} <= Z z_t`` elementwise for
+    ``z_t = (||avg error||_F^2, ||consensus violation||_F^2)``.
+    :meth:`to_dict` leaves it out.
     """
 
     mu: float

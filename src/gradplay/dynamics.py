@@ -40,9 +40,7 @@ from .network import MixingMatrix, _row_dots
 __all__ = [
     "IterationTrace",
     "TRACE_COLUMNS",
-    "diag_gradient",
     "step",
-    "consensual_matrix",
     "initial_estimates",
     "run",
     "trace_to_csv",
@@ -104,9 +102,11 @@ def _check_step_size(alpha) -> None:
         raise ValueError(f"step size must be finite and > 0, got {alpha}")
 
 
-def _check_game(game) -> None:
+def _check_inputs(game, w) -> None:
     if not isinstance(game, QuadraticGame):
         raise TypeError(f"expected a QuadraticGame, got {type(game).__name__}")
+    if not isinstance(w, MixingMatrix):
+        raise TypeError(f"expected a MixingMatrix, got {type(w).__name__}")
 
 
 def _own_gradient(game: QuadraticGame, x_mat: np.ndarray) -> np.ndarray:
@@ -123,51 +123,31 @@ def _norm(v: np.ndarray) -> float:
 
 
 def _update(w_op, x_mat: np.ndarray, alpha: float, g: np.ndarray) -> np.ndarray:
-    # w_op is a dense matrix or MixingMatrix.operator; both give an ndarray,
-    # whose diagonal einsum returns as a writable view.
+    # w_op is MixingMatrix.operator, dense or CSR; both give an ndarray, whose
+    # diagonal einsum returns as a writable view.
     out = w_op @ x_mat
     diagonal = np.einsum("ii->i", out)
     diagonal -= alpha * g
     return out
 
 
-def diag_gradient(game: QuadraticGame, x_mat: np.ndarray) -> np.ndarray:
-    """Each player's own partial gradient evaluated at her own row.
-
-    Component ``i`` equals ``game_mapping(row i)[i]``.  The diagonal matrix
-    carrying this vector is the gradient-correction term of the update; its
-    Frobenius norm is the Euclidean norm of the returned vector.
-    """
-    _check_game(game)
-    x_mat = np.asarray(x_mat, dtype=float)
-    n = game.n
-    if x_mat.shape != (n, n):
-        raise ValueError(f"estimation matrix has shape {x_mat.shape}, expected ({n}, {n})")
-    return _own_gradient(game, x_mat)
-
-
-def step(x_mat: np.ndarray, w, alpha: float, game: QuadraticGame) -> np.ndarray:
-    """One gradient-play update ``W x - alpha * Diag(g)``.
+def step(x_mat: np.ndarray, w: MixingMatrix, alpha: float, game: QuadraticGame) -> np.ndarray:
+    """One gradient-play update ``W x - alpha * Diag(g)``, with ``g_i`` player
+    i's own partial gradient at row i.
 
     Only the diagonal (own-action) entries receive the gradient correction;
-    every other entry is pure neighborhood averaging.  A
-    :class:`MixingMatrix` is applied through its ``operator``, as in
-    :func:`run`; a plain array is applied densely.
+    every other entry is pure neighborhood averaging.  Takes the inputs of
+    :func:`run`, and applies ``w`` through its ``operator`` as it does.
     """
+    _check_inputs(game, w)
     _check_step_size(alpha)
     x_mat = np.asarray(x_mat, dtype=float)
-    w_op = w.operator if isinstance(w, MixingMatrix) else np.asarray(w, dtype=float)
-    if w_op.shape != x_mat.shape:
+    n = game.n
+    if x_mat.shape != (n, n) or w.n != n:
         raise ValueError(
-            f"shape mismatch: mixing matrix {w_op.shape}, estimates {x_mat.shape}"
+            f"shape mismatch: game n={n}, mixing matrix {w.w.shape}, estimates {x_mat.shape}"
         )
-    return _update(w_op, x_mat, alpha, diag_gradient(game, x_mat))
-
-
-def consensual_matrix(v: np.ndarray) -> np.ndarray:
-    """Matrix with every row equal to ``v``."""
-    v = np.asarray(v, dtype=float)
-    return np.tile(v, (v.shape[0], 1))
+    return _update(w.operator, x_mat, alpha, _own_gradient(game, x_mat))
 
 
 def initial_estimates(n: int, seed: int = 0) -> np.ndarray:
@@ -217,7 +197,7 @@ def run(
         ``DIVERGENCE_FACTOR`` times its initial value (step size far above
         the ceiling).  Its ``trace`` holds the rows up to that iteration.
     """
-    _check_game(game)
+    _check_inputs(game, w)
     _check_step_size(alpha)
     if tol < 0:
         raise ValueError(f"tolerance must be >= 0, got {tol}")
@@ -235,7 +215,7 @@ def run(
 
     consts = estimate_constants(game)
     x_star = solve_nash_equilibrium(game)
-    x_star_mat = consensual_matrix(x_star)
+    x_star_mat = np.tile(x_star, (n, 1))
     w_op = w.operator
     chunk, block = (min(span, max_iters + 1) for span in _record_spans(n))
     cvs, dists = [], []  # consensus_violation and distance_to_ne per state

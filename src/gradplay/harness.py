@@ -265,8 +265,8 @@ def lemma_slack_minima(trace, mu: float, l: float, alpha: float, n: int) -> dict
     return mins
 
 
-def first_lemma_violation(trace, mu, l, alpha, n, tol=SLACK_TOL):
-    """First (name, iteration, normalized slack) below ``-tol``, or None.
+def first_lemma_violation(trace, mu, l, alpha, n):
+    """First (name, iteration, normalized slack) below ``-SLACK_TOL``, or None.
 
     Earliest iteration first; within one iteration the order is lemma2,
     lemma1, lemma3.  lemma3 counts only where it applies
@@ -276,7 +276,7 @@ def first_lemma_violation(trace, mu, l, alpha, n, tol=SLACK_TOL):
     if alpha > mu / l**2:
         del slacks["lemma3"]
     table = np.column_stack(list(slacks.values()))
-    hits = np.argwhere(table < -tol)  # row-major: by iteration, then check order
+    hits = np.argwhere(table < -SLACK_TOL)  # row-major: by iteration, then check order
     if not len(hits):
         return None
     row, col = hits[0]
@@ -760,12 +760,16 @@ def audit(
     complete graph) instead verify the documented degenerate-mixing error.
     Invalid combinations (ring with n < 3) are skipped.  Before any cell
     runs, ``iters`` must be at least 1 (an audit that checks no transition
-    would pass vacuously), every topology known and ``alpha_override``
-    finite and > 0 (an all-degenerate matrix never reaches ``run``'s check).
+    would pass vacuously), every size an int >= 2, every topology known and
+    ``alpha_override`` finite and > 0 (an all-degenerate matrix never
+    reaches ``run``'s check).
     """
     sizes, topologies = tuple(sizes), tuple(topologies)
     if not iters >= 1:
         raise ValueError(f"audit needs iters >= 1, got {iters}")
+    for n in sizes:
+        if isinstance(n, bool) or not isinstance(n, int) or n < 2:
+            raise ValueError(f"audit sizes must be ints >= 2, got {n!r}")
     for t in topologies:
         if t not in TOPOLOGIES:
             raise ValueError(f"unknown topology {t!r}; choose from {TOPOLOGIES}")

@@ -88,7 +88,7 @@ def _make_run(n, topology, seed, iters):
     consts = estimate_constants(game)
     alpha = 0.9 * bounds.alpha_max(consts.mu, consts.l, w.sigma, n)
     rb = bounds.rate_bound(consts.mu, consts.l, w.sigma, n, alpha)
-    z = bounds.z_matrix(consts.mu, consts.l, w.sigma, n, alpha)
+    z = rb.z
     x0 = initial_estimates(n, 500 + seed)
     _, trace = run(game, w, alpha, x0, max_iters=iters, tol=0.0)
     return SweepRun(
@@ -224,7 +224,7 @@ def test_c4_eigenvalue_cross_check(acceptance_log):
         for frac in (0.05, 0.2, 0.4, 0.6, 0.8, 0.95, 0.999):
             alpha = ceiling * frac
             rb = bounds.rate_bound(mu, l, sigma, n, alpha)
-            eig = np.sort(np.linalg.eigvals(bounds.z_matrix(mu, l, sigma, n, alpha)).real)
+            eig = np.sort(np.linalg.eigvals(rb.z).real)
             worst_eig = max(worst_eig, abs(eig[1] - rb.lambda1), abs(eig[0] - rb.lambda2))
             all_q_below_one &= rb.q < 1.0
             all_perron &= rb.lambda1 > abs(rb.lambda2)

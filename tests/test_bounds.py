@@ -16,7 +16,6 @@ from gradplay import (
     rate_bound,
     step_size_plan,
     step_size_terms,
-    z_matrix,
 )
 
 # Frozen values for (mu, L, sigma, n) = (1, 1, 0.5, 2), derived once with
@@ -137,7 +136,7 @@ class TestRateBound:
             mu, l, sigma, n = sample_constants(rng)
             alpha = alpha_max(mu, l, sigma, n) * rng.uniform(0.05, 0.95)
             rb = rate_bound(mu, l, sigma, n, alpha)
-            eig = np.sort(np.linalg.eigvals(z_matrix(mu, l, sigma, n, alpha)).real)
+            eig = np.sort(np.linalg.eigvals(step_size_plan(mu, l, sigma, n, alpha).z).real)
             assert abs(eig[1] - rb.lambda1) <= 1e-12
             assert abs(eig[0] - rb.lambda2) <= 1e-12
             assert rb.lambda1 > abs(rb.lambda2)
@@ -181,7 +180,7 @@ class TestZMatrix:
         for _ in range(100):
             mu, l, sigma, n = sample_constants(rng)
             alpha = alpha_max(mu, l, sigma, n) * rng.uniform(0.05, 0.95)
-            z = z_matrix(mu, l, sigma, n, alpha)
+            z = step_size_plan(mu, l, sigma, n, alpha).z
             assert np.all(z > 0)
 
     def test_trace_det_identities(self):
@@ -189,7 +188,7 @@ class TestZMatrix:
         for _ in range(100):
             mu, l, sigma, n = sample_constants(rng)
             alpha = alpha_max(mu, l, sigma, n) * rng.uniform(0.05, 0.95)
-            z = z_matrix(mu, l, sigma, n, alpha)
+            z = step_size_plan(mu, l, sigma, n, alpha).z
             rb = rate_bound(mu, l, sigma, n, alpha)
             assert np.trace(z) == pytest.approx(rb.lambda1 + rb.lambda2, rel=1e-12)
             assert np.linalg.det(z) == pytest.approx(
@@ -200,14 +199,14 @@ class TestZMatrix:
         # numeric root-finder oracle on det(Z - lambda I)
         mu, l, sigma, n = 0.8, 2.1, 0.6, 5
         alpha = 0.5 * alpha_max(mu, l, sigma, n)
-        z = z_matrix(mu, l, sigma, n, alpha)
+        z = step_size_plan(mu, l, sigma, n, alpha).z
         roots = np.sort(np.roots([1.0, -np.trace(z), np.linalg.det(z)]).real)
         rb = rate_bound(mu, l, sigma, n, alpha)
         assert_allclose(roots, [rb.lambda2, rb.lambda1], rtol=1e-12)
 
     def test_explicit_entries(self):
         mu, l, sigma, n, alpha = 1.0, 1.0, 0.5, 2, 0.01
-        z = z_matrix(mu, l, sigma, n, alpha)
+        z = step_size_plan(mu, l, sigma, n, alpha).z
         beta = 0.5 * (1 / sigma**2 - 1)
         gamma = 1 / (1 + mu * alpha / n)
         s = sigma + alpha * math.sqrt(0.5) * l
@@ -290,13 +289,14 @@ class TestStepSizePlan:
 
 
     def test_rate_bound_and_z_matrix_are_views_of_the_plan(self):
+        # rate_bound returns the plan, and the plan's z is the one route to Z
         plan = step_size_plan(1.2, 2.0, 0.7, 6, alpha=1e-4)
         assert rate_bound(1.2, 2.0, 0.7, 6, 1e-4) == plan
-        z = z_matrix(1.2, 2.0, 0.7, 6, 1e-4)
-        assert np.array_equal(z, plan.z)
-        assert not z.flags.writeable
+        assert np.array_equal(rate_bound(1.2, 2.0, 0.7, 6, 1e-4).z, plan.z)
+        assert not plan.z.flags.writeable
         assert "z" not in plan.to_dict() and "z" not in plan.to_json()
         assert not hasattr(gradplay, "RateBound")
+        assert not hasattr(gradplay, "z_matrix") and not hasattr(gradplay.bounds, "z_matrix")
 
 
 class TestGraneComparison:

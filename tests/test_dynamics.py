@@ -11,8 +11,6 @@ from gradplay import (
     alpha_max,
     build_graph,
     complete,
-    consensual_matrix,
-    diag_gradient,
     estimate_constants,
     initial_estimates,
     metropolis_weights,
@@ -45,28 +43,45 @@ def half_mixing():
     return MixingMatrix(np.full((2, 2), 0.5))
 
 
+def own_gradient(game, x):
+    """Each player's own partial gradient at her own row of ``x``."""
+    return (game.mapping_matrix * x).sum(axis=1) + game.b
+
+
+def step_gradient(x_mat, w, game):
+    """The ``g`` of ``step()``'s ``Diag(g)`` correction: at alpha = 1 it is
+    the diagonal of ``W x`` minus that of the step."""
+    return np.diagonal(w.w @ x_mat) - np.diagonal(step(x_mat, w, 1.0, game))
+
+
 class TestDiagGradient:
+    """The own-gradient vector ``g`` that step() subtracts on the diagonal."""
+
     def test_zero_at_equilibrium_rows(self):
         g = random_game(6, 1)
-        x_star = solve_nash_equilibrium(g)
-        assert_allclose(diag_gradient(g, consensual_matrix(x_star)), np.zeros(6), atol=1e-12)
+        w = metropolis_weights(random_tree(6, 1))
+        x_star_mat = np.tile(solve_nash_equilibrium(g), (6, 1))
+        assert_allclose(step_gradient(x_star_mat, w, g), np.zeros(6), atol=1e-12)
 
     def test_identity_game_identity_estimates(self):
         # row i = e_i, so component i is a_i * 1 + 0 = 1
         g = identity_game(4)
-        assert_allclose(diag_gradient(g, np.eye(4)), np.ones(4), rtol=0)
+        w = MixingMatrix(np.full((4, 4), 0.25))
+        assert_allclose(step_gradient(np.eye(4), w, g), np.ones(4), rtol=0)
 
     def test_per_row_scalar_oracle(self):
         g = random_game(5, 3)
+        w = metropolis_weights(ring(5))
         rng = np.random.default_rng(0)
         x_mat = rng.uniform(-2, 2, (5, 5))
-        got = diag_gradient(g, x_mat)
+        got = step_gradient(x_mat, w, g)
         for i in range(5):
             row = x_mat[i]
             expected = g.a[i] * row[i] + g.b[i] + sum(
                 g.c[i, j] * row[j] for j in range(5) if j != i
             )
             assert got[i] == pytest.approx(expected, rel=1e-13, abs=1e-13)
+            assert own_gradient(g, x_mat)[i] == pytest.approx(expected, rel=1e-13, abs=1e-13)
 
     def test_callable_gradient(self):
         # only a QuadraticGame supplies gradients; a callback gets run()'s TypeError
@@ -74,7 +89,6 @@ class TestDiagGradient:
         x_mat = initial_estimates(4, 5)
         w = metropolis_weights(ring(4))
         for call in (
-            lambda: diag_gradient(callback, x_mat),
             lambda: step(x_mat, w, 0.03, callback),
             lambda: run(callback, w, 0.03, x_mat, max_iters=1),
         ):
@@ -82,8 +96,26 @@ class TestDiagGradient:
                 call()
 
     def test_shape_error(self):
-        with pytest.raises(ValueError):
-            diag_gradient(identity_game(3), np.zeros((2, 2)))
+        # estimates or mixing matrix of another size than the game
+        w3 = metropolis_weights(ring(3))
+        with pytest.raises(ValueError, match="shape mismatch"):
+            step(np.zeros((2, 2)), w3, 0.1, identity_game(3))
+        with pytest.raises(ValueError, match="shape mismatch"):
+            step(np.zeros((3, 3)), half_mixing(), 0.1, identity_game(3))
+        with pytest.raises(ValueError, match="shape mismatch"):
+            step(np.zeros((2, 2)), half_mixing(), 0.1, identity_game(3))
+
+    def test_plain_array_mixing_matrix_refused(self):
+        # step() and run() take the same inputs: a MixingMatrix, not its array
+        g = random_game(4, 0)
+        w = metropolis_weights(ring(4))
+        x_mat = initial_estimates(4, 0)
+        for call in (
+            lambda: step(x_mat, w.w, 0.03, g),
+            lambda: run(g, w.w, 0.03, x_mat, max_iters=1),
+        ):
+            with pytest.raises(TypeError, match="expected a MixingMatrix, got ndarray"):
+                call()
 
 
 class TestStep:
@@ -97,7 +129,7 @@ class TestStep:
     def test_fixed_point_at_equilibrium(self):
         g = random_game(8, 2)
         w = metropolis_weights(random_tree(8, 1))
-        x_star_mat = consensual_matrix(solve_nash_equilibrium(g))
+        x_star_mat = np.tile(solve_nash_equilibrium(g), (8, 1))
         out = step(x_star_mat, w, 0.05, g)
         assert_allclose(out, x_star_mat, atol=1e-13)
 
@@ -133,7 +165,7 @@ class TestRunningAverage:
         x_mat = initial_estimates(7, 3)
         for _ in range(25):
             lhs = step(x_mat, w, alpha, g).mean(axis=0)
-            rhs = x_mat.mean(axis=0) - (alpha / 7) * diag_gradient(g, x_mat)
+            rhs = x_mat.mean(axis=0) - (alpha / 7) * own_gradient(g, x_mat)
             assert np.linalg.norm(lhs - rhs) <= 1e-12 * (1 + np.linalg.norm(rhs))
             x_mat = step(x_mat, w, alpha, g)
 
@@ -142,7 +174,7 @@ class TestRun:
     def test_consensual_start_terminates_immediately(self):
         g = random_game(5, 7)
         w = metropolis_weights(star(5))
-        x0 = consensual_matrix(solve_nash_equilibrium(g))
+        x0 = np.tile(solve_nash_equilibrium(g), (5, 1))
         final, trace = run(g, w, 0.01, x0, max_iters=50, tol=0.0)
         assert len(trace) == 1 and trace[0].t == 0
         assert trace[0].distance_to_ne == 0.0
@@ -206,7 +238,7 @@ class TestRun:
         g = random_game(5, 2)
         w = metropolis_weights(complete(5))
         x0 = initial_estimates(5, 2)
-        d0 = np.linalg.norm(x0 - consensual_matrix(solve_nash_equilibrium(g)))
+        d0 = np.linalg.norm(x0 - np.tile(solve_nash_equilibrium(g), (5, 1)))
         final, trace = run(g, w, 0.2, x0, max_iters=5000, tol=1e-6 * d0)
         assert trace[-1].distance_to_ne <= 1e-6 * d0
         assert trace[-1].t < 5000
@@ -347,6 +379,8 @@ class TestRun:
             run(g, w, 0.1, np.zeros((3, 3)), max_iters=10)
         with pytest.raises(ValueError):
             run(g, w, 0.1, np.zeros((4, 4)), max_iters=10, tol=-1.0)
+        with pytest.raises(ValueError, match="max_iters must be >= 0, got -1"):
+            run(g, w, 0.1, np.zeros((4, 4)), max_iters=-1)
         with pytest.raises(TypeError):
             run(lambda m: m.diagonal(), w, 0.1, np.zeros((4, 4)), max_iters=10)
         w5 = metropolis_weights(complete(5))
@@ -383,12 +417,12 @@ def reference_norm_columns(game, w, alpha, x0, iters):
     and ``mean`` on states advanced by ``step()``."""
     n = game.n
     x_star = solve_nash_equilibrium(game)
-    x_star_mat = consensual_matrix(x_star)
+    x_star_mat = np.tile(x_star, (n, 1))
     x = np.array(x0, dtype=float)
     rows = []
     for t in range(iters + 1):
         avg = x.mean(axis=0)
-        g = diag_gradient(game, x)
+        g = own_gradient(game, x)
         rows.append(
             (
                 np.linalg.norm(x - avg),
@@ -500,6 +534,24 @@ class TestInPlaceStep:
         for topology in ("tree", "ring", "star"):
             assert isinstance(metropolis_weights(build_graph(topology, 90, 1)).operator, np.ndarray)
 
+    def test_sparsest_valid_matrix_is_dense_where_a_chunk_holds_states(self):
+        # Any valid MixingMatrix has at least 2 nonzeros per row: a row with
+        # one nonzero, and so its column, is a permutation's, which forces
+        # sigma = 1.  So SPARSE_FILL_RATIO * 2n > n**2 keeps every operator
+        # dense wherever run() steps in place.
+        from gradplay.network import SPARSE_FILL_RATIO
+
+        in_place = [n for n in range(2, 2001) if dynamics._record_spans(n)[0] > 1]
+        for n in in_place:
+            assert SPARSE_FILL_RATIO * 2 * n > n * n
+        # the sparsest valid matrix at the largest such n: 0.5 I + 0.5 P,
+        # P a cyclic shift, with 2n nonzeros and sigma = cos(pi / n)
+        n = max(in_place)
+        w = MixingMatrix(0.5 * np.eye(n) + 0.5 * np.roll(np.eye(n), 1, axis=1))
+        assert np.count_nonzero(w.w) == 2 * n
+        assert w.sigma == pytest.approx(math.cos(math.pi / n), rel=1e-12)
+        assert isinstance(w.operator, np.ndarray)
+
 
 class TestRecordedNorms:
     """run() records each norm as sqrt(v @ v) and each mean as a sum over n:
@@ -551,7 +603,9 @@ class TestSparseOperator:
         w = metropolis_weights(ring(240))
         assert w.operator.format == "csr"
         x = initial_estimates(240, 5)
-        assert_allclose(step(x, w, 0.05, g), step(x, w.w, 0.05, g), rtol=1e-12, atol=1e-14)
+        expected = w.w @ x
+        expected[np.diag_indices(240)] -= 0.05 * own_gradient(g, x)
+        assert_allclose(step(x, w, 0.05, g), expected, rtol=1e-12, atol=1e-14)
 
 
 class TestInitialEstimates:

@@ -118,6 +118,11 @@ class TestLocalGradient:
         with pytest.raises(IndexError):
             local_gradient(identity_game(), -1, np.zeros(2))
 
+    @pytest.mark.parametrize("shape", [(3,), (1,), (2, 2), ()])
+    def test_wrong_shape_rejected(self, shape):
+        with pytest.raises(ValueError, match=r"x_local has shape .*, expected \(2,\)"):
+            local_gradient(identity_game(), 0, np.zeros(shape))
+
 
 def eig2_oracle(m):
     """Closed-form eigenvalues of a symmetric 2x2 matrix."""
@@ -238,6 +243,12 @@ class TestSolveNashEquilibrium:
         g = hand_game()
         expected = cramer_2x2_oracle(g.mapping_matrix, -g.b)
         assert_allclose(solve_nash_equilibrium(g), expected, rtol=1e-13)
+
+    def test_singular_game_refused(self):
+        # a_i = 1 and c symmetric with unit coupling: A = [[1, 1], [1, 1]]
+        g = QuadraticGame(a=np.ones(2), b=np.zeros(2), c=np.array([[0.0, 1.0], [1.0, 0.0]]))
+        with pytest.raises(np.linalg.LinAlgError, match="singular"):
+            solve_nash_equilibrium(g)
 
     def test_two_methods_agree(self):
         for seed in range(10):

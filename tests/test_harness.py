@@ -16,7 +16,6 @@ from gradplay import (
     audit,
     build_graph,
     complete,
-    consensual_matrix,
     estimate_constants,
     load_game,
     metropolis_weights,
@@ -76,6 +75,11 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="unknown config keys"):
             ExperimentConfig.from_dict({"players": 7})
 
+    def test_non_object_rejected(self):
+        # the CLI refuses a JSON list itself; the library refuses it too
+        with pytest.raises(ValueError, match="config must be a JSON object, got list"):
+            ExperimentConfig.from_dict([1, 2])
+
     def test_bad_values_rejected(self):
         with pytest.raises(ValueError):
             small_config(topology="torus").validate()
@@ -112,7 +116,7 @@ class TestRunExperiment:
         game = QuadraticGame(a=np.ones(2), b=np.array([-1.0, -1.0]), c=np.zeros((2, 2)))
         x_star = solve_nash_equilibrium(game)
         config = small_config(n=2, topology="complete", alpha=0.1, max_iters=50)
-        report = run_experiment(config, game=game, x0=consensual_matrix(x_star))
+        report = run_experiment(config, game=game, x0=np.tile(x_star, (2, 1)))
         assert report.iterations == 0
         assert report.initial_distance == 0.0
         assert report.final_relative_error == 0.0
@@ -255,7 +259,7 @@ class TestTraceHelpers:
         _, trace = dynamics.run(
             game, w, alpha, dynamics.initial_estimates(5, 4), max_iters=300
         )
-        z = bounds.z_matrix(consts.mu, consts.l, w.sigma, 5, alpha)
+        z = bounds.step_size_plan(consts.mu, consts.l, w.sigma, 5, alpha).z
         zvs = [np.array([r.avg_distance_to_ne**2, r.consensus_violation**2]) for r in trace]
         zdom = max(
             float(np.max((nxt - z @ cur) / (1.0 + np.abs(z @ cur))))
@@ -339,10 +343,15 @@ class TestTraceHelpers:
         _, trace = dynamics.run(
             game, w, alpha, dynamics.initial_estimates(5, 4), max_iters=400
         )
-        z = bounds.z_matrix(consts.mu, consts.l, w.sigma, 5, alpha)
         rb = bounds.rate_bound(consts.mu, consts.l, w.sigma, 5, alpha)
+        z = rb.z
         assert zdomination_excess(trace, z) <= 1e-9
         assert envelope_excess(trace, z, rb.lambda1, rb.lambda2) <= 1e-9
+
+
+def own_gradient(game, x):
+    """Each player's own partial gradient at her own row of ``x``."""
+    return (game.mapping_matrix * x).sum(axis=1) + game.b
 
 
 def check_block_columns(trace, game, w, alpha, x0):
@@ -355,7 +364,7 @@ def check_block_columns(trace, game, w, alpha, x0):
     predicted = None
     for row in trace:
         avg = x.mean(axis=0)
-        g = dynamics.diag_gradient(game, x)
+        g = own_gradient(game, x)
         assert row.avg_distance_to_ne == math.sqrt(n) * np.linalg.norm(avg - x_star)
         assert row.grad_norm == np.linalg.norm(g)
         if predicted is None:
@@ -516,6 +525,7 @@ class TestAudit:
         assert not AuditReport(cells=[]).ok
         report = audit(seeds=0)
         assert report.cells == [] and not report.ok
+        assert audit(sizes=()).cells == []
         assert "all passed" not in report.to_text()
 
     def test_sizes_may_be_an_iterator(self):
@@ -538,6 +548,15 @@ class TestAudit:
             (dict(alpha_override=0), "alpha_override must be finite and > 0"),
             (dict(sizes=(2,), alpha_override=math.nan), "alpha_override"),
             (dict(topologies=("complete",), alpha_override=-1), "alpha_override"),
+            # a size that is not an int >= 2 once failed after the cells before it
+            (dict(sizes=(5, 2.5), topologies=("tree",)), "audit sizes must be ints >= 2, got 2.5"),
+            (dict(sizes=(20, 1)), "audit sizes must be ints >= 2, got 1$"),
+            (dict(sizes=(1, 2), topologies=("ring",)), "got 1$"),
+            (dict(sizes=(5, 0)), "got 0$"),
+            (dict(sizes=(5, -3)), "got -3$"),
+            (dict(sizes=(True,)), "got True$"),
+            (dict(sizes=("5",)), "got '5'$"),
+            (dict(sizes=(np.int64(5),)), "audit sizes must be ints >= 2"),
         ],
     )
     def test_bad_input_refused_before_any_cell(self, monkeypatch, bad, match):
@@ -699,6 +718,15 @@ class TestCli:
         assert peak < 2**20
         return captured.err
 
+    @pytest.mark.parametrize("exc", [OSError, ValueError, AttributeError])
+    def test_unknown_physical_memory_refuses_nothing(self, exc, monkeypatch):
+        def sysconf(name):
+            raise exc(name)
+
+        monkeypatch.setattr(harness.os, "sysconf", sysconf)
+        assert harness._physical_memory() is None
+        harness._check_footprint(10**6, 10**15)  # no limit to exceed
+
     @pytest.mark.parametrize("n", [10**6, 10**400])
     def test_size_beyond_memory_is_input_error(self, n, tmp_path, monkeypatch, capsys):
         config_path = tmp_path / "config.json"
@@ -751,6 +779,23 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.count("\n") == 1
         assert captured.err.startswith("error: alpha_override must be finite and > 0, got ")
+        assert not (tmp_path / "audit.json").exists()
+
+    @pytest.mark.parametrize(
+        "argv, size",
+        [
+            # once "audit: no cells" and exit 1, a check failure
+            (["--sizes", "1,2", "--topologies", "ring"], "1"),
+            # once every n = 20 cell ran before the tree refused n = 1
+            (["--sizes", "20,1"], "1"),
+            (["--sizes", "5,0"], "0"),
+        ],
+    )
+    def test_audit_bad_size_is_input_error(self, argv, size, tmp_path, capsys):
+        assert main(["audit", *argv, "--seeds", "1", "--out", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: audit sizes must be ints >= 2, got {size}\n"
         assert not (tmp_path / "audit.json").exists()
 
     @pytest.mark.parametrize("scale", ["1e308", "inf"])
@@ -828,6 +873,8 @@ class TestCli:
             ('{"tol": [0.0]}', "tol must be a number"),
             ('{"topology": 3}', "topology must be a string, got 3"),
             ('{"check_lemmas": 1}', "check_lemmas must be true or false, got 1"),
+            ('{"n": 1}', "n must be >= 2, got 1"),
+            ('{"max_iters": -1}', "max_iters must be >= 0"),
         ],
     )
     def test_run_config_value_types_are_input_errors(self, text, message, tmp_path, capsys):

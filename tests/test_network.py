@@ -70,6 +70,8 @@ class TestGraphConstructors:
             Graph(n=3, edges=((0, 0),))  # self-loop
         with pytest.raises(ValueError):
             Graph(n=3, edges=((0, 3),))  # out of range
+        with pytest.raises(ValueError, match="at least one node"):
+            Graph(n=0, edges=())
         # symmetric storage: (2, 0) normalizes to (0, 2)
         assert Graph(n=3, edges=((2, 0),)).edges == ((0, 2),)
 
@@ -271,6 +273,11 @@ class TestMixingMatrixValidation:
         with pytest.raises(ValueError):
             MixingMatrix(bad)
 
+    @pytest.mark.parametrize("shape", [(2, 3), (4,), (2, 2, 2)])
+    def test_non_square_rejected(self, shape):
+        with pytest.raises(ValueError, match="mixing matrix must be square"):
+            MixingMatrix(np.full(shape, 0.5))
+
     def test_negative_entries_rejected(self):
         bad = np.array([[1.2, -0.2], [-0.2, 1.2]])
         with pytest.raises(ValueError):
@@ -305,6 +312,14 @@ class TestSerialization:
     def test_edgelist_malformed(self):
         with pytest.raises(ValueError):
             graph_from_edgelist("1 2 3\n")
+        for text in ("", "# no edges\n\n"):
+            with pytest.raises(ValueError, match="empty edge list and no node count"):
+                graph_from_edgelist(text)
+
+    def test_edgelist_skips_comments_and_blank_lines(self):
+        text = "# a path\n\n1 2\n  # indented comment\n   \n2 3\n"
+        assert graph_from_edgelist(text).edges == ((0, 1), (1, 2))
+        assert graph_from_edgelist("", n=4) == Graph(n=4, edges=())
 
     def test_mixing_csv_full_precision(self, tmp_path):
         w = metropolis_weights(random_tree(7, 3))
