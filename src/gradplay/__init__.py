@@ -36,13 +36,8 @@ from .game import (
     GameConstants,
     QuadraticGame,
     estimate_constants,
-    game_from_dict,
     game_mapping,
-    game_to_dict,
-    load_game,
-    local_gradient,
     random_game,
-    save_game,
     solve_nash_equilibrium,
 )
 from .harness import (
@@ -59,7 +54,6 @@ from .network import (
     MixingMatrix,
     average_property_check,
     complete,
-    graph_from_edgelist,
     graph_to_edgelist,
     metropolis_weights,
     random_tree,

@@ -22,7 +22,6 @@ Throughout, ``beta = (1/sigma**2 - 1) / 2`` and ``gamma = 1/(1 + mu*alpha/n)``.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass, field, fields
 
@@ -133,8 +132,8 @@ def rate_bound(mu: float, l: float, sigma: float, n: int, alpha: float) -> StepS
     ``0 < q < 1`` and ``lambda1 > |lambda2|``.
 
     Precision note: once ``mu * alpha / n`` shrinks toward machine epsilon
-    the computed ``q`` saturates at 1 - ulp; step sizes that small certify
-    nothing useful anyway.
+    the computed ``q`` rounds to 1, and :func:`step_size_plan` refuses such
+    a step size.
     """
     return step_size_plan(mu, l, sigma, n, alpha)
 
@@ -197,9 +196,6 @@ class StepSizePlan:
         lines = [f"{key}: {value!r}" for key, value in self.to_dict().items()]
         return "\n".join(lines) + "\n"
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, allow_nan=False) + "\n"
-
 
 def step_size_plan(
     mu: float, l: float, sigma: float, n: int, alpha: float | None = None
@@ -209,7 +205,8 @@ def step_size_plan(
     ``alpha=None`` selects ``0.9 * alpha_max``: the certificate requires a
     strict inequality and the ceiling itself carries floating-point
     rounding, so a margin below the supremum is kept by default.  Raises
-    :class:`InadmissibleStepSizeError` unless ``0 < alpha < alpha_max``.
+    :class:`InadmissibleStepSizeError` unless ``0 < alpha < alpha_max`` and
+    the computed ``q`` is below 1.
     """
     terms = step_size_terms(mu, l, sigma, n)
     ceiling = min(terms)
@@ -235,6 +232,11 @@ def step_size_plan(
     sqrt_d = math.sqrt(d)
     lambda1 = (gamma + a22 + sqrt_d) / 2.0
     lambda2 = (gamma + a22 - sqrt_d) / 2.0
+    if not lambda1 < 1.0:
+        raise InadmissibleStepSizeError(
+            f"alpha={alpha!r} is too small for a contraction rate q < 1 in "
+            f"double precision (q rounds to {lambda1!r})"
+        )
     z = np.array(
         [
             [gamma, gamma * 2.0 * l * l * alpha / mu],
@@ -294,9 +296,6 @@ class RateComparison:
         lines.append("note: asymptotic comparison (order notation), not a runtime prediction")
         return "\n".join(lines) + "\n"
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, allow_nan=False) + "\n"
-
 
 def grane_rate_comparison(
     mu: float,
@@ -317,12 +316,12 @@ def grane_rate_comparison(
     mapping condition number ``kappa = l sqrt(n) / mu`` is at least 1, so
     ``play_faster`` is always True on the valid domain.
 
-    ``alpha_asymptotic`` is reported when ``sigma`` is supplied.  When both
+    ``alpha_asymptotic`` is reported when ``sigma`` is supplied.
     ``lap_sigma_max`` (largest singular value of ``I - W``) and
     ``lap_lambda_min_nonzero`` (smallest nonzero eigenvalue of ``I - W``)
-    are supplied, the intermediate GRANE constant ``gamma_r`` is reported as
-    informational output; it comes from the GRANE's own analysis and plays
-    no role in the gap comparison.
+    come both or neither; with both, the intermediate GRANE constant
+    ``gamma_r`` is reported as informational output; it comes from the
+    GRANE's own analysis and plays no role in the gap comparison.
     """
     if not (0 < mu < math.inf and 0 < l < math.inf):
         raise ValueError(f"mu and l must be finite and > 0, got mu={mu}, l={l}")
@@ -343,9 +342,14 @@ def grane_rate_comparison(
                 / (2.0 * n * (n - 1.0) * l**4 * (1.0 + sigma * sigma))
             )
         gamma_r = None
-        if lap_sigma_max is not None and lap_lambda_min_nonzero is not None:
-            if not (lap_sigma_max >= 0 and lap_lambda_min_nonzero > 0):
-                raise ValueError("lap_sigma_max must be >= 0 and lap_lambda_min_nonzero > 0")
+        if (lap_sigma_max is None) != (lap_lambda_min_nonzero is None):
+            raise ValueError("lap_sigma_max and lap_lambda_min_nonzero must be given together")
+        if lap_sigma_max is not None:
+            if not (0 <= lap_sigma_max < math.inf and 0 < lap_lambda_min_nonzero < math.inf):
+                raise ValueError(
+                    "lap_sigma_max must be finite and >= 0 and "
+                    "lap_lambda_min_nonzero finite and > 0"
+                )
             gamma_r = 2.0 * n * (
                 l / mu
                 + (l / mu)

@@ -18,6 +18,7 @@ from .harness import (
     PRESETS,
     TOPOLOGIES,
     ExperimentConfig,
+    _json_text,
     audit,
     run_experiment,
 )
@@ -142,7 +143,7 @@ def _cmd_audit(args) -> int:
 
 def _cmd_bounds(args) -> int:
     plan = bounds.step_size_plan(args.mu, args.l, args.sigma, args.n, alpha=args.alpha)
-    sys.stdout.write(plan.to_json() if args.json else plan.to_text())
+    sys.stdout.write(_json_text(plan.to_dict()) if args.json else plan.to_text())
     return 0
 
 
@@ -155,7 +156,7 @@ def _cmd_compare(args) -> int:
         lap_sigma_max=args.lap_sigma_max,
         lap_lambda_min_nonzero=args.lap_lambda_min,
     )
-    sys.stdout.write(comparison.to_json() if args.json else comparison.to_text())
+    sys.stdout.write(_json_text(comparison.to_dict()) if args.json else comparison.to_text())
     return 0
 
 

@@ -13,7 +13,6 @@ estimating them from samples, so every downstream bound check is noise-free.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -26,14 +25,9 @@ __all__ = [
     "QuadraticGame",
     "GameConstants",
     "game_mapping",
-    "local_gradient",
     "estimate_constants",
     "solve_nash_equilibrium",
     "random_game",
-    "game_to_dict",
-    "game_from_dict",
-    "save_game",
-    "load_game",
 ]
 
 
@@ -178,19 +172,6 @@ def game_mapping(game: QuadraticGame, x: np.ndarray) -> np.ndarray:
     return (game.mapping_matrix @ x[..., None])[..., 0] + game.b
 
 
-def local_gradient(game: QuadraticGame, i: int, x_local: np.ndarray) -> float:
-    """Player i's own partial gradient evaluated at her local estimate vector.
-
-    Equals ``game_mapping(game, x_local)[i]``; players are indexed from 0.
-    """
-    if not 0 <= i < game.n:
-        raise IndexError(f"player index {i} out of range for n={game.n}")
-    x_local = np.asarray(x_local, dtype=float)
-    if x_local.shape != (game.n,):
-        raise ValueError(f"x_local has shape {x_local.shape}, expected ({game.n},)")
-    return float(game.a[i] * x_local[i] + game.b[i] + game.c[i] @ x_local)
-
-
 def estimate_constants(game: QuadraticGame) -> GameConstants:
     """Compute mu, per-player Lipschitz constants, L, L*sqrt(n) and kappa exactly.
 
@@ -249,38 +230,16 @@ def random_game(n: int, seed: int, coupling_scale: float = 0.2) -> QuadraticGame
     return QuadraticGame(a=a, b=b, c=c, seed=seed)
 
 
-def game_to_dict(game: QuadraticGame) -> dict:
-    """Plain-dict form: n, a, b, c (row-major), optional seed provenance."""
-    doc = {
-        "n": game.n,
-        "a": [float(v) for v in game.a],
-        "b": [float(v) for v in game.b],
-        "c": [float(v) for v in game.c.ravel()],
-    }
-    if game.seed is not None:
-        doc["seed"] = int(game.seed)
-    return doc
-
-
-def game_from_dict(doc: dict) -> QuadraticGame:
-    n = int(doc["n"])
-    c = np.array(doc["c"], dtype=float).reshape(n, n)
-    return QuadraticGame(
-        a=np.array(doc["a"], dtype=float),
-        b=np.array(doc["b"], dtype=float),
-        c=c,
-        seed=doc.get("seed"),
-    )
-
-
 def _dump_game(game: QuadraticGame, f) -> None:
     """Write the game to the text file ``f`` as JSON, then a newline.
 
-    The bytes equal ``json.dump(game_to_dict(game), f, indent=2)`` followed by
-    ``"\n"``, but the arrays are encoded one row of ``c`` at a time: the list
-    of ``n**2`` Python floats that :func:`game_to_dict` builds would be the
-    largest object of a large run, and ``json.dump`` with ``indent`` encodes it
-    in pure Python.
+    The document is ``{"n": n, "a": [...], "b": [...], "c": [...]}`` with
+    ``c`` flattened row-major, plus ``"seed"`` when the game has one; the
+    bytes are those the ``json`` module writes for it with ``indent=2``.
+    The arrays are encoded one row of ``c`` at a time: a list of ``n**2``
+    Python floats would be the largest object of a large run, and the
+    ``json`` encoder with ``indent`` runs in pure Python.  Read it back with
+    ``QuadraticGame(a, b, np.reshape(c, (n, n)))``.
     """
     item_sep = ",\n    "
     f.write('{\n  "n": %d' % game.n)
@@ -296,14 +255,3 @@ def _dump_game(game: QuadraticGame, f) -> None:
         f.write(',\n  "seed": %d' % int(game.seed))
     f.write("\n}\n")
 
-
-def save_game(game: QuadraticGame, path) -> None:
-    """Write the game as JSON (:func:`_dump_game`); floats use shortest
-    round-trip decimals."""
-    with open(path, "w", encoding="utf-8") as f:
-        _dump_game(game, f)
-
-
-def load_game(path) -> QuadraticGame:
-    with open(path, "r", encoding="utf-8") as f:
-        return game_from_dict(json.load(f))

@@ -466,11 +466,16 @@ def _json_safe(value):
     return value
 
 
+def _json_text(doc) -> str:
+    """``doc`` as strict, indented JSON text ending in a newline; a
+    non-finite float becomes ``null``.  Every JSON artifact and every
+    ``--json`` output is this text."""
+    return json.dumps(_json_safe(doc), indent=2, allow_nan=False) + "\n"
+
+
 def _write_json(path, doc) -> None:
-    """Write ``doc`` as strict JSON: a non-finite float becomes ``null``."""
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(_json_safe(doc), f, indent=2, allow_nan=False)
-        f.write("\n")
+        f.write(_json_text(doc))
 
 
 def _resolve_alpha(alpha, mu, l, sigma, n):
@@ -495,8 +500,8 @@ def _resolve_alpha(alpha, mu, l, sigma, n):
     alpha = float(alpha)
     try:
         plan = bounds.step_size_plan(mu, l, sigma, n, alpha)
-    except InadmissibleStepSizeError:
-        note = (
+    except InadmissibleStepSizeError as exc:
+        note = str(exc) if alpha < ceiling else (
             f"alpha={alpha} exceeds the certified ceiling "
             f"alpha_max={ceiling!r}; geometric-rate certificate does not "
             "apply (divergence guard stays active)"
@@ -758,11 +763,11 @@ def audit(
     the comparison matrix, the spectral cross-checks and the geometric
     envelope.  Cells whose mixing matrix has ``sigma = 0`` (the 2-node
     complete graph) instead verify the documented degenerate-mixing error.
-    Invalid combinations (ring with n < 3) are skipped.  Before any cell
-    runs, ``iters`` must be at least 1 (an audit that checks no transition
-    would pass vacuously), every size an int >= 2, every topology known and
-    ``alpha_override`` finite and > 0 (an all-degenerate matrix never
-    reaches ``run``'s check).
+    Invalid combinations (ring with n < 3) are skipped; a matrix of them
+    alone is refused.  Before any cell runs, ``iters`` must be at least 1
+    (an audit that checks no transition would pass vacuously), every size
+    an int >= 2, every topology known and ``alpha_override`` finite and > 0
+    (an all-degenerate matrix never reaches ``run``'s check).
     """
     sizes, topologies = tuple(sizes), tuple(topologies)
     if not iters >= 1:
@@ -775,18 +780,17 @@ def audit(
             raise ValueError(f"unknown topology {t!r}; choose from {TOPOLOGIES}")
     if alpha_override is not None and not (_finite(alpha_override) and alpha_override > 0):
         raise ValueError(f"alpha_override must be finite and > 0, got {alpha_override}")
+    pairs = [(n, t) for n in sizes for t in topologies if not (t == "ring" and n < 3)]
+    if seeds >= 1 and sizes and topologies and not pairs:
+        raise ValueError(
+            "audit matrix selects no cell: every (size, topology) pair is a ring with n < 3"
+        )
     _check_footprint(max(sizes, default=0), iters)
-    cells = []
-    for n in sizes:
-        for topology in topologies:
-            if topology == "ring" and n < 3:
-                continue
-            for seed in range(seeds):
-                cells.append(
-                    _audit_cell(
-                        n, topology, seed, coupling_scale, iters, alpha_override, eq5_samples
-                    )
-                )
+    cells = [
+        _audit_cell(n, topology, seed, coupling_scale, iters, alpha_override, eq5_samples)
+        for n, topology in pairs
+        for seed in range(seeds)
+    ]
     report = AuditReport(cells=cells)
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
@@ -824,17 +828,14 @@ def _audit_cell(n, topology, seed, coupling_scale, iters, alpha_override, eq5_sa
         except PerfectMixingError:
             checks.append(AuditCheck("degenerate_mixing_error", True, 0.0))
     else:
-        alpha, _terms, ceiling, admissible, _note, plan = _resolve_alpha(
+        alpha, _terms, ceiling, admissible, note, plan = _resolve_alpha(
             "auto" if alpha_override is None else alpha_override, consts.mu, consts.l, w.sigma, n
         )
-        checks.append(
-            AuditCheck(
-                "admissible_step",
-                admissible,
-                alpha / ceiling,
-                "" if admissible else f"alpha={alpha} vs ceiling={ceiling!r}",
-            )
-        )
+        if admissible:
+            note = ""
+        elif alpha >= ceiling:
+            note = f"alpha={alpha} vs ceiling={ceiling!r}"
+        checks.append(AuditCheck("admissible_step", admissible, alpha / ceiling, note))
 
         x0 = initial_estimates(n, seed=3000 + seed)
         try:

@@ -33,7 +33,6 @@ __all__ = [
     "second_largest_singular_value",
     "average_property_check",
     "graph_to_edgelist",
-    "graph_from_edgelist",
     "save_mixing_matrix",
 ]
 
@@ -266,25 +265,6 @@ def average_property_check(w: MixingMatrix, x: np.ndarray):
 def graph_to_edgelist(g: Graph) -> str:
     """Edge-list text: one ``i j`` pair per line, 1-indexed."""
     return "".join(f"{i + 1} {j + 1}\n" for i, j in g.edges)
-
-
-def graph_from_edgelist(text: str, n: int | None = None) -> Graph:
-    """Parse a 1-indexed edge-list; node count defaults to the largest index."""
-    edges = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise ValueError(f"malformed edge line: {line!r}")
-        i, j = int(parts[0]) - 1, int(parts[1]) - 1
-        edges.append((i, j))
-    if n is None:
-        if not edges:
-            raise ValueError("empty edge list and no node count given")
-        n = max(max(e) for e in edges) + 1
-    return Graph(n=n, edges=tuple(edges))
 
 
 def save_mixing_matrix(w: MixingMatrix, path) -> None:

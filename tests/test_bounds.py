@@ -17,6 +17,7 @@ from gradplay import (
     step_size_plan,
     step_size_terms,
 )
+from gradplay.harness import _json_text
 
 # Frozen values for (mu, L, sigma, n) = (1, 1, 0.5, 2), derived once with
 # 50-digit arithmetic (see mp_terms below, which re-derives them in-test).
@@ -144,7 +145,8 @@ class TestRateBound:
 
     def test_inadmissible_alpha_rejected(self):
         ceiling = alpha_max(1.0, 1.0, 0.5, 2)
-        for alpha in (0.0, -0.1, ceiling, ceiling * 1.01, 10.0):
+        # 1e-17 is inside (0, ceiling), but gamma = 1/(1 + mu*alpha/n) rounds to 1
+        for alpha in (0.0, -0.1, ceiling, ceiling * 1.01, 10.0, 1e-17):
             with pytest.raises(InadmissibleStepSizeError):
                 rate_bound(1.0, 1.0, 0.5, 2, alpha)
 
@@ -279,7 +281,7 @@ class TestStepSizePlan:
 
     def test_serialization(self):
         plan = step_size_plan(1.2, 2.0, 0.7, 6)
-        doc = json.loads(plan.to_json())
+        doc = json.loads(_json_text(plan.to_dict()))
         assert doc["n"] == 6
         assert doc["q"] == plan.q
         assert len(doc["terms"]) == 5
@@ -294,7 +296,7 @@ class TestStepSizePlan:
         assert rate_bound(1.2, 2.0, 0.7, 6, 1e-4) == plan
         assert np.array_equal(rate_bound(1.2, 2.0, 0.7, 6, 1e-4).z, plan.z)
         assert not plan.z.flags.writeable
-        assert "z" not in plan.to_dict() and "z" not in plan.to_json()
+        assert "z" not in plan.to_dict() and "z" not in _json_text(plan.to_dict())
         assert not hasattr(gradplay, "RateBound")
         assert not hasattr(gradplay, "z_matrix") and not hasattr(gradplay.bounds, "z_matrix")
 
@@ -379,8 +381,12 @@ class TestGraneComparison:
         for mu, l in [(math.nan, 1.0), (1.0, math.inf), (math.inf, math.inf)]:
             with pytest.raises(ValueError, match="finite"):
                 grane_rate_comparison(mu, l, 20)
-        with pytest.raises(ValueError, match="lap_lambda_min_nonzero"):
-            grane_rate_comparison(1.0, 1.0, 20, None, math.nan, 1.0)
+        for lap in [(math.nan, 1.0), (1.0, math.inf), (math.inf, 1.0), (1.0, math.nan)]:
+            with pytest.raises(ValueError, match="lap_lambda_min_nonzero finite"):
+                grane_rate_comparison(1.0, 1.0, 20, None, *lap)
+        for lap in [(1.0, None), (None, 0.1)]:
+            with pytest.raises(ValueError, match="given together"):
+                grane_rate_comparison(1.0, 1.0, 20, None, *lap)
         # l**6 overflows; the GRANE gap underflows to 0; gamma_r overflows to inf
         for mu, l, lap in [(1.0, 1e60, None), (1e-60, 1.0, None), (1.0, 1.0, (1e300, 1e-300))]:
             lap_sigma_max, lap_lambda_min = lap or (None, None)

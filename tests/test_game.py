@@ -10,13 +10,8 @@ from gradplay import (
     NotStronglyMonotoneError,
     QuadraticGame,
     estimate_constants,
-    game_from_dict,
     game_mapping,
-    game_to_dict,
-    load_game,
-    local_gradient,
     random_game,
-    save_game,
     solve_nash_equilibrium,
 )
 from gradplay.game import _dump_game
@@ -35,6 +30,36 @@ def hand_game():
         b=np.array([1.0, -1.0]),
         c=np.array([[0.0, 0.5], [-0.5, 0.0]]),
     )
+
+
+def own_gradient(game, i, x):
+    """Player i's own partial gradient at the joint action x."""
+    return float(game.a[i] * x[i] + game.b[i] + game.c[i] @ x)
+
+
+def game_doc(game):
+    """The plain document that ``game.json`` encodes."""
+    doc = {
+        "n": game.n,
+        "a": game.a.tolist(),
+        "b": game.b.tolist(),
+        "c": game.c.ravel().tolist(),
+    }
+    if game.seed is not None:
+        doc["seed"] = game.seed
+    return doc
+
+
+def dumped(game):
+    out = io.StringIO()
+    _dump_game(game, out)
+    return out.getvalue()
+
+
+def game_from_doc(doc):
+    """Read ``game.json`` back, as the README describes."""
+    n = doc["n"]
+    return QuadraticGame(doc["a"], doc["b"], np.reshape(doc["c"], (n, n)), seed=doc.get("seed"))
 
 
 def mapping_oracle(game, x):
@@ -96,12 +121,13 @@ class TestGameMapping:
 
 class TestLocalGradient:
     def test_identity(self):
-        assert local_gradient(identity_game(), 0, np.array([5.0, 0.0])) == 5.0
+        assert own_gradient(identity_game(), 0, np.array([5.0, 0.0])) == 5.0
+        assert game_mapping(identity_game(), np.array([5.0, 0.0]))[0] == 5.0
 
     def test_hand_example(self):
-        assert local_gradient(hand_game(), 1, np.array([1.0, 1.0])) == pytest.approx(
-            1.5, rel=1e-15
-        )
+        x = np.array([1.0, 1.0])
+        assert own_gradient(hand_game(), 1, x) == pytest.approx(1.5, rel=1e-15)
+        assert game_mapping(hand_game(), x)[1] == pytest.approx(1.5, rel=1e-15)
 
     def test_consistency_with_mapping(self):
         rng = np.random.default_rng(11)
@@ -110,18 +136,7 @@ class TestLocalGradient:
             x = rng.uniform(-4, 4, 5)
             f = game_mapping(g, x)
             for i in range(5):
-                assert local_gradient(g, i, x) == pytest.approx(f[i], rel=1e-13, abs=1e-13)
-
-    def test_index_out_of_range(self):
-        with pytest.raises(IndexError):
-            local_gradient(identity_game(), 2, np.zeros(2))
-        with pytest.raises(IndexError):
-            local_gradient(identity_game(), -1, np.zeros(2))
-
-    @pytest.mark.parametrize("shape", [(3,), (1,), (2, 2), ()])
-    def test_wrong_shape_rejected(self, shape):
-        with pytest.raises(ValueError, match=r"x_local has shape .*, expected \(2,\)"):
-            local_gradient(identity_game(), 0, np.zeros(shape))
+                assert own_gradient(g, i, x) == pytest.approx(f[i], rel=1e-13, abs=1e-13)
 
 
 def eig2_oracle(m):
@@ -205,13 +220,13 @@ class TestEstimateConstants:
             x = rng.uniform(-5, 5, 7)
             y = rng.uniform(-5, 5, 7)
             i = int(rng.integers(0, 7))
-            diff = abs(local_gradient(g, i, x) - local_gradient(g, i, y))
+            diff = abs(own_gradient(g, i, x) - own_gradient(g, i, y))
             assert diff <= consts.l_per_player[i] * np.linalg.norm(x - y) * (1 + 1e-12)
         # equality is attained when x - y is parallel to row i
         for i in range(7):
             y = rng.uniform(-2, 2, 7)
             x = y + 0.37 * a_mat[i]
-            diff = abs(local_gradient(g, i, x) - local_gradient(g, i, y))
+            diff = abs(own_gradient(g, i, x) - own_gradient(g, i, y))
             assert diff == pytest.approx(
                 consts.l_per_player[i] * np.linalg.norm(x - y), rel=1e-12
             )
@@ -376,8 +391,7 @@ class TestConstruction:
 class TestSerialization:
     def test_round_trip_bit_exact(self):
         g = random_game(9, 123, coupling_scale=0.37)
-        doc = json.loads(json.dumps(game_to_dict(g)))
-        g2 = game_from_dict(doc)
+        g2 = game_from_doc(json.loads(dumped(g)))
         assert np.array_equal(g.a, g2.a)
         assert np.array_equal(g.b, g2.b)
         assert np.array_equal(g.c, g2.c)
@@ -386,15 +400,17 @@ class TestSerialization:
     def test_file_round_trip(self, tmp_path):
         g = random_game(5, 7)
         path = tmp_path / "game.json"
-        save_game(g, path)
-        g2 = load_game(path)
+        with open(path, "w", encoding="utf-8") as f:
+            _dump_game(g, f)
+        with open(path, encoding="utf-8") as f:
+            g2 = game_from_doc(json.load(f))
         assert np.array_equal(g.a, g2.a)
         assert np.array_equal(g.c, g2.c)
         assert g2.seed == 7
 
     def test_dict_fields(self):
-        g = hand_game()
-        doc = game_to_dict(g)
+        doc = json.loads(dumped(hand_game()))
+        assert list(doc) == ["n", "a", "b", "c"]
         assert doc["n"] == 2
         assert len(doc["c"]) == 4  # row-major n^2
         assert "seed" not in doc  # hand-built game has no provenance
@@ -405,10 +421,11 @@ class TestSerialization:
         drawn = random_game(n, 5 if seed is None else seed)
         g = QuadraticGame(a=drawn.a, b=drawn.b, c=drawn.c, seed=seed)
         path = tmp_path / "game.json"
-        save_game(g, path)
-        expected = json.dumps(game_to_dict(g), indent=2) + "\n"
+        with open(path, "w", encoding="utf-8") as f:
+            _dump_game(g, f)
+        expected = json.dumps(game_doc(g), indent=2) + "\n"
         assert path.read_bytes() == expected.encode("utf-8")
-        back = load_game(path)
+        back = game_from_doc(json.loads(path.read_text()))
         assert np.array_equal(back.a, g.a) and np.array_equal(back.b, g.b)
         assert np.array_equal(back.c, g.c)
         assert back.seed == seed
@@ -419,6 +436,4 @@ class TestSerialization:
             b=np.array([-0.0, 1.7976931348623157e308, -5e-324]),
             c=np.array([[0.0, -0.0, 1e-300], [5e-324, 0.0, 1e300], [0.1, 2.5, 0.0]]),
         )
-        out = io.StringIO()
-        _dump_game(g, out)
-        assert out.getvalue() == json.dumps(game_to_dict(g), indent=2) + "\n"
+        assert dumped(g) == json.dumps(game_doc(g), indent=2) + "\n"

@@ -17,7 +17,6 @@ from gradplay import (
     build_graph,
     complete,
     estimate_constants,
-    load_game,
     metropolis_weights,
     paper_sim_config,
     random_game,
@@ -40,8 +39,8 @@ from gradplay.harness import (
 )
 import gradplay
 from gradplay import bounds, dynamics, harness
-from gradplay.game import game_mapping, local_gradient
-from gradplay.network import average_property_check, graph_from_edgelist
+from gradplay.game import game_mapping
+from gradplay.network import Graph, average_property_check
 
 
 def reject_json_constant(name):
@@ -145,6 +144,10 @@ class TestRunExperiment:
         assert "exceeds the certified ceiling" in report.alpha_note
         assert report.q is None
         assert not report.diverged
+        # below the ceiling, but q rounds to 1
+        report = run_experiment(small_config(alpha=1e-17, max_iters=5))
+        assert report.alpha_admissible is False and report.q is None
+        assert "too small for a contraction rate q < 1" in report.alpha_note
 
     def test_divergence_path(self, tmp_path):
         report = run_experiment(small_config(alpha=80.0, max_iters=3000))
@@ -182,10 +185,14 @@ class TestRunExperiment:
         assert summary["config"]["n"] == 5
         text = (out / "summary.txt").read_text()
         assert "relative error" in text  # definition stated up front
-        game = load_game(out / "game.json")
-        assert game.n == 5
-        graph = graph_from_edgelist((out / "graph.edges").read_text())
-        assert graph.n == 5
+        doc = json.loads((out / "game.json").read_text())
+        game = random_game(5, 1, 0.2)
+        assert doc["n"] == 5
+        for key in ("a", "b", "c"):
+            assert np.array_equal(doc[key], getattr(game, key).ravel())
+        pairs = [line.split() for line in (out / "graph.edges").read_text().splitlines()]
+        edges = tuple((int(i) - 1, int(j) - 1) for i, j in pairs)
+        assert Graph(n=5, edges=edges) == build_graph("star", 5)
         w = np.loadtxt(out / "mixing.csv", delimiter=",")
         assert w.shape == (5, 5)
 
@@ -232,7 +239,9 @@ class TestRunExperiment:
         # game.json is json.dump with indent 2
         run_experiment(small_config(topology=topology, n=12, alpha=0.01, max_iters=3), out_dir=tmp_path)
         game = random_game(12, 1, 0.2)
-        expected = json.dumps(gradplay.game_to_dict(game), indent=2) + "\n"
+        doc = {"n": 12, "a": game.a.tolist(), "b": game.b.tolist()}
+        doc.update(c=game.c.ravel().tolist(), seed=1)
+        expected = json.dumps(doc, indent=2) + "\n"
         assert (tmp_path / "game.json").read_text() == expected
 
     def test_mismatched_override_rejected(self):
@@ -385,9 +394,14 @@ def reference_average_property(w, rng, samples):
     return worst
 
 
+def player_gradient(game, i, x):
+    """Player i's own partial gradient at the joint action x, from a, b, c."""
+    return float(game.a[i] * x[i] + game.b[i] + game.c[i] @ x)
+
+
 def reference_game_assumptions(game, consts, rng, samples=100):
     """The u, v and player blocks drawn first, in that order; then one sample
-    at a time, through the 1-D game_mapping and local_gradient."""
+    at a time, through the 1-D game_mapping and the own-gradient formula."""
     n = game.n
     us = rng.uniform(-5, 5, (samples, n))
     vs = rng.uniform(-5, 5, (samples, n))
@@ -398,7 +412,7 @@ def reference_game_assumptions(game, consts, rng, samples=100):
         f_diff = game_mapping(game, u) - game_mapping(game, v)
         rhs = consts.mu * float(du @ du)
         worst_mono = min(worst_mono, (float(f_diff @ du) - rhs) / (1.0 + abs(rhs)))
-        g_diff = abs(local_gradient(game, i, u) - local_gradient(game, i, v))
+        g_diff = abs(player_gradient(game, i, u) - player_gradient(game, i, v))
         lip_rhs = consts.l_per_player[i] * float(np.linalg.norm(du))
         worst_lip = min(worst_lip, (lip_rhs - g_diff) / (1.0 + lip_rhs))
         map_rhs = consts.l_mapping * float(np.linalg.norm(du))
@@ -409,7 +423,7 @@ def reference_game_assumptions(game, consts, rng, samples=100):
 class TestSampledChecks:
     """The batched sampled checks against one 1-D call per sample, on the
     same draws.  The per-player Lipschitz margin reads column i of the
-    batched mapping instead of local_gradient; at n = 2 that margin cancels
+    batched mapping instead of the own-gradient formula; at n = 2 that margin cancels
     to as little as 3e-6, where one ulp of its order-one terms is a relative
     4e-11, so the comparison allows 1e-15 absolute besides 1e-12 relative."""
 
@@ -505,7 +519,7 @@ class TestAudit:
         # doubly stochastic and symmetric, but with the support of a star
         assert not _audit_mixing(ring(6), metropolis_weights(star(6)))[0]
         # one edge too few: the ring's W against the ring plus a chord
-        chord = graph_from_edgelist("1 2\n2 3\n3 4\n4 5\n5 6\n6 1\n1 4\n")
+        chord = Graph(n=6, edges=((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5), (0, 3)))
         assert not _audit_mixing(chord, metropolis_weights(ring(6)))[0]
 
     def test_one_plan_per_cell(self, monkeypatch):
@@ -557,6 +571,7 @@ class TestAudit:
             (dict(sizes=(True,)), "got True$"),
             (dict(sizes=("5",)), "got '5'$"),
             (dict(sizes=(np.int64(5),)), "audit sizes must be ints >= 2"),
+            (dict(sizes=(2,), topologies=("ring",)), "audit matrix selects no cell"),
         ],
     )
     def test_bad_input_refused_before_any_cell(self, monkeypatch, bad, match):
@@ -620,6 +635,12 @@ class TestCli:
             ("compare-grane --mu 1 --L inf --n 20", "mu and l must be finite"),
             ("bounds --mu 1 --L 1e200 --sigma 0.5 --n 20", "leaves the double range"),
             ("bounds --mu 1 --L inf --sigma 0.5 --n 20", "l must be finite and > 0"),
+            ("bounds --mu 1 --L 1 --sigma 0.5 --n 2 --alpha 1e-17", "too small for a contraction"),
+            (
+                "compare-grane --mu 1 --L 2 --n 20 --lap-sigma-max 1 --lap-lambda-min inf",
+                "lap_lambda_min_nonzero finite and > 0",
+            ),
+            ("compare-grane --mu 1 --L 2 --n 20 --lap-sigma-max 1", "given together"),
         ],
     )
     def test_certificate_bad_constants_are_input_errors(self, argv, message, capsys):
@@ -833,11 +854,29 @@ class TestCli:
         assert "all passed" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
-        "argv", [["--seeds", "0"], ["--seeds", "-1"], ["--sizes", ""], ["--sizes", ","]]
+        "argv",
+        [
+            ["--seeds", "0"],
+            ["--seeds", "-1"],
+            ["--sizes", ""],
+            ["--sizes", ","],
+            # every (size, topology) pair is a ring with n < 3
+            ["--sizes", "2", "--topologies", "ring"],
+        ],
     )
     def test_audit_without_cells_is_input_error(self, argv, tmp_path, capsys):
         assert main(["audit", *argv, "--out", str(tmp_path)]) == 2
-        assert "error:" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("error:")
+        assert not (tmp_path / "audit.json").exists()
+
+    def test_audit_alpha_too_small_for_q_below_one_fails_admissible_step(self, tmp_path):
+        argv = ["audit", "--sizes", "5", "--topologies", "tree", "--seeds", "1"]
+        assert main([*argv, "--alpha-override", "1e-17", "--out", str(tmp_path)]) == 1
+        doc = json.loads((tmp_path / "audit.json").read_text())
+        [failure] = [f for f in doc["failures"] if f["check"] == "admissible_step"]
+        assert "too small for a contraction rate q < 1" in failure["note"]
 
     def test_run_non_finite_alpha_is_input_error(self, tmp_path, capsys):
         config_path = tmp_path / "config.json"
