@@ -473,18 +473,27 @@ def _json_text(doc) -> str:
     return json.dumps(_json_safe(doc), indent=2, allow_nan=False) + "\n"
 
 
+_CEILING_NOTE = (
+    "alpha={alpha} exceeds the certified ceiling alpha_max={ceiling!r}; "
+    "geometric-rate certificate does not apply (divergence guard stays active)"
+)
+
+
 def _write_json(path, doc) -> None:
     with open(path, "w", encoding="utf-8") as f:
         f.write(_json_text(doc))
 
 
-def _resolve_alpha(alpha, mu, l, sigma, n):
+def _resolve_alpha(alpha, mu, l, sigma, n, ceiling_note=_CEILING_NOTE):
     """Resolve ``alpha`` (``"auto"`` or a number) against the certificate.
 
     Returns ``(alpha, terms, ceiling, admissible, note, plan)``: ``plan`` is
     the :class:`~gradplay.bounds.StepSizePlan` of an admissible alpha and
     None otherwise; ``terms``, ``ceiling`` and ``admissible`` are None when
-    perfect mixing leaves no ceiling.
+    perfect mixing leaves no ceiling.  ``"auto"`` is ``0.9 * ceiling``.  An
+    alpha at or above the ceiling gets ``ceiling_note`` formatted with
+    ``alpha`` and ``ceiling``; one below it whose ``q`` rounds to 1 (``"auto"``
+    included) gets the certificate's refusal; either way the run goes ahead.
     """
     try:
         terms = bounds.step_size_terms(mu, l, sigma, n)
@@ -494,19 +503,15 @@ def _resolve_alpha(alpha, mu, l, sigma, n):
             raise PerfectMixingError("alpha='auto' needs a step-size ceiling, but " + note)
         return float(alpha), None, None, None, note, None
     ceiling = min(terms)
-    if alpha == "auto":
-        plan = bounds.step_size_plan(mu, l, sigma, n)
-        return plan.alpha, terms, ceiling, True, "alpha resolved to 0.9 * alpha_max", plan
-    alpha = float(alpha)
+    auto = alpha == "auto"
+    alpha = 0.9 * ceiling if auto else float(alpha)
     try:
         plan = bounds.step_size_plan(mu, l, sigma, n, alpha)
     except InadmissibleStepSizeError as exc:
-        note = str(exc) if alpha < ceiling else (
-            f"alpha={alpha} exceeds the certified ceiling "
-            f"alpha_max={ceiling!r}; geometric-rate certificate does not "
-            "apply (divergence guard stays active)"
-        )
+        note = str(exc) if alpha < ceiling else ceiling_note.format(alpha=alpha, ceiling=ceiling)
         return alpha, terms, ceiling, False, note, None
+    if auto:
+        return alpha, terms, ceiling, True, "alpha resolved to 0.9 * alpha_max", plan
     return alpha, terms, ceiling, True, "explicit alpha below the certified ceiling", plan
 
 
@@ -829,13 +834,12 @@ def _audit_cell(n, topology, seed, coupling_scale, iters, alpha_override, eq5_sa
             checks.append(AuditCheck("degenerate_mixing_error", True, 0.0))
     else:
         alpha, _terms, ceiling, admissible, note, plan = _resolve_alpha(
-            "auto" if alpha_override is None else alpha_override, consts.mu, consts.l, w.sigma, n
+            "auto" if alpha_override is None else alpha_override,
+            consts.mu, consts.l, w.sigma, n, "alpha={alpha} vs ceiling={ceiling!r}",
         )
-        if admissible:
-            note = ""
-        elif alpha >= ceiling:
-            note = f"alpha={alpha} vs ceiling={ceiling!r}"
-        checks.append(AuditCheck("admissible_step", admissible, alpha / ceiling, note))
+        checks.append(
+            AuditCheck("admissible_step", admissible, alpha / ceiling, "" if admissible else note)
+        )
 
         x0 = initial_estimates(n, seed=3000 + seed)
         try:

@@ -149,6 +149,16 @@ class TestRunExperiment:
         assert report.alpha_admissible is False and report.q is None
         assert "too small for a contraction rate q < 1" in report.alpha_note
 
+    def test_auto_alpha_with_q_rounding_to_one_warns_but_runs(self):
+        # L / mu = 1e4 on a 4-ring: 0.9 * alpha_max ~ 3e-18, so q rounds to 1
+        game = QuadraticGame(np.array([1.0, 1e4, 1e4, 1e4]), np.zeros(4), np.zeros((4, 4)))
+        config = small_config(n=4, topology="ring", max_iters=5)
+        report = run_experiment(config, game=game, graph=ring(4))
+        assert report.alpha == 0.9 * report.alpha_max
+        assert report.alpha_admissible is False and report.q is None
+        assert "too small for a contraction rate q < 1" in report.alpha_note
+        assert report.iterations == 5 and not report.diverged
+
     def test_divergence_path(self, tmp_path):
         report = run_experiment(small_config(alpha=80.0, max_iters=3000))
         assert report.diverged
@@ -877,6 +887,19 @@ class TestCli:
         doc = json.loads((tmp_path / "audit.json").read_text())
         [failure] = [f for f in doc["failures"] if f["check"] == "admissible_step"]
         assert "too small for a contraction rate q < 1" in failure["note"]
+
+    def test_audit_auto_alpha_with_q_rounding_to_one_fails_every_cell(self, monkeypatch):
+        # shrink every ceiling so that the auto alpha makes q round to 1
+        terms = gradplay.bounds.step_size_terms
+        monkeypatch.setattr(
+            gradplay.bounds, "step_size_terms", lambda *a: tuple(t * 1e-20 for t in terms(*a))
+        )
+        report = audit(sizes=(5, 6), topologies=("tree",), seeds=1, iters=5)
+        assert len(report.cells) == 2 and not report.ok
+        for cell in report.cells:
+            [check] = [c for c in cell.checks if c.name == "admissible_step"]
+            assert not check.passed and check.worst == pytest.approx(0.9)
+            assert "too small for a contraction rate q < 1" in check.note
 
     def test_run_non_finite_alpha_is_input_error(self, tmp_path, capsys):
         config_path = tmp_path / "config.json"
