@@ -28,6 +28,7 @@ proof.
 
 from __future__ import annotations
 
+import io
 import math
 import sys
 
@@ -57,6 +58,11 @@ _BLOCK = 256
 #: Most bytes of ``n x n`` states that :func:`run` holds for one reduction of
 #: their norms, so that a chunk stays in cache (see :func:`_record_spans`).
 _CHUNK_BYTES = 256 * 1024
+
+#: Trace rows formatted per write of ``trace.csv``.  paper-sim (10 001 rows)
+#: peaked at 39.4 MB RSS with 256 or 1024 and at 42 MB with 4096, against
+#: 45.8 MB with the whole text formatted at once.
+_CSV_BLOCK = 1024
 
 #: Trace columns, in ``trace.csv`` order.  All norms are Frobenius norms of
 #: ``n x n`` matrices.  The slack columns hold ``rhs - lhs`` of the
@@ -364,8 +370,19 @@ def _trace_from_columns(cvs, dists, blocks, sigma, mu, big_l, alpha, n) -> np.re
     return trace
 
 
+def _write_trace_csv(trace, f) -> None:
+    """Write ``trace.csv`` for ``trace`` to the text file ``f``: full double
+    precision via shortest repr, formatted ``_CSV_BLOCK`` rows at a time so
+    that the text of the whole trace is never held at once."""
+    f.write(",".join(TRACE_COLUMNS) + "\n")
+    for start in range(0, len(trace), _CSV_BLOCK):
+        block = trace[start : start + _CSV_BLOCK]
+        columns = [map(repr, block[name].tolist()) for name in TRACE_COLUMNS]
+        f.write("\n".join(map(",".join, zip(*columns))) + "\n")
+
+
 def trace_to_csv(trace) -> str:
-    """CSV text for a trace; full double precision via shortest repr."""
-    columns = [map(repr, trace[name].tolist()) for name in TRACE_COLUMNS]
-    lines = [",".join(TRACE_COLUMNS), *map(",".join, zip(*columns))]
-    return "\n".join(lines) + "\n"
+    """``trace.csv`` text for a trace."""
+    text = io.StringIO()
+    _write_trace_csv(trace, text)
+    return text.getvalue()

@@ -625,6 +625,25 @@ class TestTraceCsv:
         assert text.splitlines()[0] == SPEC_HEADER
         assert len(text.splitlines()) == len(trace) + 1
 
+    @pytest.mark.parametrize("iters", [0, 2, 3, 4, 10])
+    def test_blocks_write_the_whole_text(self, iters, monkeypatch):
+        # one write per 4 rows gives the text of the whole trace at once
+        g = random_game(4, 3)
+        w = metropolis_weights(star(4))
+        _, trace = run(g, w, 1e-3, initial_estimates(4, 0), max_iters=iters)
+        columns = [map(repr, trace[name].tolist()) for name in dynamics.TRACE_COLUMNS]
+        whole = "\n".join([SPEC_HEADER, *map(",".join, zip(*columns))]) + "\n"
+        monkeypatch.setattr(dynamics, "_CSV_BLOCK", 4)
+        writes = []
+
+        class Sink:
+            def write(self, text):
+                writes.append(text)
+
+        dynamics._write_trace_csv(trace, Sink())
+        assert "".join(writes) == trace_to_csv(trace) == whole
+        assert len(writes) == 1 + math.ceil(len(trace) / 4)
+
     def test_values_round_trip(self):
         g = random_game(4, 3)
         w = metropolis_weights(star(4))

@@ -1,3 +1,5 @@
+import errno
+import io
 import json
 import math
 import os
@@ -39,7 +41,7 @@ from gradplay.harness import (
 )
 import gradplay
 from gradplay import bounds, dynamics, harness
-from gradplay.game import game_mapping
+from gradplay.game import _dump_game, game_mapping
 from gradplay.network import Graph, average_property_check
 
 
@@ -257,6 +259,93 @@ class TestRunExperiment:
     def test_mismatched_override_rejected(self):
         with pytest.raises(ValueError, match="players"):
             run_experiment(small_config(), game=random_game(6, 0))
+
+
+def artifact_names(out):
+    return sorted(p.name for p in Path(out).iterdir())
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestGameJsonAside:
+    """game.json of a game of at least ``_GAME_FORK_ENTRIES`` entries is
+    written by a forked child while the run goes on."""
+
+    @pytest.fixture(params=["forked", "in_process"])
+    def path(self, request, monkeypatch):
+        # a 12-player game has 144 entries: just at the constant, or just below
+        monkeypatch.setattr(harness, "_GAME_FORK_ENTRIES", 144 + (request.param == "in_process"))
+        forks = []
+        fork = os.fork
+        monkeypatch.setattr(harness.os, "fork", lambda: forks.append(1) or fork())
+        yield request.param
+        assert len(forks) == (request.param == "forked")
+
+    def test_same_bytes_on_both_paths(self, path, tmp_path):
+        report = run_experiment(small_config(n=12, max_iters=20), out_dir=tmp_path)
+        assert report.ok
+        text = io.StringIO()
+        _dump_game(random_game(12, 1, 0.2), text)
+        assert (tmp_path / "game.json").read_text() == text.getvalue()
+        assert artifact_names(tmp_path) == [
+            "game.json", "graph.edges", "mixing.csv", "plot.py",
+            "summary.json", "summary.txt", "trace.csv",
+        ]
+        assert_no_child_left()
+
+    def test_no_child_after_a_diverged_run(self, path, tmp_path):
+        report = run_experiment(small_config(n=12, alpha=80.0, max_iters=3000), out_dir=tmp_path)
+        assert report.diverged
+        assert (tmp_path / "game.json").is_file()
+        assert_no_child_left()
+
+    def test_a_raising_run_leaves_no_game_json(self, path, tmp_path, monkeypatch):
+        def failing_run(*args, **kwargs):
+            raise RuntimeError("the run failed")
+
+        monkeypatch.setattr(harness, "run", failing_run)
+        out = tmp_path / "o"
+        with pytest.raises(RuntimeError, match="the run failed"):
+            run_experiment(small_config(n=12), out_dir=out)
+        assert_no_child_left()
+        # the forked path makes the directory before it forks
+        assert artifact_names(out) == [] if path == "forked" else not out.exists()
+
+    def test_a_game_json_directory_is_input_error(self, path, tmp_path, capsys):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(small_config(n=12, max_iters=20).to_dict()))
+        out = tmp_path / "o"
+        (out / "game.json").mkdir(parents=True)
+        assert main(["run", "--config", str(config_path), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and captured.err.startswith("error: [Errno 21]")
+        assert str(out / "game.json") in captured.err
+        assert not [name for name in os.listdir(out) if name.startswith(".game.json")]
+        assert_no_child_left()
+
+    @pytest.mark.parametrize(
+        "exc, message",
+        [
+            (OSError(errno.ENOSPC, "full"), r"^\[Errno 28\] No space left on device: '.*game.json'$"),
+            (ValueError("bad game"), r"^could not write .*game.json: its writer process ended with status 255$"),
+        ],
+    )
+    def test_a_failed_child_raises_one_line(self, exc, message, tmp_path, monkeypatch):
+        def failing_dump(game, f):
+            f.write("{")
+            raise exc
+
+        monkeypatch.setattr(harness, "_GAME_FORK_ENTRIES", 0)
+        monkeypatch.setattr(harness, "_dump_game", failing_dump)
+        with pytest.raises(OSError, match=message):
+            run_experiment(small_config(max_iters=20), out_dir=tmp_path)
+        assert "game.json" not in artifact_names(tmp_path)
+        assert not [name for name in artifact_names(tmp_path) if name.startswith(".game.json")]
+        assert_no_child_left()
 
 
 class TestTraceHelpers:
@@ -757,6 +846,54 @@ class TestCli:
         monkeypatch.setattr(harness.os, "sysconf", sysconf)
         assert harness._physical_memory() is None
         harness._check_footprint(10**6, 10**15)  # no limit to exceed
+
+    @staticmethod
+    def fake_root(root, cgroup, limits):
+        """A directory laid out like ``/``: ``proc/self/cgroup`` holds
+        ``cgroup``, and ``limits`` maps a cgroup path to its memory.max."""
+        (root / "proc/self").mkdir(parents=True)
+        (root / "proc/self/cgroup").write_text(cgroup)
+        for group, text in limits.items():
+            directory = root / "sys/fs/cgroup" / group
+            directory.mkdir(parents=True, exist_ok=True)
+            (directory / "memory.max").write_text(text)
+        return str(root)
+
+    @pytest.mark.parametrize(
+        "cgroup, limits, expected",
+        [
+            # the smaller of physical memory (8 GiB here) and the cgroup's
+            ("0::/\n", {"": "1073741824\n"}, 2**30),
+            ("0::/\n", {"": "max\n"}, 2**33),
+            ("0::/\n", {"": "17179869184\n"}, 2**33),
+            # an ancestor's limit binds its descendants
+            ("0::/a/b\n", {"a": "2147483648\n", "a/b": "max\n"}, 2**31),
+            ("0::/a/b\n", {"a": "max\n", "a/b": "1073741824\n"}, 2**30),
+            # cgroup v1 only, a path outside the namespace, or no file: no cgroup limit
+            ("4:memory:/a\n", {"a": "1073741824\n"}, 2**33),
+            ("0::/../a\n", {"a": "1073741824\n"}, 2**33),
+            (None, {}, 2**33),
+        ],
+    )
+    def test_cgroup_memory_max_lowers_the_limit(self, cgroup, limits, expected, tmp_path, monkeypatch):
+        pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2**21}
+        monkeypatch.setattr(harness.os, "sysconf", pages.__getitem__)
+        root = self.fake_root(tmp_path, cgroup or "", limits)
+        if cgroup is None:
+            os.remove(tmp_path / "proc/self/cgroup")
+        assert harness._physical_memory(root) == expected
+
+    def test_cgroup_limit_alone_refuses_a_run(self, tmp_path, monkeypatch):
+        def sysconf(name):
+            raise ValueError(name)
+
+        monkeypatch.setattr(harness.os, "sysconf", sysconf)
+        root = self.fake_root(tmp_path, "0::/job\n", {"job": "1073741824\n"})
+        physical_memory = harness._physical_memory
+        monkeypatch.setattr(harness, "_physical_memory", lambda: physical_memory(root))
+        harness._check_footprint(3000, 1000)  # 0.6 GiB
+        with pytest.raises(ValueError, match="more than the 1 GiB of physical memory"):
+            harness._check_footprint(4000, 1000)  # 1.07 GiB
 
     @pytest.mark.parametrize("n", [10**6, 10**400])
     def test_size_beyond_memory_is_input_error(self, n, tmp_path, monkeypatch, capsys):
