@@ -21,9 +21,10 @@ into one buffer allocated per run, each product written into its slot and
 the gradient correction applied through precomputed diagonal views; a one-
 state chunk allocates each new state.  The two norms of the ``n x n`` states
 are reduced once per chunk, the column means, gradient norms and residuals
-once per block of 256 states.  After the loop it derives, column-wise, the
-slack (rhs - lhs) of the three per-step inequalities of the geometric-rate
-proof.
+once per block of 256 states.  Each finished block becomes its trace rows
+at once, with, column-wise, the slack (rhs - lhs) of the three per-step
+inequalities of the geometric-rate proof; a caller may take the blocks as
+they finish.
 """
 
 from __future__ import annotations
@@ -59,9 +60,10 @@ _BLOCK = 256
 #: their norms, so that a chunk stays in cache (see :func:`_record_spans`).
 _CHUNK_BYTES = 256 * 1024
 
-#: Trace rows formatted per write of ``trace.csv``.  paper-sim (10 001 rows)
-#: peaked at 39.4 MB RSS with 256 or 1024 and at 42 MB with 4096, against
-#: 45.8 MB with the whole text formatted at once.
+#: Trace rows formatted per write of ``trace.csv`` written from a whole trace
+#: (the forked writer formats each block of :func:`run` as it arrives).
+#: paper-sim (10 001 rows) peaked at 39.4 MB RSS with 256 or 1024 and at 42 MB
+#: with 4096, against 45.8 MB with the whole text formatted at once.
 _CSV_BLOCK = 1024
 
 #: Trace columns, in ``trace.csv`` order.  All norms are Frobenius norms of
@@ -101,6 +103,10 @@ IterationTrace = np.dtype(
     [(TRACE_COLUMNS[0], np.int64)]
     + [(name, np.float64) for name in (*TRACE_COLUMNS[1:], "recursion_residual")]
 )
+
+#: The row "before" ``t = 0``: NaN norms, so that the first row's transition
+#: slacks are NaN.
+_NO_ROW = np.array((-1,) + (math.nan,) * 8, dtype=IterationTrace).view(np.recarray)
 
 
 def _check_step_size(alpha) -> None:
@@ -169,6 +175,8 @@ def run(
     x0: np.ndarray,
     max_iters: int,
     tol: float = 0.0,
+    *,
+    rows=None,
 ):
     """Iterate gradient play until the NE distance drops to ``tol`` or
     ``max_iters`` steps have been taken.
@@ -190,6 +198,11 @@ def run(
     tol : float
         Stop once the Frobenius distance to the consensual equilibrium
         matrix is <= tol.  The default 0 gives a fixed horizon.
+    rows : callable, optional
+        Called with each finished block of trace rows (a record array of at
+        most ``_BLOCK`` rows), in order, while the run goes on; the blocks
+        concatenate to the returned trace, or to the partial trace of a
+        diverged run.
 
     Returns
     -------
@@ -224,8 +237,9 @@ def run(
     x_star_mat = np.tile(x_star, (n, 1))
     w_op = w.operator
     chunk, block = (min(span, max_iters + 1) for span in _record_spans(n))
-    cvs, dists = [], []  # consensus_violation and distance_to_ne per state
-    blocks = []  # (avg_distance_to_ne, grad_norm, recursion_residual) per block
+    cvs, dists = [], []  # consensus_violation and distance_to_ne of the block's states
+    blocks = []  # the trace's rows, one finished block at a time
+    before = _NO_ROW  # the last row of the block before
     # Column means (0) and own gradients (1) of a block's states in rows 1..;
     # row 0 carries the last state of the block before (NaN before t = 0).
     # A chunk divides the block, so its rows never straddle two blocks.
@@ -246,10 +260,6 @@ def run(
         grads = list(held[1])
         scratch = work[1, 0]  # free while stepping
         a_mat, b = game.mapping_matrix, game.b
-
-    def trace():
-        blocks.append(_block_columns(*held[:, :filled], x_star, alpha, n))
-        return _trace_from_columns(cvs, dists, blocks, w.sigma, consts.mu, consts.l, alpha, n)
 
     # A diverging run overflows; the guard below turns the non-finite
     # distance into a DivergenceError.
@@ -284,24 +294,32 @@ def run(
             cvs += cv[:kept]
             dists += dist[:kept]
             filled += kept
-            if filled > block:
-                blocks.append(_block_columns(*held[:, :filled], x_star, alpha, n))
-                held[:, 0], filled = held[:, filled - 1], 1
-
-            if stop is not None and not dist[stop] <= tol:
-                t += stop
-                err = DivergenceError(
-                    f"diverged at iteration {t}: distance {dist[stop]:.3e} exceeds "
-                    f"{DIVERGENCE_FACTOR:.0e} x initial {initial_dist:.3e} "
-                    f"(alpha={alpha} too large)"
-                )
-                err.iteration = t
-                err.trace = trace()  # partial trace for post-mortem reporting
-                raise err
-            t += size
-            if stop is not None or t > max_iters:
-                # a copy, so that the caller's final state is not a slot
-                return (x if work is None else slots[kept - 1].copy()), trace()
+            last = stop is not None or t + size > max_iters
+            if filled > block or last:
+                columns = _block_columns(*held[:, :filled], x_star, alpha, n)
+                finished = _trace_rows(before, cvs, dists, columns, w.sigma, consts, alpha, n)
+                blocks.append(finished)
+                if rows is not None:
+                    rows(finished)
+                before = finished[-1]
+                held[:, 0], filled, cvs, dists = held[:, filled - 1], 1, [], []
+            if not last:
+                t += size
+                continue
+            # the rows as one record array; a final state that is a slot is
+            # copied, so that the caller's final state is not a slot
+            trace = np.concatenate(blocks).view(np.recarray)
+            if stop is None or dist[stop] <= tol:
+                return (x if work is None else slots[kept - 1].copy()), trace
+            t += stop
+            err = DivergenceError(
+                f"diverged at iteration {t}: distance {dist[stop]:.3e} exceeds "
+                f"{DIVERGENCE_FACTOR:.0e} x initial {initial_dist:.3e} "
+                f"(alpha={alpha} too large)"
+            )
+            err.iteration = t
+            err.trace = trace  # partial trace for post-mortem reporting
+            raise err
 
 
 def _record_spans(n: int) -> tuple:
@@ -347,42 +365,50 @@ def _block_columns(means, grads, x_star, alpha, n) -> np.ndarray:
     return np.stack([math.sqrt(n) * dev, gn, miss / (1.0 + pred_norm)])
 
 
-def _trace_from_columns(cvs, dists, blocks, sigma, mu, big_l, alpha, n) -> np.recarray:
-    """The trace of a run from its per-state and per-block norms: the slack
-    columns are shifts and products of whole norm columns."""
-    trace = np.recarray(len(dists), dtype=IterationTrace)
-    trace.t = np.arange(len(dists))
-    trace.consensus_violation, trace.distance_to_ne = cvs, dists
-    trace.avg_distance_to_ne, trace.grad_norm, trace.recursion_residual = np.hstack(blocks)
+def _trace_rows(before, cvs, dists, columns, sigma, consts, alpha, n) -> np.recarray:
+    """The trace rows of one block of states from their norms: the slack
+    columns are shifts and products of whole norm columns, the first row's
+    against ``before``, the last row of the block before (``_NO_ROW`` at
+    ``t = 0``, whose NaN norms make the two transition slacks NaN)."""
+    trace = np.recarray(len(dists) + 1, dtype=IterationTrace)
+    trace[0] = before
+    trace.t[1:] = np.arange(before.t + 1, before.t + len(trace))
+    trace.consensus_violation[1:], trace.distance_to_ne[1:] = cvs, dists
+    trace.avg_distance_to_ne[1:], trace.grad_norm[1:], trace.recursion_residual[1:] = columns
     cv, dist, avg_d, gn = (trace[name] for name in TRACE_COLUMNS[1:5])
-    trace.lemma1_slack[:1] = trace.lemma3_slack[:1] = math.nan
+    big_l, mu = consts.l, consts.mu
     # the norms of a diverged run may be inf or NaN: their slacks are too
     with np.errstate(over="ignore", invalid="ignore"):
         trace.lemma1_slack[1:] = (
             sigma * cv[:-1] + alpha * math.sqrt((n - 1) / n) * gn[:-1] - cv[1:]
         )
-        trace.lemma2_slack = big_l * dist - gn
+        trace.lemma2_slack[1:] = big_l * dist[1:] - gn[1:]
         trace.lemma3_slack[1:] = (
             avg_d[:-1] ** 2
             + (big_l**2 * alpha / mu) * cv[:-1] ** 2
             - (1.0 + mu * alpha / n) * avg_d[1:] ** 2
         )
-    return trace
+    return trace[1:]
 
 
-def _write_trace_csv(trace, f) -> None:
-    """Write ``trace.csv`` for ``trace`` to the text file ``f``: full double
-    precision via shortest repr, formatted ``_CSV_BLOCK`` rows at a time so
-    that the text of the whole trace is never held at once."""
+def _write_trace_csv(blocks, f) -> None:
+    """Write ``trace.csv`` to the text file ``f`` from ``blocks``, the
+    consecutive non-empty row blocks of a trace: full double precision via
+    shortest repr, formatted one block at a time so that the text of the
+    whole trace is never held at once."""
     f.write(",".join(TRACE_COLUMNS) + "\n")
-    for start in range(0, len(trace), _CSV_BLOCK):
-        block = trace[start : start + _CSV_BLOCK]
+    for block in blocks:
         columns = [map(repr, block[name].tolist()) for name in TRACE_COLUMNS]
         f.write("\n".join(map(",".join, zip(*columns))) + "\n")
+
+
+def _csv_blocks(trace):
+    """``trace`` in blocks of ``_CSV_BLOCK`` rows."""
+    return (trace[start : start + _CSV_BLOCK] for start in range(0, len(trace), _CSV_BLOCK))
 
 
 def trace_to_csv(trace) -> str:
     """``trace.csv`` text for a trace."""
     text = io.StringIO()
-    _write_trace_csv(trace, text)
+    _write_trace_csv(_csv_blocks(trace), text)
     return text.getvalue()

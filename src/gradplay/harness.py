@@ -28,7 +28,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from . import bounds
-from .dynamics import _write_trace_csv, initial_estimates, run
+from .dynamics import _BLOCK, IterationTrace, _csv_blocks, _write_trace_csv, initial_estimates, run
 from .errors import DivergenceError, InadmissibleStepSizeError, PerfectMixingError
 from .game import _dump_game, estimate_constants, game_mapping, random_game
 from .network import (
@@ -94,9 +94,9 @@ _TRACE_ROW_BYTES = 256
 
 def _physical_memory(root="/"):
     """Bytes of memory this process may use, or None where nothing says: the
-    smaller of physical memory and the cgroup v2 ``memory.max`` of the
-    process's cgroup and its ancestors (``max`` is no limit).  The cgroup
-    files are read under ``root``."""
+    smaller of physical memory and the memory limits of the process's cgroups
+    and their ancestors (:func:`_cgroup_memory_limits`).  The cgroup files are
+    read under ``root``."""
     limits = _cgroup_memory_limits(root)
     try:
         limits.append(os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"))
@@ -105,27 +105,46 @@ def _physical_memory(root="/"):
     return min((size for size in limits if size > 0), default=None)
 
 
+#: Where each cgroup version keeps a memory limit: the controllers field of
+#: its ``/proc/self/cgroup`` line, the hierarchy's mount and the file.
+_CGROUP_MEMORY_FILES = (
+    ("", "sys/fs/cgroup", "memory.max"),
+    ("memory", "sys/fs/cgroup/memory", "memory.limit_in_bytes"),
+)
+
+#: A cgroup memory limit of at least this is none: v2 writes no limit as ``max``,
+#: v1 as 2**63 rounded down to a page (9223372036854771712 with 4 KiB pages).
+_NO_CGROUP_LIMIT = 2**62
+
+
 def _cgroup_memory_limits(root) -> list:
-    """The ``memory.max`` bytes set on this process's cgroup v2 (the ``0::``
-    line of ``/proc/self/cgroup``) and on each of its ancestors."""
+    """The memory limits set on this process's cgroups and on each of their
+    ancestors: the cgroup v2 ``memory.max`` (the ``0::`` line of
+    ``/proc/self/cgroup``) and the cgroup v1 ``memory.limit_in_bytes`` (the
+    line of the ``memory`` controller)."""
     try:
         with open(os.path.join(root, "proc/self/cgroup"), encoding="utf-8") as f:
-            path = next(line[3:].strip() for line in f if line.startswith("0::"))
-    except (OSError, StopIteration):
-        return []
-    parts = [part for part in path.split("/") if part]
-    if ".." in parts:  # a cgroup outside this namespace's view
+            lines = [line.rstrip("\n").split(":", 2) for line in f]
+    except OSError:
         return []
     limits = []
-    for depth in range(len(parts) + 1):
-        try:
-            with open(
-                os.path.join(root, "sys/fs/cgroup", *parts[:depth], "memory.max"),
-                encoding="utf-8",
-            ) as f:
-                limits.append(int(f.read()))
-        except (OSError, ValueError):  # absent, or "max"
-            pass
+    for controllers, mount, name in _CGROUP_MEMORY_FILES:
+        path = next((line[2] for line in lines if line[1:2] == [controllers]), None)
+        if path is None:
+            continue
+        parts = [part for part in path.split("/") if part]
+        if ".." in parts:  # a cgroup outside this namespace's view
+            continue
+        for depth in range(len(parts) + 1):
+            try:
+                with open(
+                    os.path.join(root, mount, *parts[:depth], name), encoding="utf-8"
+                ) as f:
+                    limit = int(f.read())
+            except (OSError, ValueError):  # absent, or "max"
+                continue
+            if limit < _NO_CGROUP_LIMIT:
+                limits.append(limit)
     return limits
 
 
@@ -545,53 +564,87 @@ def _resolve_alpha(alpha, mu, l, sigma, n, ceiling_note=_CEILING_NOTE):
     return alpha, terms, ceiling, True, "explicit alpha below the certified ceiling", plan
 
 
-#: Entries of ``c`` from which :func:`run_experiment` writes ``game.json`` in
-#: a forked child while it runs.  Whole jobs on a random tree, 80 steps, min
-#: of 25 alternating pairs (2 CPUs, one BLAS thread), in process vs forked:
-#: 5.8 vs 12.4 ms at n = 20, 101 vs 113 ms at n = 200, 88 vs 63 ms at
-#: n = 225, 120 vs 67 ms at n = 250 and 165 vs 90 ms at n = 300.
-_GAME_FORK_ENTRIES = 250 * 250
+#: Floats of ``game.json`` and ``trace.csv`` text, ``c.size + 7 * (max_iters +
+#: 1)``, from which :func:`run_experiment` writes both in a forked child while
+#: it runs.  Whole jobs on a random tree, one process per side, 10 alternating
+#: rounds, medians, forked minus in process (2 vCPUs, one BLAS thread): +2.1
+#: ms at n = 20 over 1,000 steps (7,407 floats), -1.4 ms over 1,500 (10,907),
+#: -8.2 ms over 2,000 (14,407); over 80 steps, -5.8 ms at n = 100 (10,567)
+#: and -12.9 ms at n = 125 (16,192).
+_FORK_FLOATS = 12_000
 
 
 @contextmanager
-def _game_json_aside(game, path):
-    """Write ``game`` to ``path`` with :func:`~gradplay.game._dump_game` in a
-    forked child while the block runs.
+def _write_aside(game, out_dir):
+    """Write ``game.json`` and then ``trace.csv`` into ``out_dir`` from a
+    forked child while the block runs.  The block gets the ``rows`` callback
+    of :func:`~gradplay.dynamics.run` that sends the trace rows to the child.
 
-    The child writes a temporary file next to ``path`` and always leaves
-    through ``os._exit``.  When the block ends, the child is reaped and its
-    file renamed to ``path``; a failed child raises ``OSError``.  When the
-    block raises, the child is killed and reaped and its file removed.
+    The child writes ``game.json`` with :func:`~gradplay.game._dump_game`,
+    then ``trace.csv`` with :func:`~gradplay.dynamics._write_trace_csv` from
+    the rows it reads off a pipe until the parent closes it; each file goes
+    under a temporary name next to its artifact, and the child always leaves
+    through ``os._exit``.  The callback stops sending once the child has
+    stopped reading (it failed).  When the block ends, the pipe is closed,
+    the child reaped and its files renamed; a failed child raises
+    ``OSError``.  When the block raises, the child is killed and reaped and
+    its files removed.
     """
-    part = os.path.join(os.path.dirname(path), f".{os.path.basename(path)}.{os.getpid()}.part")
+    names = ("game.json", "trace.csv")
+    parts = [os.path.join(out_dir, f".{name}.{os.getpid()}.part") for name in names]
+    read_end, write_end = os.pipe()
     pid = os.fork()
     if pid == 0:
         code = 255
         try:
-            with open(part, "w", encoding="utf-8") as f:
+            os.close(write_end)
+            with open(parts[0], "w", encoding="utf-8") as f:
                 _dump_game(game, f)
+            size = _BLOCK * IterationTrace.itemsize  # one block of run() a read
+            with os.fdopen(read_end, "rb") as pipe, open(parts[1], "w", encoding="utf-8") as f:
+                chunks = iter(lambda: pipe.read(size), b"")
+                _write_trace_csv((np.frombuffer(chunk, IterationTrace) for chunk in chunks), f)
             code = 0
         except OSError as exc:
             code = exc.errno if exc.errno and exc.errno < 255 else 255
         finally:
             os._exit(code)
+    os.close(read_end)
+    pipe = [write_end]  # empty once closed
+
+    def send(block):
+        data = memoryview(block.tobytes())
+        try:
+            while data and pipe:
+                data = data[os.write(pipe[0], data) :]
+        except BrokenPipeError:  # the child failed: its exit status says how
+            os.close(pipe.pop())
+
     try:
-        yield
+        yield send
+        if pipe:
+            os.close(pipe.pop())
         code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
         pid = None
+        # the child opens the trace.csv part only once game.json is written
+        path = os.path.join(out_dir, names[os.path.exists(parts[1])])
         if 0 < code < 255:
             raise OSError(code, os.strerror(code), path)
         if code:
             raise OSError(f"could not write {path}: its writer process ended with status {code}")
-        os.replace(part, path)
+        for part, name in zip(parts, names):
+            os.replace(part, os.path.join(out_dir, name))
     except BaseException:
+        if pipe:
+            os.close(pipe.pop())
         if pid is not None:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-        try:
-            os.remove(part)
-        except FileNotFoundError:
-            pass
+        for part in parts:
+            try:
+                os.remove(part)
+            except FileNotFoundError:
+                pass
         raise
 
 
@@ -601,10 +654,10 @@ def run_experiment(config: ExperimentConfig, out_dir=None, game=None, graph=None
     ``game``, ``graph`` and ``x0`` override the seeded constructions (useful
     for hand-built cases); everything else comes from ``config``.  With
     ``out_dir`` set, writes ``trace.csv``, ``summary.txt``, ``summary.json``,
-    ``plot.py``, plus the game, graph and mixing-matrix documents.  A game of
-    at least ``_GAME_FORK_ENTRIES`` entries of ``c`` is written, where
-    ``os.fork`` exists, by a child process while the run goes on; the call
-    reaps it before it returns or raises.
+    ``plot.py``, plus the game, graph and mixing-matrix documents.  Where
+    ``os.fork`` exists and their text holds at least ``_FORK_FLOATS`` floats,
+    ``game.json`` and ``trace.csv`` are written by a child process while the
+    run goes on; the call reaps it before it returns or raises.
     """
     config.validate()
     t_start = time.perf_counter()
@@ -614,15 +667,17 @@ def run_experiment(config: ExperimentConfig, out_dir=None, game=None, graph=None
         graph = build_graph(config.topology, config.n, config.graph_seed)
     if graph.n != game.n:
         raise ValueError(f"graph has {graph.n} nodes but game has {game.n} players")
-    aside = out_dir is not None and game.c.size >= _GAME_FORK_ENTRIES and hasattr(os, "fork")
+    floats = game.c.size + 7 * (config.max_iters + 1)
+    aside = out_dir is not None and floats >= _FORK_FLOATS and hasattr(os, "fork")
     if aside:
         os.makedirs(out_dir, exist_ok=True)
-    with _game_json_aside(game, os.path.join(out_dir, "game.json")) if aside else nullcontext():
-        report, w = _measure(config, game, graph, x0, t_start)
+    with _write_aside(game, out_dir) if aside else nullcontext() as rows:
+        report, w = _measure(config, game, graph, x0, t_start, rows)
         if out_dir is not None:
             os.makedirs(out_dir, exist_ok=True)
-            with open(os.path.join(out_dir, "trace.csv"), "w", encoding="utf-8") as f:
-                _write_trace_csv(report.trace, f)
+            if not aside:
+                with open(os.path.join(out_dir, "trace.csv"), "w", encoding="utf-8") as f:
+                    _write_trace_csv(_csv_blocks(report.trace), f)
             with open(os.path.join(out_dir, "summary.txt"), "w", encoding="utf-8") as f:
                 f.write(report.to_text())
             _write_json(os.path.join(out_dir, "summary.json"), report.to_dict())
@@ -637,8 +692,9 @@ def run_experiment(config: ExperimentConfig, out_dir=None, game=None, graph=None
     return report
 
 
-def _measure(config, game, graph, x0, t_start):
-    """The report of one run of ``game`` on ``graph``, and its mixing matrix."""
+def _measure(config, game, graph, x0, t_start, rows):
+    """The report of one run of ``game`` on ``graph``, and its mixing matrix;
+    ``rows`` is passed to :func:`~gradplay.dynamics.run`."""
     w = metropolis_weights(graph)
     consts = estimate_constants(game)
     alpha, terms, ceiling, admissible, note, plan = _resolve_alpha(
@@ -649,7 +705,9 @@ def _measure(config, game, graph, x0, t_start):
         x0 = initial_estimates(game.n, config.init_seed)
     diverged = False
     try:
-        final, trace = run(game, w, alpha, x0, max_iters=config.max_iters, tol=config.tol)
+        final, trace = run(
+            game, w, alpha, x0, max_iters=config.max_iters, tol=config.tol, rows=rows
+        )
     except DivergenceError as exc:
         diverged = True
         trace = exc.trace

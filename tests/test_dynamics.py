@@ -363,6 +363,34 @@ class TestRun:
         assert dynamics._record_spans(20)[0] == 64
         assert dynamics._record_spans(1000)[0] == 1
 
+    @pytest.mark.parametrize(
+        "n, iters, alpha, tol",
+        [(6, 0, 0.03, 0.0), (6, 255, 0.03, 0.0), (6, 600, 0.03, 0.0), (20, 700, 0.03, 5.3783),
+         (100, 300, 0.03, 0.0), (5, 3000, 80.0, 0.0)],
+    )
+    def test_row_blocks_concatenate_to_the_trace(self, n, iters, alpha, tol):
+        # each finished block is passed once, in order, and the blocks are
+        # the returned (or the partial) trace bit for bit, NaN included; the
+        # runs end at a block's end, mid-block, on tol (401 rows) and by
+        # divergence (7 rows)
+        g = random_game(n, 8)
+        w = metropolis_weights(random_tree(n, 8))
+
+        def trace_of(**rows):
+            try:
+                return run(g, w, alpha, initial_estimates(n, 8), max_iters=iters, tol=tol, **rows)[1]
+            except DivergenceError as exc:
+                return exc.trace
+
+        blocks = []
+        trace = trace_of(rows=blocks.append)
+        assert [len(block) for block in blocks[:-1]] == [dynamics._BLOCK] * (len(blocks) - 1)
+        assert 0 < len(blocks[-1]) <= dynamics._BLOCK
+        joined = np.concatenate(blocks)
+        assert joined.tobytes() == trace.tobytes() == trace_of().tobytes()
+        assert np.array_equal(joined["t"], np.arange(len(trace)))
+        assert np.isnan(joined["lemma1_slack"][0]) and np.isnan(joined["lemma3_slack"][0])
+
     def test_determinism_bytes(self):
         g = random_game(6, 5)
         w = metropolis_weights(random_tree(6, 5))
@@ -640,7 +668,7 @@ class TestTraceCsv:
             def write(self, text):
                 writes.append(text)
 
-        dynamics._write_trace_csv(trace, Sink())
+        dynamics._write_trace_csv(dynamics._csv_blocks(trace), Sink())
         assert "".join(writes) == trace_to_csv(trace) == whole
         assert len(writes) == 1 + math.ceil(len(trace) / 4)
 

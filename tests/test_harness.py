@@ -270,22 +270,41 @@ def assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+def aside_config(**overrides):
+    """A 12-player, 300-step config: 144 + 7 * 301 floats of game.json and
+    trace.csv text."""
+    return small_config(**{"n": 12, **overrides})
+
+
+ASIDE_FLOATS = 12 * 12 + 7 * 301
+
+
+def run_kind(kind):
+    """Overrides of aside_config for a run that ends its horizon (301 rows),
+    diverges (7 rows), stops on tol (101 rows) or stops on tol at the end of a
+    256-row block."""
+    if kind in ("tol-stopped", "tol at a block's end"):
+        distances = run_experiment(aside_config()).trace.distance_to_ne
+        return {"tol": float(distances[100 if kind == "tol-stopped" else 255])}
+    return {"alpha": 80.0} if kind == "diverged" else {}
+
+
 class TestGameJsonAside:
-    """game.json of a game of at least ``_GAME_FORK_ENTRIES`` entries is
-    written by a forked child while the run goes on."""
+    """game.json and trace.csv are written by one forked child while the run
+    goes on once their text holds at least ``_FORK_FLOATS`` floats."""
 
     @pytest.fixture(params=["forked", "in_process"])
-    def path(self, request, monkeypatch):
-        # a 12-player game has 144 entries: just at the constant, or just below
-        monkeypatch.setattr(harness, "_GAME_FORK_ENTRIES", 144 + (request.param == "in_process"))
+    def writer(self, request, monkeypatch):
+        # just at aside_config()'s float count, or just above it
+        monkeypatch.setattr(harness, "_FORK_FLOATS", ASIDE_FLOATS + (request.param == "in_process"))
         forks = []
         fork = os.fork
         monkeypatch.setattr(harness.os, "fork", lambda: forks.append(1) or fork())
         yield request.param
         assert len(forks) == (request.param == "forked")
 
-    def test_same_bytes_on_both_paths(self, path, tmp_path):
-        report = run_experiment(small_config(n=12, max_iters=20), out_dir=tmp_path)
+    def test_same_bytes_on_both_paths(self, writer, tmp_path):
+        report = run_experiment(aside_config(), out_dir=tmp_path)
         assert report.ok
         text = io.StringIO()
         _dump_game(random_game(12, 1, 0.2), text)
@@ -296,27 +315,48 @@ class TestGameJsonAside:
         ]
         assert_no_child_left()
 
-    def test_no_child_after_a_diverged_run(self, path, tmp_path):
-        report = run_experiment(small_config(n=12, alpha=80.0, max_iters=3000), out_dir=tmp_path)
+    @pytest.mark.parametrize(
+        "kind, rows",
+        [("fixed horizon", 301), ("diverged", 7), ("tol-stopped", 101), ("tol at a block's end", 256)],
+    )
+    def test_trace_csv_is_the_trace_on_both_paths(self, kind, rows, writer, tmp_path):
+        report = run_experiment(aside_config(**run_kind(kind)), out_dir=tmp_path)
+        assert len(report.trace) == rows and report.diverged == (kind == "diverged")
+        assert (tmp_path / "trace.csv").read_text() == dynamics.trace_to_csv(report.trace)
+        assert_no_child_left()
+
+    def test_no_child_after_a_diverged_run(self, writer, tmp_path):
+        report = run_experiment(aside_config(alpha=80.0), out_dir=tmp_path)
         assert report.diverged
         assert (tmp_path / "game.json").is_file()
         assert_no_child_left()
 
-    def test_a_raising_run_leaves_no_game_json(self, path, tmp_path, monkeypatch):
+    def test_a_raising_run_leaves_no_game_json(self, writer, tmp_path, monkeypatch):
+        self.assert_a_raising_run_leaves_nothing(writer, tmp_path, monkeypatch, after_rows=False)
+
+    def test_a_run_raising_after_its_rows_leaves_no_trace_csv(self, writer, tmp_path, monkeypatch):
+        self.assert_a_raising_run_leaves_nothing(writer, tmp_path, monkeypatch, after_rows=True)
+
+    @staticmethod
+    def assert_a_raising_run_leaves_nothing(writer, tmp_path, monkeypatch, after_rows):
+        run = harness.run
+
         def failing_run(*args, **kwargs):
+            if after_rows:  # every row has been sent to the child
+                run(*args, **kwargs)
             raise RuntimeError("the run failed")
 
         monkeypatch.setattr(harness, "run", failing_run)
         out = tmp_path / "o"
         with pytest.raises(RuntimeError, match="the run failed"):
-            run_experiment(small_config(n=12), out_dir=out)
+            run_experiment(aside_config(), out_dir=out)
         assert_no_child_left()
         # the forked path makes the directory before it forks
-        assert artifact_names(out) == [] if path == "forked" else not out.exists()
+        assert artifact_names(out) == [] if writer == "forked" else not out.exists()
 
-    def test_a_game_json_directory_is_input_error(self, path, tmp_path, capsys):
+    def test_a_game_json_directory_is_input_error(self, writer, tmp_path, capsys):
         config_path = tmp_path / "config.json"
-        config_path.write_text(json.dumps(small_config(n=12, max_iters=20).to_dict()))
+        config_path.write_text(json.dumps(aside_config().to_dict()))
         out = tmp_path / "o"
         (out / "game.json").mkdir(parents=True)
         assert main(["run", "--config", str(config_path), "--out", str(out)]) == 2
@@ -324,7 +364,7 @@ class TestGameJsonAside:
         assert captured.out == ""
         assert captured.err.count("\n") == 1 and captured.err.startswith("error: [Errno 21]")
         assert str(out / "game.json") in captured.err
-        assert not [name for name in os.listdir(out) if name.startswith(".game.json")]
+        assert not [name for name in os.listdir(out) if name.endswith(".part")]
         assert_no_child_left()
 
     @pytest.mark.parametrize(
@@ -339,12 +379,37 @@ class TestGameJsonAside:
             f.write("{")
             raise exc
 
-        monkeypatch.setattr(harness, "_GAME_FORK_ENTRIES", 0)
+        monkeypatch.setattr(harness, "_FORK_FLOATS", 0)
         monkeypatch.setattr(harness, "_dump_game", failing_dump)
         with pytest.raises(OSError, match=message):
             run_experiment(small_config(max_iters=20), out_dir=tmp_path)
         assert "game.json" not in artifact_names(tmp_path)
-        assert not [name for name in artifact_names(tmp_path) if name.startswith(".game.json")]
+        assert not [name for name in artifact_names(tmp_path) if name.endswith(".part")]
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("stage", ["game.json", "trace.csv"])
+    def test_a_child_that_stops_reading_is_not_a_broken_pipe(self, stage, tmp_path, monkeypatch, capsys):
+        # 3001 rows of 72 bytes overfill the pipe, so the parent writes into a
+        # pipe its failed child no longer reads
+        def full(*args):
+            raise OSError(errno.ENOSPC, "full")
+
+        def failing_trace_csv(blocks, f):
+            next(iter(blocks))  # the child fails while it reads rows
+            full()
+
+        monkeypatch.setattr(harness, "_FORK_FLOATS", 0)
+        if stage == "game.json":
+            monkeypatch.setattr(harness, "_dump_game", full)
+        else:
+            monkeypatch.setattr(harness, "_write_trace_csv", failing_trace_csv)
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(small_config(max_iters=3000).to_dict()))
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(config_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: [Errno 28] No space left on device: '{out / stage}'\n"
+        assert artifact_names(out) == ["graph.edges", "mixing.csv", "plot.py", "summary.json", "summary.txt"]
         assert_no_child_left()
 
 
@@ -707,6 +772,23 @@ class TestBenchmarkEntryPoints:
         report = gradplay.audit(sizes=(5,), topologies=("tree",), seeds=1, iters=5, eq5_samples=3)
         assert report.ok
 
+    def test_run_experiment_calls_harness_run_once(self, tmp_path, monkeypatch):
+        # perfbench's traced mode reads (game, w, alpha, x0) and the trace
+        # of each call; the forked writer's rows pass by keyword
+        calls = []
+        run = harness.run
+
+        def counted_run(*args, **kwargs):
+            calls.append((args, run(*args, **kwargs)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(harness, "run", counted_run)
+        monkeypatch.setattr(harness, "_FORK_FLOATS", 0)
+        report = run_experiment(small_config(max_iters=40), out_dir=tmp_path)
+        [(args, (final, trace))] = calls
+        assert len(args) == 4 and isinstance(args[0], gradplay.QuadraticGame)
+        assert len(trace) == report.iterations + 1 == 41
+
     def test_default_audit_runs_each_cell_through_harness_run(self, monkeypatch):
         calls = []
         run = harness.run
@@ -848,15 +930,16 @@ class TestCli:
         harness._check_footprint(10**6, 10**15)  # no limit to exceed
 
     @staticmethod
-    def fake_root(root, cgroup, limits):
+    def fake_root(root, cgroup, limits, name="memory.max"):
         """A directory laid out like ``/``: ``proc/self/cgroup`` holds
-        ``cgroup``, and ``limits`` maps a cgroup path to its memory.max."""
+        ``cgroup``, and ``limits`` maps a path under ``sys/fs/cgroup`` to the
+        text of its file ``name``."""
         (root / "proc/self").mkdir(parents=True)
         (root / "proc/self/cgroup").write_text(cgroup)
         for group, text in limits.items():
             directory = root / "sys/fs/cgroup" / group
             directory.mkdir(parents=True, exist_ok=True)
-            (directory / "memory.max").write_text(text)
+            (directory / name).write_text(text)
         return str(root)
 
     @pytest.mark.parametrize(
@@ -882,6 +965,37 @@ class TestCli:
         if cgroup is None:
             os.remove(tmp_path / "proc/self/cgroup")
         assert harness._physical_memory(root) == expected
+
+    @pytest.mark.parametrize(
+        "cgroup, limits, expected",
+        [
+            # a hybrid host: a v1 memory controller line, no limit anywhere
+            (
+                "5:devices:/\n4:memory:/process_api/6f21\n0::/\n",
+                {g: "9223372036854771712\n" for g in ("memory", "memory/process_api", "memory/process_api/6f21")},
+                2**33,
+            ),
+            ("4:memory:/a\n", {"memory/a": "1073741824\n"}, 2**30),
+            # an ancestor's limit binds its descendants
+            ("4:memory:/a/b\n", {"memory/a": "2147483648\n", "memory/a/b": "9223372036854771712\n"}, 2**31),
+            # a limit above physical memory, or a v1 file of another controller
+            ("4:memory:/a\n", {"memory/a": "17179869184\n"}, 2**33),
+            ("4:cpu:/a\n", {"memory/a": "1073741824\n"}, 2**33),
+            ("4:memory:/../a\n", {"memory/a": "1073741824\n"}, 2**33),
+        ],
+    )
+    def test_cgroup_v1_memory_limit_lowers_the_limit(self, cgroup, limits, expected, tmp_path, monkeypatch):
+        pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2**21}
+        monkeypatch.setattr(harness.os, "sysconf", pages.__getitem__)
+        root = self.fake_root(tmp_path, cgroup, limits, name="memory.limit_in_bytes")
+        assert harness._physical_memory(root) == expected
+
+    def test_cgroup_v1_and_v2_limits_both_count(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(harness.os, "sysconf", {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2**21}.__getitem__)
+        root = self.fake_root(tmp_path, "4:memory:/a\n0::/b\n", {"b": "2147483648\n"})
+        (tmp_path / "sys/fs/cgroup/memory/a").mkdir(parents=True)
+        (tmp_path / "sys/fs/cgroup/memory/a/memory.limit_in_bytes").write_text("1073741824\n")
+        assert harness._physical_memory(root) == 2**30
 
     def test_cgroup_limit_alone_refuses_a_run(self, tmp_path, monkeypatch):
         def sysconf(name):
