@@ -29,8 +29,8 @@ they finish.
 
 from __future__ import annotations
 
-import io
 import math
+import operator
 import sys
 
 import numpy as np
@@ -59,12 +59,6 @@ _BLOCK = 256
 #: Most bytes of ``n x n`` states that :func:`run` holds for one reduction of
 #: their norms, so that a chunk stays in cache (see :func:`_record_spans`).
 _CHUNK_BYTES = 256 * 1024
-
-#: Trace rows formatted per write of ``trace.csv`` written from a whole trace
-#: (the forked writer formats each block of :func:`run` as it arrives).
-#: paper-sim (10 001 rows) peaked at 39.4 MB RSS with 256 or 1024 and at 42 MB
-#: with 4096, against 45.8 MB with the whole text formatted at once.
-_CSV_BLOCK = 1024
 
 #: Trace columns, in ``trace.csv`` order.  All norms are Frobenius norms of
 #: ``n x n`` matrices.  The slack columns hold ``rhs - lhs`` of the
@@ -218,8 +212,12 @@ def run(
     """
     _check_inputs(game, w)
     _check_step_size(alpha)
-    if tol < 0:
+    if not tol >= 0:  # NaN included
         raise ValueError(f"tolerance must be >= 0, got {tol}")
+    try:
+        max_iters = operator.index(max_iters)
+    except TypeError:
+        raise ValueError(f"max_iters must be an integer, got {max_iters!r}") from None
     if max_iters < 0:
         raise ValueError(f"max_iters must be >= 0, got {max_iters}")
 
@@ -391,24 +389,14 @@ def _trace_rows(before, cvs, dists, columns, sigma, consts, alpha, n) -> np.reca
     return trace[1:]
 
 
-def _write_trace_csv(blocks, f) -> None:
-    """Write ``trace.csv`` to the text file ``f`` from ``blocks``, the
-    consecutive non-empty row blocks of a trace: full double precision via
-    shortest repr, formatted one block at a time so that the text of the
-    whole trace is never held at once."""
-    f.write(",".join(TRACE_COLUMNS) + "\n")
-    for block in blocks:
-        columns = [map(repr, block[name].tolist()) for name in TRACE_COLUMNS]
-        f.write("\n".join(map(",".join, zip(*columns))) + "\n")
-
-
-def _csv_blocks(trace):
-    """``trace`` in blocks of ``_CSV_BLOCK`` rows."""
-    return (trace[start : start + _CSV_BLOCK] for start in range(0, len(trace), _CSV_BLOCK))
+def _csv_rows(block) -> str:
+    """The ``trace.csv`` lines of a block of trace rows (none for no rows),
+    full double precision via shortest repr.  ``run_experiment`` writes each
+    block of :func:`run` as it finishes, never the text of a whole trace."""
+    columns = [map(repr, block[name].tolist()) for name in TRACE_COLUMNS]
+    return "\n".join(map(",".join, zip(*columns))) + "\n" if len(block) else ""
 
 
 def trace_to_csv(trace) -> str:
     """``trace.csv`` text for a trace."""
-    text = io.StringIO()
-    _write_trace_csv(_csv_blocks(trace), text)
-    return text.getvalue()
+    return ",".join(TRACE_COLUMNS) + "\n" + _csv_rows(trace)

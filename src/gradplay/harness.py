@@ -22,13 +22,13 @@ import math
 import os
 import signal
 import time
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from . import bounds
-from .dynamics import _BLOCK, IterationTrace, _csv_blocks, _write_trace_csv, initial_estimates, run
+from .dynamics import _BLOCK, TRACE_COLUMNS, IterationTrace, _csv_rows, initial_estimates, run
 from .errors import DivergenceError, InadmissibleStepSizeError, PerfectMixingError
 from .game import _dump_game, estimate_constants, game_mapping, random_game
 from .network import (
@@ -86,8 +86,8 @@ _FIELD_TYPES = {
 #: Dense ``n x n`` float64 arrays a run holds at its peak, and bytes per
 #: trace row (the record, the per-state norms and the analysis; ``trace.csv``
 #: is written in blocks): peak RSS above the interpreter's was 9.7 and 8.7
-#: arrays at n = 600 and 1200 (tree, 3 steps), and 196 bytes a row at n = 5
-#: over 200 000 steps, artifacts written.
+#: arrays at n = 600 and 1200 (tree, 3 steps), and 207 bytes a row at n = 5
+#: over 200 000 steps, artifacts written in process.
 _DENSE_ARRAYS = 9
 _TRACE_ROW_BYTES = 256
 
@@ -575,42 +575,32 @@ _FORK_FLOATS = 12_000
 
 
 @contextmanager
-def _write_aside(game, out_dir):
-    """Write ``game.json`` and then ``trace.csv`` into ``out_dir`` from a
-    forked child while the block runs.  The block gets the ``rows`` callback
-    of :func:`~gradplay.dynamics.run` that sends the trace rows to the child.
+def _write_aside(game, out_dir, fork):
+    """Write ``game.json`` and ``trace.csv`` into ``out_dir`` while the block
+    runs; the block gets the ``rows`` callback of :func:`~gradplay.dynamics.run`.
 
-    The child writes ``game.json`` with :func:`~gradplay.game._dump_game`,
-    then ``trace.csv`` with :func:`~gradplay.dynamics._write_trace_csv` from
-    the rows it reads off a pipe until the parent closes it; each file goes
-    under a temporary name next to its artifact, and the child always leaves
-    through ``os._exit``.  The callback stops sending once the child has
-    stopped reading (it failed).  When the block ends, the pipe is closed,
-    the child reaped and its files renamed; a failed child raises
-    ``OSError``.  When the block raises, the child is killed and reaped and
-    its files removed.
+    Both go under temporary names next to their artifacts: the game and the
+    trace header first, then each block of rows as the text of
+    :func:`~gradplay.dynamics._csv_rows`.  Without ``fork`` the callback
+    appends the block; with it, the callback sends the rows down a pipe to
+    a forked child that writes both parts (and always leaves through
+    ``os._exit``), until the child stops reading (it failed).  When the
+    block ends, the pipe is closed, the child reaped and the parts renamed;
+    a failed child raises ``OSError``.  When the block raises, the child is
+    killed and reaped and the parts removed.
     """
     names = ("game.json", "trace.csv")
     parts = [os.path.join(out_dir, f".{name}.{os.getpid()}.part") for name in names]
-    read_end, write_end = os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        code = 255
-        try:
-            os.close(write_end)
-            with open(parts[0], "w", encoding="utf-8") as f:
-                _dump_game(game, f)
-            size = _BLOCK * IterationTrace.itemsize  # one block of run() a read
-            with os.fdopen(read_end, "rb") as pipe, open(parts[1], "w", encoding="utf-8") as f:
-                chunks = iter(lambda: pipe.read(size), b"")
-                _write_trace_csv((np.frombuffer(chunk, IterationTrace) for chunk in chunks), f)
-            code = 0
-        except OSError as exc:
-            code = exc.errno if exc.errno and exc.errno < 255 else 255
-        finally:
-            os._exit(code)
-    os.close(read_end)
-    pipe = [write_end]  # empty once closed
+
+    def start():  # game.json, then the trace.csv header
+        with open(parts[0], "w", encoding="utf-8") as f:
+            _dump_game(game, f)
+        with open(parts[1], "w", encoding="utf-8") as f:
+            f.write(",".join(TRACE_COLUMNS) + "\n")
+
+    def append(block):
+        with open(parts[1], "a", encoding="utf-8") as f:
+            f.write(_csv_rows(block))
 
     def send(block):
         data = memoryview(block.tobytes())
@@ -620,18 +610,41 @@ def _write_aside(game, out_dir):
         except BrokenPipeError:  # the child failed: its exit status says how
             os.close(pipe.pop())
 
+    pid, pipe = None, []  # the child, and its pipe's write end until closed
     try:
-        yield send
+        if not fork:
+            start()
+        else:
+            read_end, write_end = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                code = 255
+                try:
+                    os.close(write_end)
+                    start()
+                    size = _BLOCK * IterationTrace.itemsize  # one block of run() a read
+                    with os.fdopen(read_end, "rb") as rows:
+                        for chunk in iter(lambda: rows.read(size), b""):
+                            append(np.frombuffer(chunk, IterationTrace))
+                    code = 0
+                except OSError as exc:
+                    code = exc.errno if exc.errno and exc.errno < 255 else 255
+                finally:
+                    os._exit(code)
+            os.close(read_end)
+            pipe.append(write_end)
+        yield send if fork else append
         if pipe:
             os.close(pipe.pop())
-        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-        pid = None
-        # the child opens the trace.csv part only once game.json is written
-        path = os.path.join(out_dir, names[os.path.exists(parts[1])])
-        if 0 < code < 255:
-            raise OSError(code, os.strerror(code), path)
-        if code:
-            raise OSError(f"could not write {path}: its writer process ended with status {code}")
+        if fork:
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            pid = None
+            # the child opens the trace.csv part only once game.json is written
+            path = os.path.join(out_dir, names[os.path.exists(parts[1])])
+            if 0 < code < 255:
+                raise OSError(code, os.strerror(code), path)
+            if code:
+                raise OSError(f"could not write {path}: its writer process ended with status {code}")
         for part, name in zip(parts, names):
             os.replace(part, os.path.join(out_dir, name))
     except BaseException:
@@ -653,11 +666,12 @@ def run_experiment(config: ExperimentConfig, out_dir=None, game=None, graph=None
 
     ``game``, ``graph`` and ``x0`` override the seeded constructions (useful
     for hand-built cases); everything else comes from ``config``.  With
-    ``out_dir`` set, writes ``trace.csv``, ``summary.txt``, ``summary.json``,
-    ``plot.py``, plus the game, graph and mixing-matrix documents.  Where
-    ``os.fork`` exists and their text holds at least ``_FORK_FLOATS`` floats,
-    ``game.json`` and ``trace.csv`` are written by a child process while the
-    run goes on; the call reaps it before it returns or raises.
+    ``out_dir`` set, makes it and writes ``trace.csv``, ``summary.txt``,
+    ``summary.json``, ``plot.py``, plus the game, graph and mixing-matrix
+    documents.  ``game.json`` and ``trace.csv`` are written while the run
+    goes on (:func:`_write_aside`), by a child process where ``os.fork``
+    exists and their text holds at least ``_FORK_FLOATS`` floats; the call
+    reaps it before it returns or raises.
     """
     config.validate()
     t_start = time.perf_counter()
@@ -667,28 +681,20 @@ def run_experiment(config: ExperimentConfig, out_dir=None, game=None, graph=None
         graph = build_graph(config.topology, config.n, config.graph_seed)
     if graph.n != game.n:
         raise ValueError(f"graph has {graph.n} nodes but game has {game.n} players")
-    floats = game.c.size + 7 * (config.max_iters + 1)
-    aside = out_dir is not None and floats >= _FORK_FLOATS and hasattr(os, "fork")
-    if aside:
-        os.makedirs(out_dir, exist_ok=True)
-    with _write_aside(game, out_dir) if aside else nullcontext() as rows:
+    if out_dir is None:
+        return _measure(config, game, graph, x0, t_start, None)[0]
+    fork = game.c.size + 7 * (config.max_iters + 1) >= _FORK_FLOATS and hasattr(os, "fork")
+    os.makedirs(out_dir, exist_ok=True)
+    with _write_aside(game, out_dir, fork) as rows:
         report, w = _measure(config, game, graph, x0, t_start, rows)
-        if out_dir is not None:
-            os.makedirs(out_dir, exist_ok=True)
-            if not aside:
-                with open(os.path.join(out_dir, "trace.csv"), "w", encoding="utf-8") as f:
-                    _write_trace_csv(_csv_blocks(report.trace), f)
-            with open(os.path.join(out_dir, "summary.txt"), "w", encoding="utf-8") as f:
-                f.write(report.to_text())
-            _write_json(os.path.join(out_dir, "summary.json"), report.to_dict())
-            with open(os.path.join(out_dir, "plot.py"), "w", encoding="utf-8") as f:
-                f.write(_PLOT_SCRIPT)
-            if not aside:
-                with open(os.path.join(out_dir, "game.json"), "w", encoding="utf-8") as f:
-                    _dump_game(game, f)
-            with open(os.path.join(out_dir, "graph.edges"), "w", encoding="utf-8") as f:
-                f.write(graph_to_edgelist(graph))
-            save_mixing_matrix(w, os.path.join(out_dir, "mixing.csv"))
+        with open(os.path.join(out_dir, "summary.txt"), "w", encoding="utf-8") as f:
+            f.write(report.to_text())
+        _write_json(os.path.join(out_dir, "summary.json"), report.to_dict())
+        with open(os.path.join(out_dir, "plot.py"), "w", encoding="utf-8") as f:
+            f.write(_PLOT_SCRIPT)
+        with open(os.path.join(out_dir, "graph.edges"), "w", encoding="utf-8") as f:
+            f.write(graph_to_edgelist(graph))
+        save_mixing_matrix(w, os.path.join(out_dir, "mixing.csv"))
     return report
 
 
@@ -918,14 +924,18 @@ def audit(
     envelope.  Cells whose mixing matrix has ``sigma = 0`` (the 2-node
     complete graph) instead verify the documented degenerate-mixing error.
     Invalid combinations (ring with n < 3) are skipped; a matrix of them
-    alone is refused.  Before any cell runs, ``iters`` must be at least 1
-    (an audit that checks no transition would pass vacuously), every size
-    an int >= 2, every topology known and ``alpha_override`` finite and > 0
-    (an all-degenerate matrix never reaches ``run``'s check).
+    alone is refused.  Before any cell runs, ``seeds`` must be an int,
+    ``iters`` and ``eq5_samples`` ints >= 1 (an audit of no transition or no
+    sample would pass vacuously), every size an int >= 2, every topology
+    known and ``alpha_override`` finite and > 0 (an all-degenerate matrix
+    never reaches ``run``'s check).
     """
     sizes, topologies = tuple(sizes), tuple(topologies)
-    if not iters >= 1:
-        raise ValueError(f"audit needs iters >= 1, got {iters}")
+    for name, value in (("seeds", seeds), ("iters", iters), ("eq5_samples", eq5_samples)):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"audit {name} must be an int, got {value!r}")
+        if name != "seeds" and value < 1:
+            raise ValueError(f"audit needs {name} >= 1, got {value}")
     for n in sizes:
         if isinstance(n, bool) or not isinstance(n, int) or n < 2:
             raise ValueError(f"audit sizes must be ints >= 2, got {n!r}")

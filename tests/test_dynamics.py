@@ -409,6 +409,14 @@ class TestRun:
             run(g, w, 0.1, np.zeros((4, 4)), max_iters=10, tol=-1.0)
         with pytest.raises(ValueError, match="max_iters must be >= 0, got -1"):
             run(g, w, 0.1, np.zeros((4, 4)), max_iters=-1)
+        # a NaN tol once ran the fixed horizon; 2.5 steps failed in allocation
+        with pytest.raises(ValueError, match="tolerance must be >= 0, got nan"):
+            run(g, w, 0.1, np.zeros((4, 4)), max_iters=10, tol=math.nan)
+        for bad in (2.5, "3", None):
+            with pytest.raises(ValueError, match=f"max_iters must be an integer, got {bad!r}"):
+                run(g, w, 0.1, np.zeros((4, 4)), max_iters=bad)
+        _, trace = run(g, w, 0.1, np.zeros((4, 4)), max_iters=np.int64(3))
+        assert len(trace) == 4
         with pytest.raises(TypeError):
             run(lambda m: m.diagonal(), w, 0.1, np.zeros((4, 4)), max_iters=10)
         w5 = metropolis_weights(complete(5))
@@ -652,25 +660,23 @@ class TestTraceCsv:
         text = trace_to_csv(trace)
         assert text.splitlines()[0] == SPEC_HEADER
         assert len(text.splitlines()) == len(trace) + 1
+        # no rows give the header line alone, with no blank line after it
+        assert trace_to_csv(trace[:0]) == SPEC_HEADER + "\n"
 
     @pytest.mark.parametrize("iters", [0, 2, 3, 4, 10])
     def test_blocks_write_the_whole_text(self, iters, monkeypatch):
-        # one write per 4 rows gives the text of the whole trace at once
+        # run()'s blocks of 4 rows, each formatted as it finishes, give the
+        # text of the whole trace at once
+        monkeypatch.setattr(dynamics, "_BLOCK", 4)
         g = random_game(4, 3)
         w = metropolis_weights(star(4))
-        _, trace = run(g, w, 1e-3, initial_estimates(4, 0), max_iters=iters)
+        blocks = []
+        _, trace = run(g, w, 1e-3, initial_estimates(4, 0), max_iters=iters, rows=blocks.append)
         columns = [map(repr, trace[name].tolist()) for name in dynamics.TRACE_COLUMNS]
         whole = "\n".join([SPEC_HEADER, *map(",".join, zip(*columns))]) + "\n"
-        monkeypatch.setattr(dynamics, "_CSV_BLOCK", 4)
-        writes = []
-
-        class Sink:
-            def write(self, text):
-                writes.append(text)
-
-        dynamics._write_trace_csv(dynamics._csv_blocks(trace), Sink())
-        assert "".join(writes) == trace_to_csv(trace) == whole
-        assert len(writes) == 1 + math.ceil(len(trace) / 4)
+        text = SPEC_HEADER + "\n" + "".join(map(dynamics._csv_rows, blocks))
+        assert text == trace_to_csv(trace) == whole
+        assert len(blocks) == math.ceil(len(trace) / 4)
 
     def test_values_round_trip(self):
         g = random_game(4, 3)

@@ -351,8 +351,8 @@ class TestGameJsonAside:
         with pytest.raises(RuntimeError, match="the run failed"):
             run_experiment(aside_config(), out_dir=out)
         assert_no_child_left()
-        # the forked path makes the directory before it forks
-        assert artifact_names(out) == [] if writer == "forked" else not out.exists()
+        # both paths make the directory before the run
+        assert artifact_names(out) == []
 
     def test_a_game_json_directory_is_input_error(self, writer, tmp_path, capsys):
         config_path = tmp_path / "config.json"
@@ -387,6 +387,24 @@ class TestGameJsonAside:
         assert not [name for name in artifact_names(tmp_path) if name.endswith(".part")]
         assert_no_child_left()
 
+    def test_a_failed_write_in_process_leaves_neither_file(self, tmp_path, monkeypatch, capsys):
+        # the in-process path once left a truncated game.json beside trace.csv
+        def failing_dump(game, f):
+            f.write("{")
+            raise OSError(errno.ENOSPC, "full")
+
+        config = small_config(max_iters=20)
+        monkeypatch.setattr(harness, "_FORK_FLOATS", 5 * 5 + 7 * 21 + 1)  # above the config's floats
+        monkeypatch.setattr(harness, "_dump_game", failing_dump)
+        monkeypatch.setattr(harness.os, "fork", lambda: pytest.fail("the run forked"))
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config.to_dict()))
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(config_path), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: [Errno 28] full\n"
+        assert artifact_names(out) == []
+
     @pytest.mark.parametrize("stage", ["game.json", "trace.csv"])
     def test_a_child_that_stops_reading_is_not_a_broken_pipe(self, stage, tmp_path, monkeypatch, capsys):
         # 3001 rows of 72 bytes overfill the pipe, so the parent writes into a
@@ -394,15 +412,9 @@ class TestGameJsonAside:
         def full(*args):
             raise OSError(errno.ENOSPC, "full")
 
-        def failing_trace_csv(blocks, f):
-            next(iter(blocks))  # the child fails while it reads rows
-            full()
-
         monkeypatch.setattr(harness, "_FORK_FLOATS", 0)
-        if stage == "game.json":
-            monkeypatch.setattr(harness, "_dump_game", full)
-        else:
-            monkeypatch.setattr(harness, "_write_trace_csv", failing_trace_csv)
+        # the child fails in game.json, or on the first block of rows it reads
+        monkeypatch.setattr(harness, "_dump_game" if stage == "game.json" else "_csv_rows", full)
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps(small_config(max_iters=3000).to_dict()))
         out = tmp_path / "o"
@@ -623,9 +635,6 @@ class TestSampledChecks:
     def test_no_samples_give_an_infinite_worst(self):
         w = metropolis_weights(ring(5))
         assert _audit_average_property(w, np.random.default_rng(0), 0) == math.inf
-        report = audit(sizes=(5,), topologies=("ring",), seeds=1, iters=20, eq5_samples=0)
-        check = next(c for c in report.cells[0].checks if c.name == "averaging_contraction")
-        assert check.worst == math.inf and check.passed
 
 
 class TestAudit:
@@ -736,6 +745,16 @@ class TestAudit:
             (dict(sizes=("5",)), "got '5'$"),
             (dict(sizes=(np.int64(5),)), "audit sizes must be ints >= 2"),
             (dict(sizes=(2,), topologies=("ring",)), "audit matrix selects no cell"),
+            # a float seeds or iters once failed in numpy after the footprint check
+            (dict(seeds=2.0), "audit seeds must be an int, got 2.0$"),
+            (dict(seeds=True), "audit seeds must be an int, got True$"),
+            (dict(iters=2.5), "audit iters must be an int, got 2.5$"),
+            (dict(iters=True), "audit iters must be an int, got True$"),
+            # -3 once failed in numpy; 0 passed the averaging check vacuously
+            (dict(eq5_samples=-3), "audit needs eq5_samples >= 1, got -3$"),
+            (dict(eq5_samples=0), "audit needs eq5_samples >= 1, got 0$"),
+            (dict(eq5_samples=2.0), "audit eq5_samples must be an int, got 2.0$"),
+            (dict(eq5_samples=False), "audit eq5_samples must be an int, got False$"),
         ],
     )
     def test_bad_input_refused_before_any_cell(self, monkeypatch, bad, match):
