@@ -20,11 +20,13 @@ fit in a cache-sized byte budget; one state from n = 91) are stepped in place
 into one buffer allocated per run, each product written into its slot and
 the gradient correction applied through precomputed diagonal views; a one-
 state chunk allocates each new state.  The two norms of the ``n x n`` states
-are reduced once per chunk, the column means, gradient norms and residuals
-once per block of 256 states.  Each finished block becomes its trace rows
-at once, with, column-wise, the slack (rhs - lhs) of the three per-step
-inequalities of the geometric-rate proof; a caller may take the blocks as
-they finish.
+and the column means are reduced once per chunk, the gradient norms and
+residuals once per block of 256 states.  A block's columns hold its states
+in rows 1.., and row 0 carries the last state of the block before (NaN
+before t = 0).  Each finished block becomes its trace rows at once, with,
+column-wise against the row above, the recursion residual and the slack
+(rhs - lhs) of the three per-step inequalities of the geometric-rate proof;
+a caller may take the blocks as they finish.
 """
 
 from __future__ import annotations
@@ -97,11 +99,6 @@ IterationTrace = np.dtype(
     [(TRACE_COLUMNS[0], np.int64)]
     + [(name, np.float64) for name in (*TRACE_COLUMNS[1:], "recursion_residual")]
 )
-
-#: The row "before" ``t = 0``: NaN norms, so that the first row's transition
-#: slacks are NaN.
-_NO_ROW = np.array((-1,) + (math.nan,) * 8, dtype=IterationTrace).view(np.recarray)
-
 
 def _check_step_size(alpha) -> None:
     if not 0 < alpha < math.inf:
@@ -235,13 +232,13 @@ def run(
     x_star_mat = np.tile(x_star, (n, 1))
     w_op = w.operator
     chunk, block = (min(span, max_iters + 1) for span in _record_spans(n))
-    cvs, dists = [], []  # consensus_violation and distance_to_ne of the block's states
     blocks = []  # the trace's rows, one finished block at a time
-    before = _NO_ROW  # the last row of the block before
-    # Column means (0) and own gradients (1) of a block's states in rows 1..;
-    # row 0 carries the last state of the block before (NaN before t = 0).
-    # A chunk divides the block, so its rows never straddle two blocks.
+    # Column means (0) and own gradients (1), and consensus violations (0)
+    # and NE distances (1), of a block's states in rows 1..; row 0 carries
+    # the last state of the block before (NaN before t = 0).  A chunk divides
+    # the block, so its rows never straddle two blocks.
     held = np.full((2, block + 1, n), math.nan)
+    norms = np.full((2, block + 1), math.nan)
     filled = 1
     work = diff = None
     if chunk > 1:
@@ -286,21 +283,22 @@ def run(
                 xs = work[0, :size]
                 diff = work[1, :size]
 
-            held[0, filled : filled + size], cv, dist = _chunk_norms(xs, x_star_mat, n, diff)
+            span = slice(filled, filled + size)
+            held[0, span], norms[0, span], norms[1, span] = _chunk_norms(xs, x_star_mat, n, diff)
+            dist = norms[1, span].tolist()
             stop = next((k for k, d in enumerate(dist) if d <= tol or not d <= dist_limit), None)
             kept = size if stop is None else stop + 1
-            cvs += cv[:kept]
-            dists += dist[:kept]
             filled += kept
             last = stop is not None or t + size > max_iters
             if filled > block or last:
-                columns = _block_columns(*held[:, :filled], x_star, alpha, n)
-                finished = _trace_rows(before, cvs, dists, columns, w.sigma, consts, alpha, n)
+                finished = _trace_rows(  # row 0 is iteration t + kept - filled
+                    t + kept - filled, *held[:, :filled], *norms[:, :filled],
+                    x_star, w.sigma, consts, alpha, n,
+                )
                 blocks.append(finished)
                 if rows is not None:
                     rows(finished)
-                before = finished[-1]
-                held[:, 0], filled, cvs, dists = held[:, filled - 1], 1, [], []
+                held[:, 0], norms[:, 0], filled = held[:, filled - 1], norms[:, filled - 1], 1
             if not last:
                 t += size
                 continue
@@ -333,12 +331,12 @@ def _record_spans(n: int) -> tuple:
 
 
 def _chunk_norms(xs, x_star_mat, n, diff):
-    """Column means, and lists of the consensus violations and NE distances,
-    of a stack of states.  Each mean is a sum over n (the floating-point
-    operations of mean) and each norm the BLAS dot of _norm.  The differences
-    go into ``diff``.  Without it the stack is one state, reduced as it is
-    (the stacked reduction was 6-15 % slower per run at n = 100); each n x n
-    difference is freed before the next is built."""
+    """Column means, consensus violations and NE distances of a stack of
+    states, for the held rows of :func:`run`.  Each mean is a sum over n (the
+    floating-point operations of mean) and each norm the BLAS dot of _norm.
+    The differences go into ``diff``.  Without it the stack is one state,
+    reduced as it is (the stacked reduction was 6-15 % slower per run at
+    n = 100); each n x n difference is freed before the next is built."""
     if diff is None:
         x = xs[0]
         mean = x.sum(axis=0) / n
@@ -346,7 +344,7 @@ def _chunk_norms(xs, x_star_mat, n, diff):
     means = xs.sum(axis=1) / n
     cv = _flat_dots(np.subtract(xs, means[:, None], out=diff))
     dist = _flat_dots(np.subtract(xs, x_star_mat, out=diff))
-    return (means, *np.sqrt([cv, dist]).tolist())
+    return (means, *np.sqrt([cv, dist]))
 
 
 def _flat_dots(stack: np.ndarray) -> np.ndarray:
@@ -354,26 +352,21 @@ def _flat_dots(stack: np.ndarray) -> np.ndarray:
     return _row_dots(flat, flat)
 
 
-def _block_columns(means, grads, x_star, alpha, n) -> np.ndarray:
-    """avg_distance_to_ne, grad_norm and recursion_residual of the states in
-    rows 1.. (row 0 is the state before), each norm the BLAS dot of _norm."""
+def _trace_rows(t, means, grads, cv, dist, x_star, sigma, consts, alpha, n) -> np.recarray:
+    """The trace rows of the states in rows 1.. of a block's columns; row 0
+    is the state before, iteration ``t`` (NaN before t = 0, which makes the
+    first row's transition columns NaN).  Every norm is the BLAS dot of
+    _norm, so row 0 gets the bits of the last row of the block before; the
+    recursion residual and the slacks compare each row with the one above."""
+    trace = np.recarray(len(dist), dtype=IterationTrace)
+    trace.t = np.arange(t, t + len(trace))
+    trace.consensus_violation, trace.distance_to_ne = cv, dist
     pred = means[:-1] - (alpha / n) * grads[:-1]
-    vectors = (means[1:] - x_star, grads[1:], means[1:] - pred, pred)
-    dev, gn, miss, pred_norm = np.sqrt([_row_dots(v, v) for v in vectors])
-    return np.stack([math.sqrt(n) * dev, gn, miss / (1.0 + pred_norm)])
-
-
-def _trace_rows(before, cvs, dists, columns, sigma, consts, alpha, n) -> np.recarray:
-    """The trace rows of one block of states from their norms: the slack
-    columns are shifts and products of whole norm columns, the first row's
-    against ``before``, the last row of the block before (``_NO_ROW`` at
-    ``t = 0``, whose NaN norms make the two transition slacks NaN)."""
-    trace = np.recarray(len(dists) + 1, dtype=IterationTrace)
-    trace[0] = before
-    trace.t[1:] = np.arange(before.t + 1, before.t + len(trace))
-    trace.consensus_violation[1:], trace.distance_to_ne[1:] = cvs, dists
-    trace.avg_distance_to_ne[1:], trace.grad_norm[1:], trace.recursion_residual[1:] = columns
-    cv, dist, avg_d, gn = (trace[name] for name in TRACE_COLUMNS[1:5])
+    vectors = (means - x_star, grads, means[1:] - pred, pred)
+    dev, gn, miss, pred_norm = (np.sqrt(_row_dots(v, v)) for v in vectors)
+    avg_d = math.sqrt(n) * dev
+    trace.avg_distance_to_ne, trace.grad_norm = avg_d, gn
+    trace.recursion_residual[1:] = miss / (1.0 + pred_norm)
     big_l, mu = consts.l, consts.mu
     # the norms of a diverged run may be inf or NaN: their slacks are too
     with np.errstate(over="ignore", invalid="ignore"):

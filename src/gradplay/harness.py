@@ -202,6 +202,9 @@ class ExperimentConfig:
                 raise ValueError(f"{f.name} must be {expected}, got {value!r}")
         if self.n < 2:
             raise ValueError(f"n must be >= 2, got {self.n}")
+        for key in ("game_seed", "graph_seed", "init_seed"):  # numpy takes no negative seed
+            if getattr(self, key) < 0:
+                raise ValueError(f"{key} must be >= 0, got {getattr(self, key)}")
         if self.topology not in TOPOLOGIES:
             raise ValueError(
                 f"unknown topology {self.topology!r}; choose from {TOPOLOGIES}"
@@ -585,9 +588,10 @@ def _write_aside(game, out_dir, fork):
     appends the block; with it, the callback sends the rows down a pipe to
     a forked child that writes both parts (and always leaves through
     ``os._exit``), until the child stops reading (it failed).  When the
-    block ends, the pipe is closed, the child reaped and the parts renamed;
-    a failed child raises ``OSError``.  When the block raises, the child is
-    killed and reaped and the parts removed.
+    block ends, the pipe is closed, the child reaped and the parts renamed.
+    A failed write raises ``OSError`` on both paths by one rule, from its
+    errno and the artifact it was writing.  When the block raises, the child
+    is killed and reaped and the parts removed.
     """
     names = ("game.json", "trace.csv")
     parts = [os.path.join(out_dir, f".{name}.{os.getpid()}.part") for name in names]
@@ -602,6 +606,22 @@ def _write_aside(game, out_dir, fork):
         with open(parts[1], "a", encoding="utf-8") as f:
             f.write(_csv_rows(block))
 
+    def failed(code):  # the error of a write that ended with status code
+        # the trace.csv part is opened only once game.json is written
+        path = os.path.join(out_dir, names[os.path.exists(parts[1])])
+        if 0 < code < 255:
+            return OSError(code, os.strerror(code), path)
+        return OSError(f"could not write {path}: its writer process ended with status {code}")
+
+    def status(exc):  # an OSError's exit status in the child
+        return exc.errno if exc.errno and exc.errno < 255 else 255
+
+    def in_process(write, *args):
+        try:
+            write(*args)
+        except OSError as exc:
+            raise failed(status(exc)) from exc
+
     def send(block):
         data = memoryview(block.tobytes())
         try:
@@ -613,7 +633,7 @@ def _write_aside(game, out_dir, fork):
     pid, pipe = None, []  # the child, and its pipe's write end until closed
     try:
         if not fork:
-            start()
+            in_process(start)
         else:
             read_end, write_end = os.pipe()
             pid = os.fork()
@@ -628,23 +648,19 @@ def _write_aside(game, out_dir, fork):
                             append(np.frombuffer(chunk, IterationTrace))
                     code = 0
                 except OSError as exc:
-                    code = exc.errno if exc.errno and exc.errno < 255 else 255
+                    code = status(exc)
                 finally:
                     os._exit(code)
             os.close(read_end)
             pipe.append(write_end)
-        yield send if fork else append
+        yield send if fork else lambda block: in_process(append, block)
         if pipe:
             os.close(pipe.pop())
         if fork:
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             pid = None
-            # the child opens the trace.csv part only once game.json is written
-            path = os.path.join(out_dir, names[os.path.exists(parts[1])])
-            if 0 < code < 255:
-                raise OSError(code, os.strerror(code), path)
             if code:
-                raise OSError(f"could not write {path}: its writer process ended with status {code}")
+                raise failed(code)
         for part, name in zip(parts, names):
             os.replace(part, os.path.join(out_dir, name))
     except BaseException:

@@ -104,8 +104,8 @@ class MixingMatrix:
     matrix ``w - (1/n) 11^T``), with values below 1e-12 snapped to exactly
     0.  On a complete graph the true ``sigma`` is 0 but rounding reports
     ~1e-16, so the snap makes the perfect-mixing boundary case
-    deterministic.  The constructor enforces double stochasticity to 1e-12
-    and ``sigma < 1``.
+    deterministic.  The constructor enforces finite entries, double
+    stochasticity to 1e-12 and ``sigma < 1``.
     """
 
     w: np.ndarray
@@ -115,6 +115,8 @@ class MixingMatrix:
         w = np.array(self.w, dtype=float)
         if w.ndim != 2 or w.shape[0] != w.shape[1]:
             raise ValueError(f"mixing matrix must be square, got shape {w.shape}")
+        if not np.all(np.isfinite(w)):  # NaN would pass both checks below
+            raise ValueError("mixing matrix entries must be finite")
         if np.any(w < 0):
             raise ValueError("mixing matrix entries must be nonnegative")
         row_err = float(np.max(np.abs(w.sum(axis=1) - 1.0)))

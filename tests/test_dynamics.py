@@ -213,26 +213,31 @@ class TestRun:
             assert row.lemma3_slack >= -1e-9 * (1 + abs(rhs3))
 
     def test_slack_columns_match_row_formulas(self):
-        n, alpha = 6, 0.01
-        g = random_game(n, 11)
-        consts = estimate_constants(g)
-        w = metropolis_weights(random_tree(n, 11))
-        _, trace = run(g, w, alpha, initial_estimates(n, 11), max_iters=200)
-        for prev, row in zip(trace, trace[1:]):
-            lemma1 = (
-                w.sigma * prev.consensus_violation
-                + alpha * math.sqrt((n - 1) / n) * prev.grad_norm
-                - row.consensus_violation
-            )
-            assert row.lemma1_slack == lemma1
-            terms = (
-                prev.avg_distance_to_ne**2,
-                (consts.l**2 * alpha / consts.mu) * prev.consensus_violation**2,
-                (1.0 + consts.mu * alpha / n) * row.avg_distance_to_ne**2,
-            )
-            # squares may round differently from Python's pow, by one ulp
-            assert abs(row.lemma3_slack - (terms[0] + terms[1] - terms[2])) <= 1e-15 * sum(terms)
-        assert np.array_equal(trace.lemma2_slack, consts.l * trace.distance_to_ne - trace.grad_norm)
+        # the horizon crosses two block boundaries, where a row's slacks
+        # compare it with the last row of the block before; the 240 ring
+        # steps one state a chunk, through CSR
+        alpha = 0.01
+        for n, topology in [(6, "tree"), (20, "tree"), (240, "ring")]:
+            g = random_game(n, 11)
+            consts = estimate_constants(g)
+            w = metropolis_weights(build_graph(topology, n, 11))
+            _, trace = run(g, w, alpha, initial_estimates(n, 11), max_iters=2 * dynamics._BLOCK + 37)
+            assert math.isnan(trace[0].lemma1_slack) and math.isnan(trace[0].lemma3_slack)
+            for prev, row in zip(trace, trace[1:]):
+                lemma1 = (
+                    w.sigma * prev.consensus_violation
+                    + alpha * math.sqrt((n - 1) / n) * prev.grad_norm
+                    - row.consensus_violation
+                )
+                assert row.lemma1_slack == lemma1
+                terms = (
+                    prev.avg_distance_to_ne**2,
+                    (consts.l**2 * alpha / consts.mu) * prev.consensus_violation**2,
+                    (1.0 + consts.mu * alpha / n) * row.avg_distance_to_ne**2,
+                )
+                # squares may round differently from Python's pow, by one ulp
+                assert abs(row.lemma3_slack - (terms[0] + terms[1] - terms[2])) <= 1e-15 * sum(terms)
+            assert np.array_equal(trace.lemma2_slack, consts.l * trace.distance_to_ne - trace.grad_norm)
 
     def test_iteration_count_and_tol_stopping(self):
         g = random_game(5, 2)

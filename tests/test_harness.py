@@ -387,23 +387,33 @@ class TestGameJsonAside:
         assert not [name for name in artifact_names(tmp_path) if name.endswith(".part")]
         assert_no_child_left()
 
-    def test_a_failed_write_in_process_leaves_neither_file(self, tmp_path, monkeypatch, capsys):
-        # the in-process path once left a truncated game.json beside trace.csv
-        def failing_dump(game, f):
-            f.write("{")
+    def assert_a_failed_write_in_process_leaves_neither_file(self, stage, tmp_path, monkeypatch, capsys):
+        def full(game_or_block, f=None):
+            if f is not None:
+                f.write("{")
             raise OSError(errno.ENOSPC, "full")
 
         config = small_config(max_iters=20)
         monkeypatch.setattr(harness, "_FORK_FLOATS", 5 * 5 + 7 * 21 + 1)  # above the config's floats
-        monkeypatch.setattr(harness, "_dump_game", failing_dump)
+        # game.json fails before the run, trace.csv on the run's first block
+        monkeypatch.setattr(harness, "_dump_game" if stage == "game.json" else "_csv_rows", full)
         monkeypatch.setattr(harness.os, "fork", lambda: pytest.fail("the run forked"))
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps(config.to_dict()))
         out = tmp_path / "o"
         assert main(["run", "--config", str(config_path), "--out", str(out)]) == 2
         captured = capsys.readouterr()
-        assert captured.out == "" and captured.err == "error: [Errno 28] full\n"
+        assert captured.out == ""
+        # the error names the file as the forked path's does
+        assert captured.err == f"error: [Errno 28] No space left on device: '{out / stage}'\n"
         assert artifact_names(out) == []
+
+    def test_a_failed_write_in_process_leaves_neither_file(self, tmp_path, monkeypatch, capsys):
+        # the in-process path once left a truncated game.json beside trace.csv
+        self.assert_a_failed_write_in_process_leaves_neither_file("game.json", tmp_path, monkeypatch, capsys)
+
+    def test_a_failed_append_in_process_leaves_neither_file(self, tmp_path, monkeypatch, capsys):
+        self.assert_a_failed_write_in_process_leaves_neither_file("trace.csv", tmp_path, monkeypatch, capsys)
 
     @pytest.mark.parametrize("stage", ["game.json", "trace.csv"])
     def test_a_child_that_stops_reading_is_not_a_broken_pipe(self, stage, tmp_path, monkeypatch, capsys):
@@ -540,24 +550,33 @@ def own_gradient(game, x):
 
 
 def check_block_columns(trace, game, w, alpha, x0):
-    """The columns run() reduces a block at a time (avg_distance_to_ne,
-    grad_norm, recursion_residual) equal, bit for bit, np.linalg.norm and
+    """The columns run() reduces a chunk or a block at a time
+    (consensus_violation, distance_to_ne, avg_distance_to_ne, grad_norm,
+    recursion_residual, lemma1_slack) equal, bit for bit, np.linalg.norm and
     mean of states advanced one at a time by the public step()."""
     n = game.n
     x_star = solve_nash_equilibrium(game)
+    x_star_mat = np.tile(x_star, (n, 1))
     x = np.array(x0)
-    predicted = None
+    prev = None
     for row in trace:
         avg = x.mean(axis=0)
         g = own_gradient(game, x)
+        cv = np.linalg.norm(x - avg)
+        gn = np.linalg.norm(g)
+        assert row.consensus_violation == cv
+        assert row.distance_to_ne == np.linalg.norm(x - x_star_mat)
         assert row.avg_distance_to_ne == math.sqrt(n) * np.linalg.norm(avg - x_star)
-        assert row.grad_norm == np.linalg.norm(g)
-        if predicted is None:
-            assert math.isnan(row.recursion_residual)
+        assert row.grad_norm == gn
+        if prev is None:
+            assert math.isnan(row.recursion_residual) and math.isnan(row.lemma1_slack)
         else:
+            predicted, cv_prev, gn_prev = prev
             resid = np.linalg.norm(avg - predicted) / (1.0 + np.linalg.norm(predicted))
             assert row.recursion_residual == resid <= 1e-12
-        predicted = avg - (alpha / n) * g
+            lemma1 = w.sigma * cv_prev + alpha * math.sqrt((n - 1) / n) * gn_prev - cv
+            assert row.lemma1_slack == lemma1
+        prev = avg - (alpha / n) * g, cv, gn
         x = dynamics.step(x, w, alpha, game)
 
 
@@ -1207,6 +1226,9 @@ class TestCli:
             ('{"check_lemmas": 1}', "check_lemmas must be true or false, got 1"),
             ('{"n": 1}', "n must be >= 2, got 1"),
             ('{"max_iters": -1}', "max_iters must be >= 0"),
+            ('{"game_seed": -1, "max_iters": 3}', "game_seed must be >= 0, got -1"),
+            ('{"graph_seed": -1, "topology": "ring"}', "graph_seed must be >= 0, got -1"),
+            ('{"init_seed": -5}', "init_seed must be >= 0, got -5"),
         ],
     )
     def test_run_config_value_types_are_input_errors(self, text, message, tmp_path, capsys):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -281,6 +283,12 @@ class TestMixingMatrixValidation:
         bad = np.array([[1.2, -0.2], [-0.2, 1.2]])
         with pytest.raises(ValueError):
             MixingMatrix(bad)
+
+    @pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entries_rejected(self, entry):
+        # NaN compares False both as a negative entry and as a sum error
+        with pytest.raises(ValueError, match="mixing matrix entries must be finite"):
+            MixingMatrix(np.array([[entry, 1.0], [1.0, 0.0]]))
 
     def test_constructor_computes_sigma(self):
         w = MixingMatrix(metropolis_weights(ring(6)).w)

@@ -1,5 +1,6 @@
 """The package's public names resolve: every export exists, every name the
-package root imports is exported by its module, and pruned names stay gone."""
+package root imports is exported by its module, and pruned names stay gone.
+Every module-level private name is used somewhere else in the package."""
 
 import ast
 import importlib
@@ -49,3 +50,41 @@ def test_public_surface_resolves():
             assert not hasattr(module, attr) and not hasattr(gradplay, attr)
     assert not hasattr(gradplay.StepSizePlan, "to_json")
     assert not hasattr(gradplay.RateComparison, "to_json")
+
+
+def defined_names(node):
+    """The names a module-level statement defines."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+    return [n.id for t in targets if t is not None for n in ast.walk(t) if isinstance(n, ast.Name)]
+
+
+def referenced_names(node):
+    """Every name ``node`` reads, imports or takes as an attribute."""
+    for child in ast.walk(node):
+        if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load):
+            yield child.id
+        elif isinstance(child, ast.Attribute):
+            yield child.attr
+        elif isinstance(child, ast.alias):
+            yield child.name
+
+
+def test_no_dangling_private_names():
+    # a module-level _name that no other statement of the package uses is dead
+    statements = [
+        node
+        for path in sorted(Path(gradplay.__file__).parent.glob("*.py"))
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+    ]
+    uses = [set(referenced_names(node)) for node in statements]
+    dangling = [
+        name
+        for node, own in zip(statements, uses)
+        for name in defined_names(node)
+        if name.startswith("_")
+        and not name.startswith("__")
+        and not any(name in used for used in uses if used is not own)
+    ]
+    assert dangling == []
