@@ -17,16 +17,19 @@ network-wide running average) then follow the exact recursion
 residual of every state.  Its loop only steps: it computes the own gradients,
 applies the update and holds the states.  The states of a chunk (as many as
 fit in a cache-sized byte budget; one state from n = 91) are stepped in place
-into one buffer allocated per run, each product written into its slot and
-the gradient correction applied through precomputed diagonal views; a one-
-state chunk allocates each new state.  The two norms of the ``n x n`` states
-and the column means are reduced once per chunk, the gradient norms and
-residuals once per block of 256 states.  A block's columns hold its states
-in rows 1.., and row 0 carries the last state of the block before (NaN
-before t = 0).  Each finished block becomes its trace rows at once, with,
-column-wise against the row above, the recursion residual and the slack
-(rhs - lhs) of the three per-step inequalities of the geometric-rate proof;
-a caller may take the blocks as they finish.
+into one buffer allocated per run: each product is written into its slot by
+``ndarray.dot``, and the gradient correction, taken against alpha held as an
+n-vector, is applied through precomputed diagonal views; a one-state chunk
+allocates each new state.  The two norms of the ``n x n`` states and the
+column means (one ``einsum`` over the chunk) are reduced once per chunk, the
+gradient norms and residuals once per block of 256 states.  A block's
+columns hold its states in rows 1.., and row 0 carries the last state of the
+block before (NaN before t = 0).  Each finished block becomes its trace rows
+at once, with, column-wise against the row above, the recursion residual and
+the slack (rhs - lhs) of the three per-step inequalities of the
+geometric-rate proof; the rows are filled by key into a plain structured
+array and handed over as a record-array view, and a caller may take the
+blocks as they finish.
 """
 
 from __future__ import annotations
@@ -255,6 +258,9 @@ def run(
         grads = list(held[1])
         scratch = work[1, 0]  # free while stepping
         a_mat, b = game.mapping_matrix, game.b
+        # alpha as an n-vector: a Python-float operand takes numpy's slower
+        # scalar path; the products alpha * g_i are the same bits
+        alphas, step_g = np.full(n, alpha, dtype=float), np.empty(n)
 
     # A diverging run overflows; the guard below turns the non-finite
     # distance into a DivergenceError.
@@ -275,11 +281,12 @@ def run(
             else:
                 for k in range(size):
                     if k or t:
-                        np.matmul(w_op, slots[k - 1], out=slots[k])
-                        diagonals[k] -= alpha * g
+                        w_op.dot(slots[k - 1], slots[k])
+                        np.multiply(g, alphas, step_g)
+                        diagonals[k] -= step_g
                     np.multiply(a_mat, slots[k], out=scratch)
                     g = np.add.reduce(scratch, axis=1, out=grads[filled + k])
-                    g += b
+                    np.add(g, b, g)
                 xs = work[0, :size]
                 diff = work[1, :size]
 
@@ -341,7 +348,9 @@ def _chunk_norms(xs, x_star_mat, n, diff):
         x = xs[0]
         mean = x.sum(axis=0) / n
         return mean, [_norm(x - mean)], [_norm(x - x_star_mat)]
-    means = xs.sum(axis=1) / n
+    # einsum adds the rows in order, as x.sum(axis=0) does, with less
+    # dispatch than xs.sum(axis=1)
+    means = np.einsum("kij->kj", xs) / n
     cv = _flat_dots(np.subtract(xs, means[:, None], out=diff))
     dist = _flat_dots(np.subtract(xs, x_star_mat, out=diff))
     return (means, *np.sqrt([cv, dist]))
@@ -357,29 +366,31 @@ def _trace_rows(t, means, grads, cv, dist, x_star, sigma, consts, alpha, n) -> n
     is the state before, iteration ``t`` (NaN before t = 0, which makes the
     first row's transition columns NaN).  Every norm is the BLAS dot of
     _norm, so row 0 gets the bits of the last row of the block before; the
-    recursion residual and the slacks compare each row with the one above."""
-    trace = np.recarray(len(dist), dtype=IterationTrace)
-    trace.t = np.arange(t, t + len(trace))
-    trace.consensus_violation, trace.distance_to_ne = cv, dist
+    recursion residual and the slacks compare each row with the one above.
+    The rows are filled by key in a plain structured array, and handed over
+    as a record-array view."""
+    trace = np.empty(len(dist), dtype=IterationTrace)
+    trace["t"] = np.arange(t, t + len(trace))
+    trace["consensus_violation"], trace["distance_to_ne"] = cv, dist
     pred = means[:-1] - (alpha / n) * grads[:-1]
     vectors = (means - x_star, grads, means[1:] - pred, pred)
     dev, gn, miss, pred_norm = (np.sqrt(_row_dots(v, v)) for v in vectors)
     avg_d = math.sqrt(n) * dev
-    trace.avg_distance_to_ne, trace.grad_norm = avg_d, gn
-    trace.recursion_residual[1:] = miss / (1.0 + pred_norm)
+    trace["avg_distance_to_ne"], trace["grad_norm"] = avg_d, gn
+    trace["recursion_residual"][1:] = miss / (1.0 + pred_norm)
     big_l, mu = consts.l, consts.mu
     # the norms of a diverged run may be inf or NaN: their slacks are too
     with np.errstate(over="ignore", invalid="ignore"):
-        trace.lemma1_slack[1:] = (
+        trace["lemma1_slack"][1:] = (
             sigma * cv[:-1] + alpha * math.sqrt((n - 1) / n) * gn[:-1] - cv[1:]
         )
-        trace.lemma2_slack[1:] = big_l * dist[1:] - gn[1:]
-        trace.lemma3_slack[1:] = (
+        trace["lemma2_slack"][1:] = big_l * dist[1:] - gn[1:]
+        trace["lemma3_slack"][1:] = (
             avg_d[:-1] ** 2
             + (big_l**2 * alpha / mu) * cv[:-1] ** 2
             - (1.0 + mu * alpha / n) * avg_d[1:] ** 2
         )
-    return trace[1:]
+    return trace[1:].view(np.recarray)
 
 
 def _csv_rows(block) -> str:

@@ -293,11 +293,11 @@ def _normalized_slacks(trace, mu: float, alpha: float, n: int) -> dict:
     """
     # a diverged run's trace may end in inf or NaN; its slacks stay non-finite
     with np.errstate(over="ignore", invalid="ignore"):
-        lhs3 = (1.0 + mu * alpha / n) * trace.avg_distance_to_ne**2
+        lhs3 = (1.0 + mu * alpha / n) * trace["avg_distance_to_ne"] ** 2
         pairs = {
-            "lemma2": (trace.lemma2_slack, trace.grad_norm),
-            "lemma1": (trace.lemma1_slack, trace.consensus_violation),
-            "lemma3": (trace.lemma3_slack, lhs3),
+            "lemma2": (trace["lemma2_slack"], trace["grad_norm"]),
+            "lemma1": (trace["lemma1_slack"], trace["consensus_violation"]),
+            "lemma3": (trace["lemma3_slack"], lhs3),
         }
         return {name: slack / (1.0 + np.abs(slack + lhs)) for name, (slack, lhs) in pairs.items()}
 
@@ -332,7 +332,7 @@ def first_lemma_violation(trace, mu, l, alpha, n):
     if not len(hits):
         return None
     row, col = hits[0]
-    return list(slacks)[col], int(trace.t[row]), float(table[row, col])
+    return list(slacks)[col], int(trace["t"][row]), float(table[row, col])
 
 
 def zdomination_excess(trace, z: np.ndarray) -> float:
@@ -343,7 +343,7 @@ def zdomination_excess(trace, z: np.ndarray) -> float:
     """
     if len(trace) < 2:
         return -math.inf
-    zv = np.stack([trace.avg_distance_to_ne**2, trace.consensus_violation**2], axis=1)
+    zv = np.stack([trace["avg_distance_to_ne"] ** 2, trace["consensus_violation"] ** 2], axis=1)
     # a stack of 2x2 matrix-vector products, one per transition
     bound = (z @ zv[:-1, :, None])[..., 0]
     return float(np.max((zv[1:] - bound) / (1.0 + np.abs(bound))))
@@ -363,11 +363,11 @@ def envelope_excess(trace, z: np.ndarray, lambda1: float, lambda2: float) -> flo
     """
     if len(trace) < 2:
         return -math.inf
-    z10 = trace.avg_distance_to_ne[0] ** 2
-    z20 = trace.consensus_violation[0] ** 2
+    z10 = trace["avg_distance_to_ne"][0] ** 2
+    z20 = trace["consensus_violation"][0] ** 2
     k = 4.0 / (lambda1 - lambda2) * ((z[0, 0] + z[1, 0]) * z10 + (z[0, 1] + z[1, 1]) * z20)
-    env = k * lambda1 ** (trace.t[1:] - 1.0)
-    return float(np.max((trace.distance_to_ne[1:] ** 2 - env) / (1.0 + env)))
+    env = k * lambda1 ** (trace["t"][1:] - 1.0)
+    return float(np.max((trace["distance_to_ne"][1:] ** 2 - env) / (1.0 + env)))
 
 
 def fit_tail_contraction(trace, burn_frac: float = 0.5, min_points: int = 20):
@@ -379,19 +379,20 @@ def fit_tail_contraction(trace, burn_frac: float = 0.5, min_points: int = 20):
     """
     if not len(trace):
         return None
-    floor = max(1e-13 * trace.distance_to_ne[0], 1e-300)
-    tail = trace[int(len(trace) * burn_frac) :]
-    tail = tail[tail.distance_to_ne > floor]
-    if len(tail) < min_points:
+    start = int(len(trace) * burn_frac)
+    dist = trace["distance_to_ne"]
+    keep = dist[start:] > max(1e-13 * dist[0], 1e-300)
+    dist = dist[start:][keep]
+    if len(dist) < min_points:
         return None
-    t = tail.t.astype(float)
-    y = 2.0 * np.log(tail.distance_to_ne)
+    t = trace["t"][start:][keep].astype(float)
+    y = 2.0 * np.log(dist)
     slope, intercept = np.polyfit(t, y, 1)
     fitted = slope * t + intercept
     ss_res = float(np.sum((y - fitted) ** 2))
     ss_tot = float(np.sum((y - np.mean(y)) ** 2))
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    return float(slope), r2, len(tail)
+    return float(slope), r2, len(dist)
 
 
 # ---------------------------------------------------------------------------
@@ -736,7 +737,7 @@ def _measure(config, game, graph, x0, t_start, rows):
         final = None
         note = (note + "; " if note else "") + str(exc)
 
-    initial_distance, final_distance = trace.distance_to_ne[[0, -1]].tolist()
+    initial_distance, final_distance = trace["distance_to_ne"][[0, -1]].tolist()
     rel = final_distance / initial_distance if initial_distance > 0 else 0.0
 
     mins = lemma_slack_minima(trace, consts.mu, consts.l, alpha, game.n)
@@ -812,7 +813,10 @@ class AuditCell:
     def to_dict(self) -> dict:
         doc = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "checks"}
         doc["ok"] = self.ok
-        doc["checks"] = [asdict(c) for c in self.checks]
+        doc["checks"] = [
+            {"name": c.name, "passed": c.passed, "worst": c.worst, "note": c.note}
+            for c in self.checks
+        ]
         return doc
 
 
@@ -1031,7 +1035,7 @@ def _audit_cell(n, topology, seed, coupling_scale, iters, alpha_override, eq5_sa
             if name != "lemma3" or mins["lemma3_applicable"]:
                 checks.append(AuditCheck(name, mins[name] >= -SLACK_TOL, mins[name]))
 
-        resid = np.fmax.reduce(trace.recursion_residual[1:], initial=0.0)
+        resid = np.fmax.reduce(trace["recursion_residual"][1:], initial=0.0)
         checks.append(AuditCheck("average_recursion", resid <= 1e-12, resid))
 
         if admissible:

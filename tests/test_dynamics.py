@@ -389,6 +389,9 @@ class TestRun:
 
         blocks = []
         trace = trace_of(rows=blocks.append)
+        # run()'s docstring promises record arrays, blocks and trace alike
+        assert all(isinstance(block, np.recarray) for block in blocks)
+        assert isinstance(trace, np.recarray)
         assert [len(block) for block in blocks[:-1]] == [dynamics._BLOCK] * (len(blocks) - 1)
         assert 0 < len(blocks[-1]) <= dynamics._BLOCK
         joined = np.concatenate(blocks)
@@ -508,10 +511,8 @@ class TestInPlaceStep:
         assert final.base is None and final.flags.c_contiguous and final.flags.owndata
         np.testing.assert_array_equal(final, expected)
 
-    @pytest.mark.parametrize("n", [6, 20, 90])
-    def test_horizons_around_a_chunk_match_step_replay(self, n):
-        game, w, x0 = self.setup_case(n)
-        chunk, _ = dynamics._record_spans(n)
+    def check_horizons(self, game, w, x0):
+        chunk, _ = dynamics._record_spans(game.n)
         assert chunk > 1 and isinstance(w.operator, np.ndarray)
         for iters in sorted({0, 1, 2, chunk - 1, chunk, chunk + 1}):
             final, trace = run(game, w, 0.03, x0, max_iters=iters)
@@ -520,6 +521,20 @@ class TestInPlaceStep:
             ref = reference_norm_columns(game, w, 0.03, x0, iters)
             for k, name in enumerate(self.NORMS):
                 np.testing.assert_array_equal(trace[name], ref[:, k])
+
+    # the row lengths where numpy's pairwise sum and the chunk size change
+    @pytest.mark.parametrize("n", [2, 6, 7, 15, 20, 64, 90])
+    def test_horizons_around_a_chunk_match_step_replay(self, n):
+        self.check_horizons(*self.setup_case(n))
+
+    @pytest.mark.parametrize("n", [5, 20, 64])
+    def test_fortran_ordered_w_matches_step_replay(self, n):
+        # MixingMatrix keeps the order it is given: run()'s ndarray.dot must
+        # match step()'s @ on a Fortran-ordered w too
+        game, w, x0 = self.setup_case(n)
+        w_f = MixingMatrix(np.asfortranarray(w.w))
+        assert w_f.w.flags.f_contiguous and not w_f.w.flags.c_contiguous
+        self.check_horizons(game, w_f, x0)
 
     def test_tol_stop_inside_a_chunk_matches_step_replay(self):
         game, w, x0 = self.setup_case(20)
