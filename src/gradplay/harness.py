@@ -22,6 +22,7 @@ import math
 import os
 import signal
 import time
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
 
@@ -30,6 +31,7 @@ import numpy as np
 from . import bounds
 from .dynamics import _BLOCK, TRACE_COLUMNS, IterationTrace, _csv_rows, initial_estimates, run
 from .errors import DivergenceError, InadmissibleStepSizeError, PerfectMixingError
+from .footprint import _DENSE_ARRAYS, _check_footprint
 from .game import _dump_game, estimate_constants, game_mapping, random_game
 from .network import (
     _row_dots,
@@ -81,88 +83,6 @@ _FIELD_TYPES = {
     "str": (str, "a string"),
     "bool": (bool, "true or false"),
 }
-
-
-#: Dense ``n x n`` float64 arrays a run holds at its peak, and bytes per
-#: trace row (the record, the per-state norms and the analysis; ``trace.csv``
-#: is written in blocks): peak RSS above the interpreter's was 9.7 and 8.7
-#: arrays at n = 600 and 1200 (tree, 3 steps), and 207 bytes a row at n = 5
-#: over 200 000 steps, artifacts written in process.
-_DENSE_ARRAYS = 9
-_TRACE_ROW_BYTES = 256
-
-
-def _physical_memory(root="/"):
-    """Bytes of memory this process may use, or None where nothing says: the
-    smaller of physical memory and the memory limits of the process's cgroups
-    and their ancestors (:func:`_cgroup_memory_limits`).  The cgroup files are
-    read under ``root``."""
-    limits = _cgroup_memory_limits(root)
-    try:
-        limits.append(os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"))
-    except (AttributeError, ValueError, OSError):
-        pass
-    return min((size for size in limits if size > 0), default=None)
-
-
-#: Where each cgroup version keeps a memory limit: the controllers field of
-#: its ``/proc/self/cgroup`` line, the hierarchy's mount and the file.
-_CGROUP_MEMORY_FILES = (
-    ("", "sys/fs/cgroup", "memory.max"),
-    ("memory", "sys/fs/cgroup/memory", "memory.limit_in_bytes"),
-)
-
-#: A cgroup memory limit of at least this is none: v2 writes no limit as ``max``,
-#: v1 as 2**63 rounded down to a page (9223372036854771712 with 4 KiB pages).
-_NO_CGROUP_LIMIT = 2**62
-
-
-def _cgroup_memory_limits(root) -> list:
-    """The memory limits set on this process's cgroups and on each of their
-    ancestors: the cgroup v2 ``memory.max`` (the ``0::`` line of
-    ``/proc/self/cgroup``) and the cgroup v1 ``memory.limit_in_bytes`` (the
-    line of the ``memory`` controller)."""
-    try:
-        with open(os.path.join(root, "proc/self/cgroup"), encoding="utf-8") as f:
-            lines = [line.rstrip("\n").split(":", 2) for line in f]
-    except OSError:
-        return []
-    limits = []
-    for controllers, mount, name in _CGROUP_MEMORY_FILES:
-        path = next((line[2] for line in lines if line[1:2] == [controllers]), None)
-        if path is None:
-            continue
-        parts = [part for part in path.split("/") if part]
-        if ".." in parts:  # a cgroup outside this namespace's view
-            continue
-        for depth in range(len(parts) + 1):
-            try:
-                with open(
-                    os.path.join(root, mount, *parts[:depth], name), encoding="utf-8"
-                ) as f:
-                    limit = int(f.read())
-            except (OSError, ValueError):  # absent, or "max"
-                continue
-            if limit < _NO_CGROUP_LIMIT:
-                limits.append(limit)
-    return limits
-
-
-def _check_footprint(n: int, max_iters: int, tol: float = 0.0) -> None:
-    """Refuse, before anything is allocated, a run of ``n`` players and
-    ``max_iters`` steps whose estimated footprint exceeds the memory it may
-    use (:func:`_physical_memory`): it would end in an out-of-memory kill,
-    not in an error.  With ``tol > 0`` the run may stop long before
-    ``max_iters``, so only the dense arrays count."""
-    limit = _physical_memory()
-    rows = max_iters + 1 if tol == 0 else 0
-    need = _DENSE_ARRAYS * 8 * n * n + _TRACE_ROW_BYTES * rows
-    if limit is not None and need > limit:
-        gib = need / 2**30 if need < 2**1000 else math.inf  # an int beyond floats
-        raise ValueError(
-            f"n={n} and max_iters={max_iters} need an estimated {gib:.3g} GiB, "
-            f"more than the {limit / 2**30:.3g} GiB of physical memory this process may use"
-        )
 
 
 def _finite(x) -> bool:
@@ -291,6 +211,7 @@ def _normalized_slacks(trace, mu: float, alpha: float, n: int) -> dict:
     Keys come in check order (lemma2, lemma1, lemma3); values are columns
     with NaN where the inequality has no transition (``t = 0``).
     """
+    trace = trace.view(np.ndarray)  # np.recarray reads a column in Python
     # a diverged run's trace may end in inf or NaN; its slacks stay non-finite
     with np.errstate(over="ignore", invalid="ignore"):
         lhs3 = (1.0 + mu * alpha / n) * trace["avg_distance_to_ne"] ** 2
@@ -343,6 +264,7 @@ def zdomination_excess(trace, z: np.ndarray) -> float:
     """
     if len(trace) < 2:
         return -math.inf
+    trace = trace.view(np.ndarray)
     zv = np.stack([trace["avg_distance_to_ne"] ** 2, trace["consensus_violation"] ** 2], axis=1)
     # a stack of 2x2 matrix-vector products, one per transition
     bound = (z @ zv[:-1, :, None])[..., 0]
@@ -363,6 +285,7 @@ def envelope_excess(trace, z: np.ndarray, lambda1: float, lambda2: float) -> flo
     """
     if len(trace) < 2:
         return -math.inf
+    trace = trace.view(np.ndarray)
     z10 = trace["avg_distance_to_ne"][0] ** 2
     z20 = trace["consensus_violation"][0] ** 2
     k = 4.0 / (lambda1 - lambda2) * ((z[0, 0] + z[1, 0]) * z10 + (z[0, 1] + z[1, 1]) * z20)
@@ -916,10 +839,10 @@ def _audit_mixing(graph, w):
     return ok, err
 
 
-def _audit_average_property(w, rng, samples=200):
-    """Worst normalized margin of the averaging contraction over ``samples``
-    vectors drawn in one call (the same values as one draw per vector)."""
-    lhs, rhs = average_property_check(w, rng.uniform(-10, 10, (samples, w.n)))
+def _audit_average_property(w, x):
+    """Worst normalized margin of the averaging contraction over the rows of
+    ``x``, one vector each."""
+    lhs, rhs = average_property_check(w, x)
     return float(np.min((rhs - lhs + 1e-12) / (1.0 + rhs), initial=math.inf))
 
 
@@ -935,27 +858,36 @@ def audit(
 ) -> AuditReport:
     """Verify every checkable invariant over a matrix of configurations.
 
-    Each cell draws a fresh game and graph, picks ``alpha`` (0.9 of the
-    certified ceiling unless ``alpha_override`` is given), runs the
-    iteration and checks: the game assumptions, the mixing-matrix
-    properties, the averaging contraction, the three per-iteration
-    inequalities, the running-average recursion, elementwise domination by
-    the comparison matrix, the spectral cross-checks and the geometric
-    envelope.  Cells whose mixing matrix has ``sigma = 0`` (the 2-node
-    complete graph) instead verify the documented degenerate-mixing error.
-    Invalid combinations (ring with n < 3) are skipped; a matrix of them
-    alone is refused.  Before any cell runs, ``seeds`` must be an int,
-    ``iters`` and ``eq5_samples`` ints >= 1 (an audit of no transition or no
-    sample would pass vacuously), every size an int >= 2, every topology
-    known and ``alpha_override`` finite and > 0 (an all-degenerate matrix
-    never reaches ``run``'s check).
+    Each cell (size, topology, seed) draws its game and graph from seeds
+    derived from its seed, picks ``alpha`` (0.9 of the certified ceiling
+    unless ``alpha_override`` is given), runs the iteration and checks: the
+    game assumptions, the mixing-matrix properties, the averaging
+    contraction, the three per-iteration inequalities, the running-average
+    recursion, elementwise domination by the comparison matrix, the
+    spectral cross-checks and the geometric envelope.  The cells of one
+    size share the inputs that two of them would build alike: a seed's
+    game, its constants, ``x0``, the sampled vectors and the
+    game-assumption margins, whatever the topology; and each distinct
+    graph's mixing matrix and mixing check (ring, complete and star ignore
+    the seed, and at n = 2 tree, complete and star are the one edge).
+    Each shared input is built once, from the seeds and draws a cell of
+    its own would use, so every value is unchanged.  Cells whose mixing
+    matrix has ``sigma = 0`` (the 2-node complete graph) instead verify the
+    documented degenerate-mixing error.  Invalid combinations (ring with
+    n < 3) are skipped; a matrix of them alone is refused.  Before any cell
+    runs, ``seeds`` must be an int >= 0, ``iters`` and ``eq5_samples`` ints
+    >= 1 (an audit of no transition or no sample would pass vacuously),
+    every size an int >= 2, every topology known and ``alpha_override``
+    finite and > 0 (an all-degenerate matrix never reaches ``run``'s check).
     """
     sizes, topologies = tuple(sizes), tuple(topologies)
-    for name, value in (("seeds", seeds), ("iters", iters), ("eq5_samples", eq5_samples)):
+    for name, value, least in (
+        ("seeds", seeds, 0), ("iters", iters, 1), ("eq5_samples", eq5_samples, 1)
+    ):
         if isinstance(value, bool) or not isinstance(value, int):
             raise ValueError(f"audit {name} must be an int, got {value!r}")
-        if name != "seeds" and value < 1:
-            raise ValueError(f"audit needs {name} >= 1, got {value}")
+        if value < least:
+            raise ValueError(f"audit needs {name} >= {least}, got {value}")
     for n in sizes:
         if isinstance(n, bool) or not isinstance(n, int) or n < 2:
             raise ValueError(f"audit sizes must be ints >= 2, got {n!r}")
@@ -969,13 +901,16 @@ def audit(
         raise ValueError(
             "audit matrix selects no cell: every (size, topology) pair is a ring with n < 3"
         )
-    _check_footprint(max(sizes, default=0), iters)
-    cells = [
-        _audit_cell(n, topology, seed, coupling_scale, iters, alpha_override, eq5_samples)
-        for n, topology in pairs
-        for seed in range(seeds)
-    ]
-    report = AuditReport(cells=cells)
+    # a run's own arrays, and the mixing matrices of the size's other topologies
+    shared = max(len(set(topologies)) - 1, 0)
+    _check_footprint(max(sizes, default=0), iters, arrays=_DENSE_ARRAYS + shared)
+    cells = {}
+    for n in dict.fromkeys(sizes):
+        kinds = [t for size, t in dict.fromkeys(pairs) if size == n]
+        cells.update(
+            _audit_size(n, kinds, seeds, coupling_scale, iters, alpha_override, eq5_samples)
+        )
+    report = AuditReport(cells=[cells[n, t, seed] for n, t in pairs for seed in range(seeds)])
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         _write_json(os.path.join(out_dir, "audit.json"), report.to_dict())
@@ -984,19 +919,84 @@ def audit(
     return report
 
 
-def _audit_cell(n, topology, seed, coupling_scale, iters, alpha_override, eq5_samples):
-    rng = np.random.default_rng(10_000 + 7 * seed + n)
-    graph = build_graph(topology, n, seed=1000 + seed)
+def _audit_size(n, topologies, seeds, coupling_scale, iters, alpha_override, eq5_samples):
+    """The cells of size ``n`` over distinct ``topologies`` and ``range(seeds)``,
+    keyed by ``(n, topology, seed)``.
+
+    They run seed by seed: a game lives through the cells of its seed alone,
+    while the mixing matrices of the graphs that ignore the seed serve them
+    all.  A graph is built once per topology and seed that can change it
+    (only random trees read their seed), and graphs with the same edges
+    share one key (:func:`_audit_graphs`).  A key's mixing matrix and check
+    are built before the first seed that needs them draws its game, and
+    dropped after the last cell that uses them; the graph goes once they
+    are built.
+    """
+    keys, graphs = _audit_graphs(n, topologies, seeds)
+    uses = Counter(keys)
+    networks, cells = {}, {}
+    for seed in range(seeds):
+        seed_keys = keys[seed * len(topologies) : (seed + 1) * len(topologies)]
+        for key in seed_keys:
+            if key in graphs:
+                networks[key] = _audit_network(graphs.pop(key))
+        game = _audit_game(n, seed, coupling_scale, eq5_samples)
+        for topology, key in zip(topologies, seed_keys):
+            cells[n, topology, seed] = _audit_cell(
+                topology, seed, game, networks[key], iters, alpha_override
+            )
+            uses[key] -= 1
+            if not uses[key]:
+                del networks[key]
+        del game  # the next seed builds its matrices and game without this one
+    return cells
+
+
+def _audit_graphs(n, topologies, seeds):
+    """The key of each cell's graph, seed by seed, and one graph per key.
+
+    A key numbers a distinct edge set.  The table from edges to numbers
+    lives only while the graphs it names do: kept longer, it would hold a
+    complete graph's O(n**2) edge tuple alive."""
+    keys, known, numbers, graphs = [], {}, {}, {}
+    for seed in range(seeds):
+        for topology in topologies:
+            recipe = (topology, seed) if topology == "tree" else topology  # trees read the seed
+            if recipe not in known:
+                graph = build_graph(topology, n, seed=1000 + seed)
+                known[recipe] = numbers.setdefault(graph.edges, len(numbers))
+                graphs.setdefault(known[recipe], graph)
+            keys.append(known[recipe])
+    return keys, graphs
+
+
+def _audit_network(graph):
+    """``(w, ok, err)``: the Metropolis matrix of ``graph`` and its mixing check."""
     w = metropolis_weights(graph)
+    return (w, *_audit_mixing(graph, w))
+
+
+def _audit_game(n, seed, coupling_scale, eq5_samples):
+    """``(game, consts, x0, vectors, (mono_worst, lip_worst))``: what every
+    cell of size ``n`` and ``seed`` shares, whatever its topology.  One
+    generator seeded by ``(n, seed)`` draws the averaging check's
+    ``eq5_samples`` vectors, then the game-assumption samples."""
+    rng = np.random.default_rng(10_000 + 7 * seed + n)
+    vectors = rng.uniform(-10, 10, (eq5_samples, n))
     game = random_game(n, seed=2000 + seed, coupling_scale=coupling_scale)
     consts = estimate_constants(game)
-    checks = []
+    x0 = initial_estimates(n, seed=3000 + seed)
+    return game, consts, x0, vectors, _audit_game_assumptions(game, consts, rng)
 
-    mix_ok, mix_err = _audit_mixing(graph, w)
-    checks.append(AuditCheck("mixing_matrix", mix_ok, mix_err))
-    avg_worst = _audit_average_property(w, rng, eq5_samples)
+
+def _audit_cell(topology, seed, game_inputs, network, iters, alpha_override):
+    """One audit cell from its :func:`_audit_game` and :func:`_audit_network`."""
+    game, consts, x0, vectors, (mono_worst, lip_worst) = game_inputs
+    w, mix_ok, mix_err = network
+    n = game.n
+    checks = [AuditCheck("mixing_matrix", mix_ok, mix_err)]
+    avg_worst = _audit_average_property(w, vectors)
     checks.append(AuditCheck("averaging_contraction", avg_worst >= 0, avg_worst))
-    mono_worst, lip_worst = _audit_game_assumptions(game, consts, rng)
     checks.append(AuditCheck("strong_monotonicity", mono_worst >= -SLACK_TOL, mono_worst))
     checks.append(AuditCheck("lipschitz_bounds", lip_worst >= -SLACK_TOL, lip_worst))
 
@@ -1020,7 +1020,6 @@ def _audit_cell(n, topology, seed, coupling_scale, iters, alpha_override, eq5_sa
             AuditCheck("admissible_step", admissible, alpha / ceiling, "" if admissible else note)
         )
 
-        x0 = initial_estimates(n, seed=3000 + seed)
         try:
             _, trace = run(game, w, alpha, x0, max_iters=iters, tol=0.0)
         except DivergenceError as exc:
@@ -1028,6 +1027,7 @@ def _audit_cell(n, topology, seed, coupling_scale, iters, alpha_override, eq5_sa
             checks.append(AuditCheck("no_divergence", False, math.inf, str(exc)))
         else:
             checks.append(AuditCheck("no_divergence", True, 0.0))
+        trace = trace.view(np.ndarray)  # np.recarray reads a column in Python
 
         # run() records t = 0 before any stop, so every trace has a row
         mins = lemma_slack_minima(trace, consts.mu, consts.l, alpha, n)

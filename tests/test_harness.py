@@ -1,10 +1,12 @@
 import errno
+import inspect
 import io
 import json
 import math
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +42,7 @@ from gradplay.harness import (
     zdomination_excess,
 )
 import gradplay
-from gradplay import bounds, dynamics, harness
+from gradplay import bounds, dynamics, footprint, harness
 from gradplay.game import _dump_game, game_mapping
 from gradplay.network import Graph, average_property_check
 
@@ -642,7 +644,8 @@ class TestSampledChecks:
         game = random_game(n, 2000 + seed)
         consts = estimate_constants(game)
         rng, ref_rng = np.random.default_rng(seed + n), np.random.default_rng(seed + n)
-        got = [_audit_average_property(w, rng), *_audit_game_assumptions(game, consts, rng)]
+        vectors = rng.uniform(-10, 10, (200, n))
+        got = [_audit_average_property(w, vectors), *_audit_game_assumptions(game, consts, rng)]
         ref = [
             reference_average_property(w, ref_rng, 200),
             *reference_game_assumptions(game, consts, ref_rng),
@@ -651,9 +654,19 @@ class TestSampledChecks:
         # the same number of draws, in the same order
         assert rng.random() == ref_rng.random()
 
+    @pytest.mark.parametrize("n, seed", [(2, 0), (5, 3), (20, 4)])
+    def test_a_cell_draws_from_its_own_seeds(self, n, seed):
+        # one generator per (n, seed): the averaging vectors, then the game samples
+        game, consts, x0, vectors, margins = harness._audit_game(n, seed, 0.2, 200)
+        rng = np.random.default_rng(10_000 + 7 * seed + n)
+        assert np.array_equal(vectors, rng.uniform(-10, 10, (200, n)))
+        assert margins == _audit_game_assumptions(game, consts, rng)
+        assert np.array_equal(game.c, random_game(n, 2000 + seed).c)
+        assert np.array_equal(x0, dynamics.initial_estimates(n, 3000 + seed))
+
     def test_no_samples_give_an_infinite_worst(self):
         w = metropolis_weights(ring(5))
-        assert _audit_average_property(w, np.random.default_rng(0), 0) == math.inf
+        assert _audit_average_property(w, np.empty((0, 5))) == math.inf
 
 
 class TestAudit:
@@ -774,6 +787,8 @@ class TestAudit:
             (dict(eq5_samples=0), "audit needs eq5_samples >= 1, got 0$"),
             (dict(eq5_samples=2.0), "audit eq5_samples must be an int, got 2.0$"),
             (dict(eq5_samples=False), "audit eq5_samples must be an int, got False$"),
+            # -1 once returned an empty, failing report
+            (dict(seeds=-1), "audit needs seeds >= 0, got -1$"),
         ],
     )
     def test_bad_input_refused_before_any_cell(self, monkeypatch, bad, match):
@@ -783,6 +798,106 @@ class TestAudit:
         with pytest.raises(ValueError, match=match):
             audit(**{"sizes": (5,), "seeds": 1, "iters": 5, **bad})
         assert calls == []
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            {},
+            # duplicate sizes and topologies give duplicate cells
+            dict(sizes=(5, 5), topologies=("tree", "tree")),
+            # the 3-node ring is the 3-node complete graph
+            dict(sizes=(2, 3, 6)),
+            dict(eq5_samples=7, seeds=1),
+            dict(alpha_override=3.0),
+        ],
+        ids=["default", "duplicates", "ring-3", "eq5-7", "diverging"],
+    )
+    def test_shared_inputs_give_the_bytes_of_cells_built_alone(self, matrix, tmp_path):
+        report = audit(**matrix, out_dir=tmp_path)
+        args = {k: p.default for k, p in inspect.signature(audit).parameters.items()} | matrix
+        alone = AuditReport(
+            cells=[
+                harness._audit_cell(
+                    topology,
+                    seed,
+                    harness._audit_game(n, seed, args["coupling_scale"], args["eq5_samples"]),
+                    harness._audit_network(build_graph(topology, n, seed=1000 + seed)),
+                    args["iters"],
+                    args["alpha_override"],
+                )
+                for n in args["sizes"]
+                for topology in args["topologies"]
+                if not (topology == "ring" and n < 3)
+                for seed in range(args["seeds"])
+            ]
+        )
+        assert len(report.cells) == len(alone.cells) > 0
+        assert (tmp_path / "audit.json").read_text() == harness._json_text(alone.to_dict())
+        assert (tmp_path / "audit.txt").read_text() == alone.to_text()
+        if matrix.get("alpha_override"):
+            assert any(check.name == "no_divergence" for _, check in report.failures())
+
+    def test_default_audit_builds_each_distinct_input_once(self, monkeypatch):
+        calls = {}
+
+        def counted(name):
+            original = getattr(harness, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(harness, name, wrapper)
+
+        for name in ("random_game", "_audit_game_assumptions", "metropolis_weights", "run"):
+            counted(name)
+        assert audit().ok
+        # 20 (size, seed) games; 24 graphs: every n = 2 graph is the one edge,
+        # ring, complete and star ignore the seed, and trees 1 and 2 of n = 5 match
+        assert calls == {
+            "random_game": 20,
+            "_audit_game_assumptions": 20,
+            "metropolis_weights": 24,
+            "run": 45,
+        }
+
+    def test_shared_inputs_die_after_their_last_cell(self, monkeypatch):
+        """A game lives through the runs of its seed alone, a mixing matrix
+        until its last cell, a complete graph until its matrix is built."""
+        refs = {"random_game": [], "metropolis_weights": [], "build_graph": []}
+
+        def alive(name):
+            return [obj for obj in (ref() for ref in refs[name]) if obj is not None]
+
+        def complete_graphs():
+            return sum(len(g.edges) == g.n * (g.n - 1) // 2 for g in alive("build_graph"))
+
+        seen = {name: [] for name in (*refs, "run")}
+
+        def tracked(name, original):
+            def wrapper(*args, **kwargs):
+                seen[name].append((len(alive("random_game")), len(alive("metropolis_weights"))))
+                result = original(*args, **kwargs)
+                if name in refs:
+                    refs[name].append(weakref.ref(result))
+                else:
+                    assert complete_graphs() == 0
+                return result
+
+            return wrapper
+
+        for name in seen:
+            monkeypatch.setattr(harness, name, tracked(name, getattr(harness, name)))
+        topologies = ("tree", "ring", "star", "complete")
+        for seeds in (1, 3):
+            assert audit(sizes=(6, 5), topologies=topologies, seeds=seeds, iters=5).ok
+        assert len(seen["run"]) == 2 * 3 * (1 + 3)
+        # each run: its seed's game, its matrix and those of ring, star and complete
+        assert {games for games, _ in seen["run"]} == {1}
+        assert max(ws for _, ws in seen["run"]) == 4
+        # a seed's matrices and game are built without the last seed's game
+        assert {games for games, _ in seen["metropolis_weights"] + seen["random_game"]} == {0}
+        assert not any(alive(name) for name in refs)
 
     def test_report_serialization(self, tmp_path):
         report = audit(sizes=(5,), topologies=("star",), seeds=1, iters=80, out_dir=tmp_path)
@@ -937,7 +1052,7 @@ class TestCli:
 
     @staticmethod
     def refused_before_allocating(argv, monkeypatch, capsys):
-        """main(argv) exits 2 with one line, builds no game and no audit
+        """main(argv) exits 2 with one line, builds no game, graph or audit
         cell, and traces less than a megabyte of allocations."""
         import tracemalloc
 
@@ -945,6 +1060,7 @@ class TestCli:
             raise AssertionError("a refused size reached the run")
 
         monkeypatch.setattr(harness, "random_game", unreachable)
+        monkeypatch.setattr(harness, "build_graph", unreachable)
         monkeypatch.setattr(harness, "_audit_cell", unreachable)
         tracemalloc.start()
         try:
@@ -964,8 +1080,8 @@ class TestCli:
             raise exc(name)
 
         monkeypatch.setattr(harness.os, "sysconf", sysconf)
-        assert harness._physical_memory() is None
-        harness._check_footprint(10**6, 10**15)  # no limit to exceed
+        assert footprint._physical_memory() is None
+        footprint._check_footprint(10**6, 10**15)  # no limit to exceed
 
     @staticmethod
     def fake_root(root, cgroup, limits, name="memory.max"):
@@ -1002,7 +1118,7 @@ class TestCli:
         root = self.fake_root(tmp_path, cgroup or "", limits)
         if cgroup is None:
             os.remove(tmp_path / "proc/self/cgroup")
-        assert harness._physical_memory(root) == expected
+        assert footprint._physical_memory(root) == expected
 
     @pytest.mark.parametrize(
         "cgroup, limits, expected",
@@ -1026,14 +1142,14 @@ class TestCli:
         pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2**21}
         monkeypatch.setattr(harness.os, "sysconf", pages.__getitem__)
         root = self.fake_root(tmp_path, cgroup, limits, name="memory.limit_in_bytes")
-        assert harness._physical_memory(root) == expected
+        assert footprint._physical_memory(root) == expected
 
     def test_cgroup_v1_and_v2_limits_both_count(self, tmp_path, monkeypatch):
         monkeypatch.setattr(harness.os, "sysconf", {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2**21}.__getitem__)
         root = self.fake_root(tmp_path, "4:memory:/a\n0::/b\n", {"b": "2147483648\n"})
         (tmp_path / "sys/fs/cgroup/memory/a").mkdir(parents=True)
         (tmp_path / "sys/fs/cgroup/memory/a/memory.limit_in_bytes").write_text("1073741824\n")
-        assert harness._physical_memory(root) == 2**30
+        assert footprint._physical_memory(root) == 2**30
 
     def test_cgroup_limit_alone_refuses_a_run(self, tmp_path, monkeypatch):
         def sysconf(name):
@@ -1041,11 +1157,26 @@ class TestCli:
 
         monkeypatch.setattr(harness.os, "sysconf", sysconf)
         root = self.fake_root(tmp_path, "0::/job\n", {"job": "1073741824\n"})
-        physical_memory = harness._physical_memory
-        monkeypatch.setattr(harness, "_physical_memory", lambda: physical_memory(root))
-        harness._check_footprint(3000, 1000)  # 0.6 GiB
+        physical_memory = footprint._physical_memory
+        monkeypatch.setattr(footprint, "_physical_memory", lambda: physical_memory(root))
+        footprint._check_footprint(3000, 1000)  # 0.6 GiB
         with pytest.raises(ValueError, match="more than the 1 GiB of physical memory"):
-            harness._check_footprint(4000, 1000)  # 1.07 GiB
+            footprint._check_footprint(4000, 1000)  # 1.07 GiB
+
+    def test_audit_counts_the_mixing_matrices_it_shares(self, tmp_path, monkeypatch, capsys):
+        def sysconf(name):
+            raise ValueError(name)
+
+        monkeypatch.setattr(harness.os, "sysconf", sysconf)
+        root = self.fake_root(tmp_path, "0::/job\n", {"job": "1073741824\n"})
+        physical_memory = footprint._physical_memory
+        monkeypatch.setattr(footprint, "_physical_memory", lambda: physical_memory(root))
+        # n = 3500: a run's 9 arrays are 0.82 GiB, an audit's 9 + 3 are 1.1 GiB
+        ExperimentConfig(n=3500, max_iters=1).validate()
+        argv = ["audit", "--sizes", "3500", "--iters", "1", "--out", str(tmp_path / "o")]
+        err = self.refused_before_allocating(argv, monkeypatch, capsys)
+        assert err.startswith("error: n=3500 and max_iters=1 need an estimated 1.1 GiB")
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("n", [10**6, 10**400])
     def test_size_beyond_memory_is_input_error(self, n, tmp_path, monkeypatch, capsys):
