@@ -229,29 +229,3 @@ def random_game(n: int, seed: int, coupling_scale: float = 0.2) -> QuadraticGame
     c *= (budget / np.maximum(row_sums, budget))[:, None]
     return QuadraticGame(a=a, b=b, c=c, seed=seed)
 
-
-def _dump_game(game: QuadraticGame, f) -> None:
-    """Write the game to the text file ``f`` as JSON, then a newline.
-
-    The document is ``{"n": n, "a": [...], "b": [...], "c": [...]}`` with
-    ``c`` flattened row-major, plus ``"seed"`` when the game has one; the
-    bytes are those the ``json`` module writes for it with ``indent=2``.
-    The arrays are encoded one row of ``c`` at a time: a list of ``n**2``
-    Python floats would be the largest object of a large run, and the
-    ``json`` encoder with ``indent`` runs in pure Python.  Read it back with
-    ``QuadraticGame(a, b, np.reshape(c, (n, n)))``.
-    """
-    item_sep = ",\n    "
-    f.write('{\n  "n": %d' % game.n)
-    for key, rows in (("a", [game.a]), ("b", [game.b]), ("c", game.c)):
-        f.write(f',\n  "{key}": [\n    ')
-        for k, row in enumerate(rows):
-            if k:
-                f.write(item_sep)
-            # json writes a finite float as its repr; a game holds no other
-            f.write(item_sep.join(map(repr, row.tolist())))
-        f.write("\n  ]")
-    if game.seed is not None:
-        f.write(',\n  "seed": %d' % int(game.seed))
-    f.write("\n}\n")
-

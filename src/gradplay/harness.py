@@ -17,7 +17,6 @@ and the CLI maps failures to a nonzero exit status.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import signal
@@ -25,6 +24,7 @@ import time
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
+from json.encoder import encode_basestring_ascii as _json_string
 
 import numpy as np
 
@@ -32,7 +32,7 @@ from . import bounds
 from .dynamics import _BLOCK, TRACE_COLUMNS, IterationTrace, _csv_rows, initial_estimates, run
 from .errors import DivergenceError, InadmissibleStepSizeError, PerfectMixingError
 from .footprint import _DENSE_ARRAYS, _check_footprint
-from .game import _dump_game, estimate_constants, game_mapping, random_game
+from .game import estimate_constants, game_mapping, random_game
 from .network import (
     _row_dots,
     average_property_check,
@@ -431,33 +431,128 @@ print("wrote", out)
 """
 
 
-def _json_safe(value):
-    """``value`` with every non-finite float in it, at any depth, as None."""
-    if isinstance(value, dict):
-        return {key: _json_safe(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_json_safe(item) for item in value]
-    if isinstance(value, float) and not math.isfinite(value):
+def _json_float(x) -> str:
+    return float.__repr__(x) if math.isfinite(x) else "null"
+
+
+#: The JSON text of a scalar, by exact type; subclasses go through
+#: :func:`_json_scalar`'s isinstance checks.
+_JSON_SCALARS = {
+    str: _json_string,
+    float: _json_float,
+    int: int.__repr__,
+    bool: lambda b: "true" if b else "false",
+    type(None): lambda _: "null",
+}
+
+
+def _json_scalar(value):
+    """The JSON text of ``value``, or None when it is a container."""
+    encode = _JSON_SCALARS.get(type(value))
+    if encode is not None:
+        return encode(value)
+    if isinstance(value, (dict, list, tuple, np.ndarray)):
         return None
-    return value
+    for kind in (str, bool, int, float):  # json's order: a bool is an int
+        if isinstance(value, kind):
+            return _JSON_SCALARS[kind](value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _json_pieces(value, newline="\n", depth=2):
+    """The JSON text of ``value``, in pieces; ``newline`` is the line break
+    and indent of the line it starts on.
+
+    The text is that of ``json.dumps(value, indent=2)`` with every
+    non-finite float as ``null``: strings and keys (which must be ``str``)
+    through json's C string encoder, floats as ``float.__repr__``.  Each
+    item of a container up to ``depth`` levels down is its own piece, and
+    anything deeper is built as one string, so neither a file nor its text
+    is ever held as thousands of small strings.  An ndarray of floats is the
+    list of its items in C order, one piece per row, so a large matrix is
+    never one list of Python floats or one string.  Any type ``json``
+    refuses raises ``TypeError``.
+    """
+    text = _json_scalar(value)
+    if text is not None:
+        yield text
+        return
+    inner = newline + "  "
+    comma = "," + inner
+    if isinstance(value, np.ndarray):
+        if value.dtype.kind != "f" or not np.isfinite(value).all():
+            yield from _json_pieces(value.ravel().tolist(), newline, depth)
+        elif not value.size:
+            yield "[]"
+        else:
+            yield "[" + inner
+            for k, row in enumerate(value.reshape(len(value) if value.ndim > 1 else 1, -1)):
+                if k:
+                    yield comma
+                yield comma.join(map(float.__repr__, row.tolist()))
+            yield newline + "]"
+        return
+    if not value:
+        yield "{}" if isinstance(value, dict) else "[]"
+        return
+    if isinstance(value, dict):
+        heads = [_json_string(key) + ": " for key in value]  # TypeError unless a str
+        items, (opener, closer) = value.values(), "{}"
+    else:
+        heads, items, (opener, closer) = None, value, "[]"
+    if depth <= 0:
+        texts = [
+            encode(item)
+            if (encode := _JSON_SCALARS.get(type(item)))
+            else "".join(_json_pieces(item, inner, 0))
+            for item in items
+        ]
+        body = texts if heads is None else map(str.__add__, heads, texts)
+        yield opener + inner + comma.join(body) + newline + closer
+        return
+    separator = opener + inner
+    for k, item in enumerate(items):
+        yield separator if heads is None else separator + heads[k]
+        yield from _json_pieces(item, inner, depth - 1)
+        separator = comma
+    yield newline + closer
 
 
 def _json_text(doc) -> str:
-    """``doc`` as strict, indented JSON text ending in a newline; a
-    non-finite float becomes ``null``.  Every JSON artifact and every
-    ``--json`` output is this text."""
-    return json.dumps(_json_safe(doc), indent=2, allow_nan=False) + "\n"
+    """``doc`` as JSON text ending in a newline (:func:`_json_pieces`):
+    every ``--json`` output."""
+    return "".join(_json_pieces(doc)) + "\n"
+
+
+def _dump_json(doc, f) -> None:
+    """Write :func:`_json_text` of ``doc`` to the text file ``f`` piece by
+    piece; every JSON artifact is written through this."""
+    f.writelines(_json_pieces(doc))
+    f.write("\n")
+
+
+def _write_json(path, doc) -> None:
+    with open(path, "w", encoding="utf-8") as f:
+        _dump_json(doc, f)
+
+
+def _dump_game(game, f) -> None:
+    """Write the game to the text file ``f`` as JSON, then a newline.
+
+    The document is ``{"n": n, "a": [...], "b": [...], "c": [...]}`` with
+    ``c`` flattened row-major, plus ``"seed"`` when the game has one.  Read
+    it back with ``QuadraticGame(a, b, np.reshape(c, (n, n)))``.
+    """
+    doc = {"n": game.n, "a": game.a, "b": game.b, "c": game.c}
+    if game.seed is not None:
+        doc["seed"] = int(game.seed)
+    _dump_json(doc, f)
 
 
 _CEILING_NOTE = (
     "alpha={alpha} exceeds the certified ceiling alpha_max={ceiling!r}; "
     "geometric-rate certificate does not apply (divergence guard stays active)"
 )
-
-
-def _write_json(path, doc) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(_json_text(doc))
 
 
 def _resolve_alpha(alpha, mu, l, sigma, n, ceiling_note=_CEILING_NOTE):
@@ -930,16 +1025,18 @@ def _audit_size(n, topologies, seeds, coupling_scale, iters, alpha_override, eq5
     share one key (:func:`_audit_graphs`).  A key's mixing matrix and check
     are built before the first seed that needs them draws its game, and
     dropped after the last cell that uses them; the graph goes once they
-    are built.
+    are built.  A seed builds its new matrices in order of decreasing edge
+    count, so a complete graph's O(n**2) edge tuple is gone before any
+    other matrix is built.
     """
     keys, graphs = _audit_graphs(n, topologies, seeds)
     uses = Counter(keys)
     networks, cells = {}, {}
     for seed in range(seeds):
         seed_keys = keys[seed * len(topologies) : (seed + 1) * len(topologies)]
-        for key in seed_keys:
-            if key in graphs:
-                networks[key] = _audit_network(graphs.pop(key))
+        new = [key for key in dict.fromkeys(seed_keys) if key in graphs]
+        for key in sorted(new, key=lambda key: -len(graphs[key].edges)):
+            networks[key] = _audit_network(graphs.pop(key))
         game = _audit_game(n, seed, coupling_scale, eq5_samples)
         for topology, key in zip(topologies, seed_keys):
             cells[n, topology, seed] = _audit_cell(

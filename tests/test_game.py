@@ -14,7 +14,7 @@ from gradplay import (
     random_game,
     solve_nash_equilibrium,
 )
-from gradplay.game import _dump_game
+from gradplay.harness import _dump_game
 
 
 def identity_game(n=2, b=None):

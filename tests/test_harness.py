@@ -32,6 +32,7 @@ from gradplay import (
 from gradplay.cli import main
 from gradplay.harness import (
     AuditReport,
+    _dump_game,
     _audit_average_property,
     _audit_game_assumptions,
     _audit_mixing,
@@ -43,7 +44,7 @@ from gradplay.harness import (
 )
 import gradplay
 from gradplay import bounds, dynamics, footprint, harness
-from gradplay.game import _dump_game, game_mapping
+from gradplay.game import game_mapping
 from gradplay.network import Graph, average_property_check
 
 
@@ -873,10 +874,15 @@ class TestAudit:
             return sum(len(g.edges) == g.n * (g.n - 1) // 2 for g in alive("build_graph"))
 
         seen = {name: [] for name in (*refs, "run")}
+        builds = []  # (n, edges, complete graphs alive) per matrix; None per game
 
         def tracked(name, original):
             def wrapper(*args, **kwargs):
                 seen[name].append((len(alive("random_game")), len(alive("metropolis_weights"))))
+                if name == "metropolis_weights":
+                    builds.append((args[0].n, len(args[0].edges), complete_graphs()))
+                elif name == "random_game":
+                    builds.append(None)
                 result = original(*args, **kwargs)
                 if name in refs:
                     refs[name].append(weakref.ref(result))
@@ -898,6 +904,16 @@ class TestAudit:
         # a seed's matrices and game are built without the last seed's game
         assert {games for games, _ in seen["metropolis_weights"] + seen["random_game"]} == {0}
         assert not any(alive(name) for name in refs)
+        # a seed builds its new matrices densest first, and a complete graph
+        # is alive only while its own matrix is built
+        batches = [[]]  # the edge counts of the matrices built before each game
+        for build in builds:
+            if build is None:
+                batches.append([])
+            else:
+                batches[-1].append(build[1])
+        assert all(edges == sorted(edges, reverse=True) for edges in batches)
+        assert all(alive == (e == n * (n - 1) // 2) for n, e, alive in filter(None, builds))
 
     def test_report_serialization(self, tmp_path):
         report = audit(sizes=(5,), topologies=("star",), seeds=1, iters=80, out_dir=tmp_path)
@@ -1390,3 +1406,98 @@ class TestCli:
         config_path.write_text(json.dumps(small_config(max_iters=30).to_dict()))
         assert main(["run", "--config", str(config_path)]) == 0
         assert (tmp_path / "envout" / "run" / "trace.csv").exists()
+
+
+def json_oracle(doc):
+    """The text ``json`` writes for ``doc``, with every non-finite float as
+    null and every ndarray as its flat C-order list."""
+
+    def plain(value):
+        if isinstance(value, np.ndarray):
+            return plain(value.ravel().tolist())
+        if isinstance(value, dict):
+            return {key: plain(item) for key, item in value.items()}
+        if isinstance(value, (list, tuple)):
+            return [plain(item) for item in value]
+        if isinstance(value, float) and not math.isfinite(value):
+            return None
+        return value
+
+    return json.dumps(plain(doc), indent=2, allow_nan=False) + "\n"
+
+
+def written_json(doc):
+    f = io.StringIO()
+    harness._dump_json(doc, f)
+    return f.getvalue()
+
+
+class TestJsonWriter:
+    """Every JSON artifact and ``--json`` output comes from one writer whose
+    text is ``json.dumps(indent=2)``'s with non-finite floats as null."""
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {},
+            [],
+            (),
+            {"a": {}, "b": [], "c": [[]], "d": [{}], "e": ()},
+            {"x": [1, [2, [3, {"y": [4.5, None, True, False]}]]], "z": {"w": {"v": {"u": 1}}}},
+            (1, (2.5, "s"), [3], ({"t": (None,)},)),
+            [math.nan, math.inf, -math.inf, -0.0, 1e300, 5e-324, 0.1, 1.7976931348623157e308],
+            {"nan": math.nan, "deep": [[{"inf": -math.inf}]]},
+            ["é ü 中 😀", 'tab\t nl\n cr\r quote" slash\\ /', "\x00\x1f\x7f ", ""],
+            {"ключ": "значение", " \n": 1, "": ""},
+            [np.float64(0.1), np.float64("nan"), {"k": np.float64(-math.inf)}, np.float64(-0.0)],
+            [0, -1, 2**70, True, False, None],
+            3.5,
+            math.nan,
+            "s",
+            None,
+            {
+                "v": np.arange(3.0),
+                "m": np.arange(6.0).reshape(2, 3) / 7,
+                "cube": np.arange(8.0).reshape(2, 2, 2),
+                "scalar": np.array(2.5),
+                "empty": np.zeros((0, 3)),
+                "ints": np.arange(3),
+                "flags": np.array([True, False]),
+                "nonfinite": np.array([[1.0, math.nan], [math.inf, -math.inf]]),
+                "deep": [[{"z": np.ones((2, 2)) / 3}]],
+            },
+        ],
+    )
+    def test_text_is_json_dumps(self, doc):
+        assert harness._json_text(doc) == json_oracle(doc)
+        assert written_json(doc) == json_oracle(doc)
+
+    def test_artifact_documents(self):
+        game = random_game(7, 11)
+        docs = [
+            audit().to_dict(),
+            run_experiment(paper_sim_config()).to_dict(),
+            bounds.step_size_plan(1.2, 2.0, 0.7, 6).to_dict(),
+            bounds.grane_rate_comparison(0.5, 2.0, 20, sigma=0.7).to_dict(),
+            {"n": 7, "a": game.a, "b": game.b, "c": game.c, "seed": 11},
+        ]
+        for doc in docs:
+            assert harness._json_text(doc) == written_json(doc) == json_oracle(doc)
+
+    @pytest.mark.parametrize(
+        "value", [np.int64(1), {"k": np.int64(1)}, [np.bool_(True)], [{1, 2}], object()]
+    )
+    def test_refuses_what_json_refuses(self, value):
+        with pytest.raises(TypeError):
+            json.dumps(value, indent=2)
+        with pytest.raises(TypeError):
+            harness._json_text(value)
+        with pytest.raises(TypeError):
+            written_json(value)
+
+    def test_keys_must_be_strings(self):
+        # json would write the int key as "1"; no document here has one
+        with pytest.raises(TypeError):
+            harness._json_text({1: "one"})
+        with pytest.raises(TypeError):
+            harness._json_text([[{"k": {None: 1}}]])

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -19,6 +20,18 @@ from gradplay import (
     star,
 )
 from gradplay.network import SPARSE_FILL_RATIO
+
+
+def normalized_edges(n, pairs):
+    """``Graph``'s edges by a loop over the pairs, refusing the first bad one."""
+    normalized = set()
+    for i, j in pairs:
+        if i == j:
+            raise ValueError(f"self-loop ({i}, {j}) not allowed")
+        if not (0 <= i < n and 0 <= j < n):
+            raise ValueError(f"edge ({i}, {j}) out of range for n={n}")
+        normalized.add((min(i, j), max(i, j)))
+    return tuple(sorted(normalized))
 
 
 def sigma_eig_oracle(w):
@@ -75,6 +88,28 @@ class TestGraphConstructors:
             Graph(n=0, edges=())
         # symmetric storage: (2, 0) normalizes to (0, 2)
         assert Graph(n=3, edges=((2, 0),)).edges == ((0, 2),)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_edges_normalized_as_the_loop_does(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 12))
+        pairs = [tuple(map(int, rng.integers(-1, n + 1, 2))) for _ in range(int(rng.integers(0, 30)))]
+        try:
+            expected = normalized_edges(n, pairs)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                Graph(n=n, edges=tuple(pairs))
+        else:
+            edges = Graph(n=n, edges=tuple(pairs)).edges
+            assert edges == expected and {type(i) for pair in edges for i in pair} <= {int}
+        good = [(i, j) for i, j in pairs if i != j and 0 <= min(i, j) and max(i, j) < n]
+        assert Graph(n=n, edges=good).edges == normalized_edges(n, good)
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 40])
+    def test_named_constructors_match_the_loop(self, n):
+        assert complete(n).edges == tuple((i, j) for i in range(n) for j in range(i + 1, n))
+        for graph in (complete(n), star(n), random_tree(n, n), *([ring(n)] if n >= 3 else [])):
+            assert graph.edges == normalized_edges(n, graph.edges)
 
     def test_connectivity(self):
         assert not Graph(n=4, edges=((0, 1), (2, 3))).is_connected()

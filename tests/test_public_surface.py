@@ -88,3 +88,20 @@ def test_no_dangling_private_names():
         and not any(name in used for used in uses if used is not own)
     ]
     assert dangling == []
+
+
+def test_one_json_writer():
+    # every JSON text the package writes comes from harness._json_pieces
+    calls = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(gradplay.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute)
+        and node.attr in ("dump", "dumps")
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "json"
+        or isinstance(node, ast.ImportFrom)
+        and node.module == "json"
+        and {alias.name for alias in node.names} & {"dump", "dumps"}
+    ]
+    assert calls == []
