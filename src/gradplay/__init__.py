@@ -4,9 +4,10 @@ Players jointly minimize coupled quadratic costs while each sees only her
 own gradient and her graph neighbors' estimates.  The package provides the
 game and network constructions, the distributed iteration with full trace
 recording, closed-form step-size ceilings and contraction-rate
-certificates, and a reproducible experiment/audit harness.
+certificates, a reproducible experiment runner and a batch auditor.
 """
 
+from .auditing import AuditReport, audit
 from .bounds import (
     RateComparison,
     StepSizePlan,
@@ -41,10 +42,8 @@ from .game import (
     solve_nash_equilibrium,
 )
 from .harness import (
-    AuditReport,
     ExperimentConfig,
     ExperimentReport,
-    audit,
     build_graph,
     paper_sim_config,
     run_experiment,

@@ -12,6 +12,7 @@ import os
 import sys
 
 from . import bounds
+from .auditing import audit
 from .errors import GradplayError
 from .harness import (
     OUT_DIR_ENV,
@@ -19,7 +20,6 @@ from .harness import (
     TOPOLOGIES,
     ExperimentConfig,
     _json_text,
-    audit,
     run_experiment,
 )
 

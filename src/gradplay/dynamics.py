@@ -232,7 +232,6 @@ def run(
 
     consts = estimate_constants(game)
     x_star = solve_nash_equilibrium(game)
-    x_star_mat = np.tile(x_star, (n, 1))
     w_op = w.operator
     chunk, block = (min(span, max_iters + 1) for span in _record_spans(n))
     blocks = []  # the trace's rows, one finished block at a time
@@ -265,7 +264,7 @@ def run(
     # A diverging run overflows; the guard below turns the non-finite
     # distance into a DivergenceError.
     with np.errstate(over="ignore", invalid="ignore"):
-        initial_dist = _norm(x - x_star_mat)
+        initial_dist = _norm(x - x_star)
         # a state whose distance is not <= this finite limit (NaN and inf
         # included) diverged, unless its distance is <= tol
         dist_limit = min(DIVERGENCE_FACTOR * max(initial_dist, 1e-300), sys.float_info.max)
@@ -291,7 +290,7 @@ def run(
                 diff = work[1, :size]
 
             span = slice(filled, filled + size)
-            held[0, span], norms[0, span], norms[1, span] = _chunk_norms(xs, x_star_mat, n, diff)
+            held[0, span], norms[0, span], norms[1, span] = _chunk_norms(xs, x_star, n, diff)
             dist = norms[1, span].tolist()
             stop = next((k for k, d in enumerate(dist) if d <= tol or not d <= dist_limit), None)
             kept = size if stop is None else stop + 1
@@ -337,7 +336,7 @@ def _record_spans(n: int) -> tuple:
     return (min(_BLOCK, 1 << (fit.bit_length() - 1)) if fit >= 4 else 1), _BLOCK
 
 
-def _chunk_norms(xs, x_star_mat, n, diff):
+def _chunk_norms(xs, x_star, n, diff):
     """Column means, consensus violations and NE distances of a stack of
     states, for the held rows of :func:`run`.  Each mean is a sum over n (the
     floating-point operations of mean) and each norm the BLAS dot of _norm.
@@ -347,12 +346,12 @@ def _chunk_norms(xs, x_star_mat, n, diff):
     if diff is None:
         x = xs[0]
         mean = x.sum(axis=0) / n
-        return mean, [_norm(x - mean)], [_norm(x - x_star_mat)]
+        return mean, [_norm(x - mean)], [_norm(x - x_star)]
     # einsum adds the rows in order, as x.sum(axis=0) does, with less
     # dispatch than xs.sum(axis=1)
     means = np.einsum("kij->kj", xs) / n
     cv = _flat_dots(np.subtract(xs, means[:, None], out=diff))
-    dist = _flat_dots(np.subtract(xs, x_star_mat, out=diff))
+    dist = _flat_dots(np.subtract(xs, x_star, out=diff))
     return (means, *np.sqrt([cv, dist]))
 
 

@@ -216,8 +216,9 @@ def metropolis_weights(g: Graph) -> MixingMatrix:
         raise DisconnectedGraphError(
             "metropolis_weights requires a connected graph"
         )
-    deg = g.degrees
-    i, j = np.array(g.edges, dtype=int).reshape(-1, 2).T
+    pairs = np.array(g.edges, dtype=np.int64).reshape(-1, 2)
+    deg = np.bincount(pairs.ravel(), minlength=g.n)
+    i, j = pairs.T
     w = np.zeros((g.n, g.n))
     w[i, j] = w[j, i] = 1.0 / (1.0 + np.maximum(deg[i], deg[j]))
     np.fill_diagonal(w, 1.0 - w.sum(axis=1))

@@ -30,12 +30,14 @@ from gradplay import (
     star,
 )
 from gradplay.cli import main
-from gradplay.harness import (
+from gradplay.auditing import (
     AuditReport,
-    _dump_game,
     _audit_average_property,
     _audit_game_assumptions,
     _audit_mixing,
+)
+from gradplay.harness import (
+    _dump_game,
     envelope_excess,
     first_lemma_violation,
     fit_tail_contraction,
@@ -43,7 +45,7 @@ from gradplay.harness import (
     zdomination_excess,
 )
 import gradplay
-from gradplay import bounds, dynamics, footprint, harness
+from gradplay import auditing, bounds, dynamics, footprint, harness
 from gradplay.game import game_mapping
 from gradplay.network import Graph, average_property_check
 
@@ -658,7 +660,7 @@ class TestSampledChecks:
     @pytest.mark.parametrize("n, seed", [(2, 0), (5, 3), (20, 4)])
     def test_a_cell_draws_from_its_own_seeds(self, n, seed):
         # one generator per (n, seed): the averaging vectors, then the game samples
-        game, consts, x0, vectors, margins = harness._audit_game(n, seed, 0.2, 200)
+        game, consts, x0, vectors, margins = auditing._audit_game(n, seed, 0.2, 200)
         rng = np.random.default_rng(10_000 + 7 * seed + n)
         assert np.array_equal(vectors, rng.uniform(-10, 10, (200, n)))
         assert margins == _audit_game_assumptions(game, consts, rng)
@@ -795,7 +797,7 @@ class TestAudit:
     def test_bad_input_refused_before_any_cell(self, monkeypatch, bad, match):
         calls = []
         monkeypatch.setattr(harness, "run", lambda *a, **kw: calls.append(a))
-        monkeypatch.setattr(harness, "_audit_cell", lambda *a: calls.append(a))
+        monkeypatch.setattr(auditing, "_audit_cell", lambda *a: calls.append(a))
         with pytest.raises(ValueError, match=match):
             audit(**{"sizes": (5,), "seeds": 1, "iters": 5, **bad})
         assert calls == []
@@ -818,11 +820,11 @@ class TestAudit:
         args = {k: p.default for k, p in inspect.signature(audit).parameters.items()} | matrix
         alone = AuditReport(
             cells=[
-                harness._audit_cell(
+                auditing._audit_cell(
                     topology,
                     seed,
-                    harness._audit_game(n, seed, args["coupling_scale"], args["eq5_samples"]),
-                    harness._audit_network(build_graph(topology, n, seed=1000 + seed)),
+                    auditing._audit_game(n, seed, args["coupling_scale"], args["eq5_samples"]),
+                    auditing._audit_network(build_graph(topology, n, seed=1000 + seed)),
                     args["iters"],
                     args["alpha_override"],
                 )
@@ -841,17 +843,18 @@ class TestAudit:
     def test_default_audit_builds_each_distinct_input_once(self, monkeypatch):
         calls = {}
 
-        def counted(name):
-            original = getattr(harness, name)
+        def counted(module, name):
+            original = getattr(module, name)
 
             def wrapper(*args, **kwargs):
                 calls[name] = calls.get(name, 0) + 1
                 return original(*args, **kwargs)
 
-            monkeypatch.setattr(harness, name, wrapper)
+            monkeypatch.setattr(module, name, wrapper)
 
-        for name in ("random_game", "_audit_game_assumptions", "metropolis_weights", "run"):
-            counted(name)
+        for name in ("random_game", "metropolis_weights", "run"):
+            counted(harness, name)
+        counted(auditing, "_audit_game_assumptions")
         assert audit().ok
         # 20 (size, seed) games; 24 graphs: every n = 2 graph is the one edge,
         # ring, complete and star ignore the seed, and trees 1 and 2 of n = 5 match
@@ -1077,7 +1080,7 @@ class TestCli:
 
         monkeypatch.setattr(harness, "random_game", unreachable)
         monkeypatch.setattr(harness, "build_graph", unreachable)
-        monkeypatch.setattr(harness, "_audit_cell", unreachable)
+        monkeypatch.setattr(auditing, "_audit_cell", unreachable)
         tracemalloc.start()
         try:
             code = main(argv)

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import gradplay
 
-MODULES = ("bounds", "dynamics", "errors", "game", "harness", "network")
+MODULES = ("auditing", "bounds", "dynamics", "errors", "game", "harness", "network")
 
 PRUNED = {
     "game": ("local_gradient", "game_to_dict", "game_from_dict", "save_game", "load_game"),
