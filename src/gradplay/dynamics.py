@@ -40,6 +40,7 @@ import sys
 
 import numpy as np
 
+from . import floattext
 from .errors import DivergenceError
 from .game import QuadraticGame, estimate_constants, solve_nash_equilibrium
 from .network import MixingMatrix, _row_dots
@@ -394,10 +395,12 @@ def _trace_rows(t, means, grads, cv, dist, x_star, sigma, consts, alpha, n) -> n
 
 def _csv_rows(block) -> str:
     """The ``trace.csv`` lines of a block of trace rows (none for no rows),
-    full double precision via shortest repr.  ``run_experiment`` writes each
-    block of :func:`run` as it finishes, never the text of a whole trace."""
-    columns = [map(repr, block[name].tolist()) for name in TRACE_COLUMNS]
-    return "\n".join(map(",".join, zip(*columns))) + "\n" if len(block) else ""
+    each value as its ``repr`` (:func:`~gradplay.floattext.csv_lines`).
+    ``run_experiment`` writes each block of :func:`run` as it finishes,
+    never the text of a whole trace."""
+    block = block.view(np.ndarray)
+    table = np.column_stack([block[name] for name in TRACE_COLUMNS[1:]])
+    return "".join(floattext.csv_lines(table, index=block["t"]))
 
 
 def trace_to_csv(trace) -> str:

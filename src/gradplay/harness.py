@@ -13,9 +13,12 @@ imports it.
 
 from __future__ import annotations
 
+import builtins
+import ctypes
 import math
 import os
 import signal
+import threading
 import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
@@ -23,7 +26,7 @@ from json.encoder import encode_basestring_ascii as _json_string
 
 import numpy as np
 
-from . import bounds
+from . import bounds, floattext
 from .dynamics import _BLOCK, TRACE_COLUMNS, IterationTrace, _csv_rows, initial_estimates, run
 from .errors import DivergenceError, InadmissibleStepSizeError, PerfectMixingError
 from .footprint import _check_footprint
@@ -461,10 +464,11 @@ def _json_pieces(value, newline="\n", depth=2):
     through json's C string encoder, floats as ``float.__repr__``.  Each
     item of a container up to ``depth`` levels down is its own piece, and
     anything deeper is built as one string, so neither a file nor its text
-    is ever held as thousands of small strings.  An ndarray of floats is the
-    list of its items in C order, one piece per row, so a large matrix is
-    never one list of Python floats or one string.  Any type ``json``
-    refuses raises ``TypeError``.
+    is ever held as thousands of small strings.  A finite ndarray of floats
+    is the list of its items in C order, one piece per ``CHUNK`` items of
+    :func:`~gradplay.floattext.pieces`, so a large matrix is never one list
+    of Python floats or one string.  Any type ``json`` refuses raises
+    ``TypeError``.
     """
     text = _json_scalar(value)
     if text is not None:
@@ -473,16 +477,17 @@ def _json_pieces(value, newline="\n", depth=2):
     inner = newline + "  "
     comma = "," + inner
     if isinstance(value, np.ndarray):
-        if value.dtype.kind != "f" or not np.isfinite(value).all():
+        # min and max are NaN or infinite when any item is, and need no
+        # temporary array
+        if value.dtype.kind != "f" or value.itemsize > 8 or not (
+            value.size == 0 or math.isfinite(value.min()) and math.isfinite(value.max())
+        ):
             yield from _json_pieces(value.ravel().tolist(), newline, depth)
         elif not value.size:
             yield "[]"
         else:
             yield "[" + inner
-            for k, row in enumerate(value.reshape(len(value) if value.ndim > 1 else 1, -1)):
-                if k:
-                    yield comma
-                yield comma.join(map(float.__repr__, row.tolist()))
+            yield from floattext.pieces(value, comma)
             yield newline + "]"
         return
     if not value:
@@ -584,38 +589,92 @@ def _resolve_alpha(alpha, mu, l, sigma, n, ceiling_note=_CEILING_NOTE):
     return alpha, terms, ceiling, True, "explicit alpha below the certified ceiling", plan
 
 
-#: Floats of ``game.json`` and ``trace.csv`` text, ``c.size + 7 * (max_iters +
-#: 1)``, from which :func:`run_experiment` writes both in a forked child while
-#: it runs.  Whole jobs on a random tree, one process per side, 10 alternating
-#: rounds, medians, forked minus in process (2 vCPUs, one BLAS thread): +2.1
-#: ms at n = 20 over 1,000 steps (7,407 floats), -1.4 ms over 1,500 (10,907),
-#: -8.2 ms over 2,000 (14,407); over 80 steps, -5.8 ms at n = 100 (10,567)
-#: and -12.9 ms at n = 125 (16,192).
-_FORK_FLOATS = 12_000
+#: Trace floats, ``7 * (max_iters + 1)``, from which :func:`_write_aside`
+#: writes ``trace.csv`` and ``game.json`` in a forked child while the run
+#: goes on.  Whole jobs at n = 20, a fresh process per job, 8 alternating
+#: rounds, forked minus in process (medians at the host probe's reference
+#: speed, 2 vCPUs, one BLAS thread): +7.3 ms over 1,000 steps, +12.6 over
+#: 2,000, +13.5 over 4,000, +12.7 over 8,000 (56,007 floats), +13.7 over
+#: 10,000.  Repeated paper-sim jobs (10,000 steps) in one perfbench
+#: process read 0.086, 0.088 and 0.134 s forked against 0.118-0.125 s in
+#: process in three runs, then 0.130-0.141 against 0.119-0.126 s in eight
+#: alternating pairs (the forked path depends on the host's second vCPU),
+#: so paper-sim keeps its child.
+_FORK_FLOATS = 56_000
+
+#: Game floats, ``n * n``, from which a run that does not fork writes
+#: ``game.json`` from a thread while it goes on.  Whole jobs of 80 steps on
+#: a random tree, measured as above, thread minus in process: +4.8 ms at
+#: n = 100, +3.1 at 200, +7.5 at 300, +15.0 at 500, +5.9 at 700 and
+#: -138 ms at n = 1000.
+_THREAD_FLOATS = 500_000
+
+
+class _Stopped(Exception):
+    """The writer thread was told to stop."""
+
+
+class _StoppableFile:
+    """The writes of a text file, refused once ``stop`` is set."""
+
+    def __init__(self, f, stop):
+        self.f, self.stop = f, stop
+
+    def write(self, text):
+        if self.stop.is_set():
+            raise _Stopped
+        self.f.write(text)
+
+    def writelines(self, pieces):
+        for piece in pieces:
+            self.write(piece)
+
+
+def _trim_heap():
+    """Hand the free memory of every malloc arena back to the system, where
+    the C library has glibc's ``malloc_trim``.  A thread's arena otherwise
+    keeps its high-water mark after the thread ends: 2-4 MB for the
+    ``game.json`` text of a 1000-player game, which every later peak of
+    the process would carry."""
+    trim = getattr(ctypes.CDLL(None), "malloc_trim", None) if os.name == "posix" else None
+    if trim is not None:
+        trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
+        trim(0)
 
 
 @contextmanager
-def _write_aside(game, out_dir, fork):
+def _write_aside(game, out_dir, max_iters):
     """Write ``game.json`` and ``trace.csv`` into ``out_dir`` while the block
     runs; the block gets the ``rows`` callback of :func:`~gradplay.dynamics.run`.
 
     Both go under temporary names next to their artifacts: the game and the
     trace header first, then each block of rows as the text of
-    :func:`~gradplay.dynamics._csv_rows`.  Without ``fork`` the callback
-    appends the block; with it, the callback sends the rows down a pipe to
-    a forked child that writes both parts (and always leaves through
-    ``os._exit``), until the child stops reading (it failed).  When the
-    block ends, the pipe is closed, the child reaped and the parts renamed.
-    A failed write raises ``OSError`` on both paths by one rule, from its
+    :func:`~gradplay.dynamics._csv_rows`.  A trace of at least
+    ``_FORK_FLOATS`` floats is written by a forked child (where ``os.fork``
+    exists): the callback sends the rows down a pipe to the child, which
+    writes both parts (and always leaves through ``os._exit``), until the
+    child stops reading (it failed).  Otherwise the callback appends each
+    block in process, and a game of at least ``_THREAD_FLOATS`` floats is
+    written by a thread, which checks a stop flag between pieces.  The
+    thread opens its file with ``builtins.open``, never this module's
+    ``open``, which a tracer may wrap with spans kept for one thread (as
+    ``perfbench/tracing.py`` does).  When the block ends, the pipe is
+    closed, the child reaped or the thread joined, and the parts renamed.  A
+    failed write raises ``OSError`` on every path by one rule, from its
     errno and the artifact it was writing.  When the block raises, the child
-    is killed and reaped and the parts removed.
+    is killed and reaped or the thread stopped and joined, and the parts
+    removed.
     """
     names = ("game.json", "trace.csv")
     parts = [os.path.join(out_dir, f".{name}.{os.getpid()}.part") for name in names]
+    fork = 7 * (max_iters + 1) >= _FORK_FLOATS and hasattr(os, "fork")
+    thread = not fork and game.c.size >= _THREAD_FLOATS
 
-    def start():  # game.json, then the trace.csv header
+    def start_game():
         with open(parts[0], "w", encoding="utf-8") as f:
             _dump_game(game, f)
+
+    def start_trace():
         with open(parts[1], "w", encoding="utf-8") as f:
             f.write(",".join(TRACE_COLUMNS) + "\n")
 
@@ -623,9 +682,8 @@ def _write_aside(game, out_dir, fork):
         with open(parts[1], "a", encoding="utf-8") as f:
             f.write(_csv_rows(block))
 
-    def failed(code):  # the error of a write that ended with status code
-        # the trace.csv part is opened only once game.json is written
-        path = os.path.join(out_dir, names[os.path.exists(parts[1])])
+    def failed(code, name):  # the error of a write of name that ended with status code
+        path = os.path.join(out_dir, name)
         if 0 < code < 255:
             return OSError(code, os.strerror(code), path)
         return OSError(f"could not write {path}: its writer process ended with status {code}")
@@ -633,11 +691,20 @@ def _write_aside(game, out_dir, fork):
     def status(exc):  # an OSError's exit status in the child
         return exc.errno if exc.errno and exc.errno < 255 else 255
 
-    def in_process(write, *args):
+    def in_process(name, write, *args):
         try:
             write(*args)
         except OSError as exc:
-            raise failed(status(exc)) from exc
+            raise failed(status(exc), name) from exc
+
+    def write_game(stop, errors):  # the writer thread
+        try:
+            with builtins.open(parts[0], "w", encoding="utf-8") as f:
+                _dump_game(game, _StoppableFile(f, stop))
+        except _Stopped:
+            pass
+        except BaseException as exc:  # raised again on the calling thread
+            errors.append(exc)
 
     def send(block):
         data = memoryview(block.tobytes())
@@ -647,18 +714,18 @@ def _write_aside(game, out_dir, fork):
         except BrokenPipeError:  # the child failed: its exit status says how
             os.close(pipe.pop())
 
-    pid, pipe = None, []  # the child, and its pipe's write end until closed
+    pid, pipe, writer = None, [], None  # the child and its pipe's write end, or the thread
+    stop, errors = threading.Event(), []
     try:
-        if not fork:
-            in_process(start)
-        else:
+        if fork:
             read_end, write_end = os.pipe()
             pid = os.fork()
             if pid == 0:
                 code = 255
                 try:
                     os.close(write_end)
-                    start()
+                    start_game()
+                    start_trace()
                     size = _BLOCK * IterationTrace.itemsize  # one block of run() a read
                     with os.fdopen(read_end, "rb") as rows:
                         for chunk in iter(lambda: rows.read(size), b""):
@@ -670,14 +737,29 @@ def _write_aside(game, out_dir, fork):
                     os._exit(code)
             os.close(read_end)
             pipe.append(write_end)
-        yield send if fork else lambda block: in_process(append, block)
+        else:
+            if thread:
+                writer = threading.Thread(target=write_game, args=(stop, errors), name="game.json")
+                writer.start()
+            else:
+                in_process(names[0], start_game)
+            in_process(names[1], start_trace)
+        yield send if fork else lambda block: in_process(names[1], append, block)
         if pipe:
             os.close(pipe.pop())
         if fork:
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             pid = None
-            if code:
-                raise failed(code)
+            if code:  # the trace.csv part is opened only once game.json is written
+                raise failed(code, names[os.path.exists(parts[1])])
+        if writer is not None:
+            writer.join()
+            writer = None
+            _trim_heap()
+            if errors and isinstance(errors[0], OSError):
+                raise failed(status(errors[0]), names[0]) from errors[0]
+            if errors:
+                raise errors[0]
         for part, name in zip(parts, names):
             os.replace(part, os.path.join(out_dir, name))
     except BaseException:
@@ -686,6 +768,9 @@ def _write_aside(game, out_dir, fork):
         if pid is not None:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
+        if writer is not None:
+            stop.set()
+            writer.join()
         for part in parts:
             try:
                 os.remove(part)
@@ -702,9 +787,11 @@ def run_experiment(config: ExperimentConfig, out_dir=None, game=None, graph=None
     ``out_dir`` set, makes it and writes ``trace.csv``, ``summary.txt``,
     ``summary.json``, ``plot.py``, plus the game, graph and mixing-matrix
     documents.  ``game.json`` and ``trace.csv`` are written while the run
-    goes on (:func:`_write_aside`), by a child process where ``os.fork``
-    exists and their text holds at least ``_FORK_FLOATS`` floats; the call
-    reaps it before it returns or raises.
+    goes on (:func:`_write_aside`): by a child process where ``os.fork``
+    exists and the trace holds at least ``_FORK_FLOATS`` floats, and
+    otherwise ``game.json`` by a thread when the game holds at least
+    ``_THREAD_FLOATS``; the call reaps the child or joins the thread before
+    it returns or raises.
     """
     config.validate()
     t_start = time.perf_counter()
@@ -716,9 +803,8 @@ def run_experiment(config: ExperimentConfig, out_dir=None, game=None, graph=None
         raise ValueError(f"graph has {graph.n} nodes but game has {game.n} players")
     if out_dir is None:
         return _measure(config, game, graph, x0, t_start, None)[0]
-    fork = game.c.size + 7 * (config.max_iters + 1) >= _FORK_FLOATS and hasattr(os, "fork")
     os.makedirs(out_dir, exist_ok=True)
-    with _write_aside(game, out_dir, fork) as rows:
+    with _write_aside(game, out_dir, config.max_iters) as rows:
         report, w = _measure(config, game, graph, x0, t_start, rows)
         _write_text(os.path.join(out_dir, "summary.txt"), report.to_text())
         _write_json(os.path.join(out_dir, "summary.json"), report.to_dict())

@@ -20,6 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import floattext
 from .errors import DisconnectedGraphError
 
 __all__ = [
@@ -280,16 +281,8 @@ def graph_to_edgelist(g: Graph) -> str:
 
 
 def save_mixing_matrix(w: MixingMatrix, path) -> None:
-    """Dense CSV, row-major, shortest round-trip decimal per entry.
-
-    Only ``+0.0`` has all 64 bits clear, and its repr is ``"0.0"``: each
-    row starts from that text and calls repr only for the entries with a
-    bit set (``-0.0`` included)."""
+    """Dense CSV, row-major, shortest round-trip decimal (``repr``) per
+    entry; only the entries with a bit set are formatted
+    (:func:`~gradplay.floattext.matrix_lines`)."""
     with open(path, "w", encoding="utf-8") as f:
-        for row in w.w:
-            text = ["0.0"] * len(row)
-            nonzero = np.flatnonzero(row.view(np.int64))
-            for j, value in zip(nonzero.tolist(), row[nonzero].tolist()):
-                text[j] = repr(value)
-            f.write(",".join(text))
-            f.write("\n")
+        f.writelines(floattext.matrix_lines(w.w))

@@ -6,6 +6,8 @@ import math
 import os
 import subprocess
 import sys
+import threading
+import time
 import weakref
 from pathlib import Path
 
@@ -276,12 +278,20 @@ def assert_no_child_left():
 
 
 def aside_config(**overrides):
-    """A 12-player, 300-step config: 144 + 7 * 301 floats of game.json and
-    trace.csv text."""
+    """A 12-player, 300-step config: 144 floats of game.json text and 7 * 301
+    of trace.csv text."""
     return small_config(**{"n": 12, **overrides})
 
 
-ASIDE_FLOATS = 12 * 12 + 7 * 301
+ASIDE_GAME_FLOATS, ASIDE_TRACE_FLOATS = 12 * 12, 7 * 301
+
+#: (_FORK_FLOATS, _THREAD_FLOATS) that give aside_config() each writer: at
+#: or just above its trace floats, at or just above its game floats.
+WRITERS = {
+    "forked": (ASIDE_TRACE_FLOATS, ASIDE_GAME_FLOATS),
+    "thread": (ASIDE_TRACE_FLOATS + 1, ASIDE_GAME_FLOATS),
+    "in_process": (ASIDE_TRACE_FLOATS + 1, ASIDE_GAME_FLOATS + 1),
+}
 
 
 def run_kind(kind):
@@ -294,19 +304,80 @@ def run_kind(kind):
     return {"alpha": 80.0} if kind == "diverged" else {}
 
 
-class TestGameJsonAside:
-    """game.json and trace.csv are written by one forked child while the run
-    goes on once their text holds at least ``_FORK_FLOATS`` floats."""
+def on_main_thread():
+    return threading.current_thread() is threading.main_thread()
 
-    @pytest.fixture(params=["forked", "in_process"])
+
+class WriterSpy:
+    """Which writer wrote game.json: forks, and the thread of each
+    ``_dump_game`` call in this process (a forked child's are not seen).
+    Every call of ``harness.open`` records whether it came from the main
+    thread; nothing may call it from another."""
+
+    def __init__(self, monkeypatch):
+        self.forks, self.dumps, self.opens = 0, [], []
+        fork, dump = os.fork, harness._dump_game
+
+        def counted_fork():
+            self.forks += 1
+            return fork()
+
+        def spied_dump(game, f):
+            self.dumps.append(on_main_thread())
+            dump(game, f)
+
+        def spied_open(*args, **kwargs):
+            self.opens.append(on_main_thread())
+            return open(*args, **kwargs)
+
+        monkeypatch.setattr(harness.os, "fork", counted_fork)
+        monkeypatch.setattr(harness, "_dump_game", spied_dump)
+        monkeypatch.setattr(harness, "open", spied_open, raising=False)
+
+    def writer(self):
+        assert all(self.opens), "harness.open was called off the main thread"
+        if self.forks:
+            assert self.forks == 1 and self.dumps == []
+            return "forked"
+        [main] = self.dumps
+        return "in_process" if main else "thread"
+
+
+class TestGameJsonAside:
+    """game.json and trace.csv are written while the run goes on: both by one
+    forked child once the trace holds at least ``_FORK_FLOATS`` floats, and
+    otherwise game.json by a thread once the game holds at least
+    ``_THREAD_FLOATS``."""
+
+    @pytest.fixture(params=list(WRITERS))
     def writer(self, request, monkeypatch):
-        # just at aside_config()'s float count, or just above it
-        monkeypatch.setattr(harness, "_FORK_FLOATS", ASIDE_FLOATS + (request.param == "in_process"))
-        forks = []
-        fork = os.fork
-        monkeypatch.setattr(harness.os, "fork", lambda: forks.append(1) or fork())
+        fork_floats, thread_floats = WRITERS[request.param]
+        monkeypatch.setattr(harness, "_FORK_FLOATS", fork_floats)
+        monkeypatch.setattr(harness, "_THREAD_FLOATS", thread_floats)
+        spy = WriterSpy(monkeypatch)
+        threads = threading.active_count()
         yield request.param
-        assert len(forks) == (request.param == "forked")
+        assert spy.writer() == request.param
+        assert threading.active_count() == threads
+
+    @pytest.mark.parametrize(
+        "n, max_iters, expected",
+        [
+            (10, 50, "forked"),  # 7 * 51 trace floats, 100 game floats
+            (9, 50, "forked"),
+            (10, 49, "thread"),
+            (9, 49, "in_process"),
+        ],
+    )
+    def test_trace_floats_fork_and_game_floats_thread(self, n, max_iters, expected, tmp_path, monkeypatch):
+        monkeypatch.setattr(harness, "_FORK_FLOATS", 7 * 51)
+        monkeypatch.setattr(harness, "_THREAD_FLOATS", 100)
+        spy = WriterSpy(monkeypatch)
+        threads = threading.active_count()
+        run_experiment(small_config(n=n, max_iters=max_iters), out_dir=tmp_path)
+        assert spy.writer() == expected
+        assert threading.active_count() == threads
+        assert_no_child_left()
 
     def test_same_bytes_on_both_paths(self, writer, tmp_path):
         report = run_experiment(aside_config(), out_dir=tmp_path)
@@ -392,33 +463,73 @@ class TestGameJsonAside:
         assert not [name for name in artifact_names(tmp_path) if name.endswith(".part")]
         assert_no_child_left()
 
-    def assert_a_failed_write_in_process_leaves_neither_file(self, stage, tmp_path, monkeypatch, capsys):
+    @staticmethod
+    def assert_a_failed_write_leaves_neither_file(stage, thread, tmp_path, monkeypatch, capsys):
         def full(game_or_block, f=None):
             if f is not None:
                 f.write("{")
             raise OSError(errno.ENOSPC, "full")
 
         config = small_config(max_iters=20)
-        monkeypatch.setattr(harness, "_FORK_FLOATS", 5 * 5 + 7 * 21 + 1)  # above the config's floats
-        # game.json fails before the run, trace.csv on the run's first block
+        monkeypatch.setattr(harness, "_FORK_FLOATS", 7 * 21 + 1)  # above the config's trace floats
+        monkeypatch.setattr(harness, "_THREAD_FLOATS", 5 * 5 if thread else 5 * 5 + 1)
+        # game.json fails before the run (or beside it, in the thread),
+        # trace.csv on the run's first block
         monkeypatch.setattr(harness, "_dump_game" if stage == "game.json" else "_csv_rows", full)
         monkeypatch.setattr(harness.os, "fork", lambda: pytest.fail("the run forked"))
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps(config.to_dict()))
         out = tmp_path / "o"
+        threads = threading.active_count()
         assert main(["run", "--config", str(config_path), "--out", str(out)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         # the error names the file as the forked path's does
         assert captured.err == f"error: [Errno 28] No space left on device: '{out / stage}'\n"
-        assert artifact_names(out) == []
+        # the thread's error is raised when the run is done, as a child's is
+        others = ["graph.edges", "mixing.csv", "plot.py", "summary.json", "summary.txt"]
+        assert artifact_names(out) == (others if thread and stage == "game.json" else [])
+        assert threading.active_count() == threads
 
     def test_a_failed_write_in_process_leaves_neither_file(self, tmp_path, monkeypatch, capsys):
         # the in-process path once left a truncated game.json beside trace.csv
-        self.assert_a_failed_write_in_process_leaves_neither_file("game.json", tmp_path, monkeypatch, capsys)
+        self.assert_a_failed_write_leaves_neither_file("game.json", False, tmp_path, monkeypatch, capsys)
 
     def test_a_failed_append_in_process_leaves_neither_file(self, tmp_path, monkeypatch, capsys):
-        self.assert_a_failed_write_in_process_leaves_neither_file("trace.csv", tmp_path, monkeypatch, capsys)
+        self.assert_a_failed_write_leaves_neither_file("trace.csv", False, tmp_path, monkeypatch, capsys)
+
+    @pytest.mark.parametrize("stage", ["game.json", "trace.csv"])
+    def test_a_failed_write_beside_the_writer_thread_leaves_neither_file(self, stage, tmp_path, monkeypatch, capsys):
+        self.assert_a_failed_write_leaves_neither_file(stage, True, tmp_path, monkeypatch, capsys)
+
+    def test_a_raising_run_stops_the_writer_thread(self, tmp_path, monkeypatch):
+        # game.json's text never ends: only the stop flag ends the thread
+        ended_by = []
+
+        def endless_dump(game, f):
+            deadline = time.monotonic() + 60
+            try:
+                while time.monotonic() < deadline:
+                    f.write("x")
+            except BaseException as exc:
+                ended_by.append(type(exc).__name__)
+                raise
+
+        def failing_run(*args, **kwargs):
+            raise RuntimeError("the run failed")
+
+        monkeypatch.setattr(harness, "_FORK_FLOATS", 10**9)
+        monkeypatch.setattr(harness, "_THREAD_FLOATS", 0)
+        monkeypatch.setattr(harness, "_dump_game", endless_dump)
+        monkeypatch.setattr(harness, "run", failing_run)
+        threads = threading.active_count()
+        started = time.monotonic()
+        with pytest.raises(RuntimeError, match="the run failed"):
+            run_experiment(aside_config(), out_dir=tmp_path / "o")
+        assert time.monotonic() - started < 30
+        assert ended_by == ["_Stopped"]
+        assert threading.active_count() == threads
+        assert artifact_names(tmp_path / "o") == []
 
     @pytest.mark.parametrize("stage", ["game.json", "trace.csv"])
     def test_a_child_that_stops_reading_is_not_a_broken_pipe(self, stage, tmp_path, monkeypatch, capsys):
