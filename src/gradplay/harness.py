@@ -603,11 +603,15 @@ def _resolve_alpha(alpha, mu, l, sigma, n, ceiling_note=_CEILING_NOTE):
 _FORK_FLOATS = 56_000
 
 #: Game floats, ``n * n``, from which a run that does not fork writes
-#: ``game.json`` from a thread while it goes on.  Whole jobs of 80 steps on
-#: a random tree, measured as above, thread minus in process: +4.8 ms at
-#: n = 100, +3.1 at 200, +7.5 at 300, +15.0 at 500, +5.9 at 700 and
-#: -138 ms at n = 1000.
-_THREAD_FLOATS = 500_000
+#: ``game.json`` from a thread while it goes on (n >= 750).  Whole jobs of
+#: 80 steps on a random tree, 20 alternating pairs in one warm process per
+#: size, thread minus in process, medians at the probe's reference speed:
+#: +1.1 to +2.0 ms at n = 100-200, +5.6 to +11.8 at 300-500, +3.4 (-7.1 to
+#: +10.9 over three runs) at 700, +22.7 at 725, -85 (-152 to +47 over
+#: three runs) at 750, -145 (-184 to +19 over four runs) at 800, and -186
+#: to -295 ms at 850-1000, lower in 20 of 20 pairs in every run.  Why the
+#: runs at 750 and 800 differ so was not found.
+_THREAD_FLOATS = 750 * 750
 
 
 class _Stopped(Exception):

@@ -18,6 +18,18 @@ from gradplay import dynamics, floattext, random_game, run_experiment
 from gradplay.harness import paper_sim_config
 
 
+@pytest.fixture(autouse=True, scope="module")
+def arrays_for_every_size():
+    """Format even the smallest arrays with the arrays, not ``repr``: most
+    inputs here are below ``SMALL``."""
+    small, floattext.SMALL = floattext.SMALL, 0
+    yield
+    floattext.SMALL = small
+
+
+SMALL = floattext.SMALL
+
+
 def oracle(values, sep=","):
     values = np.asarray(values).ravel()
     text = float.__repr__ if values.dtype.kind == "f" else int.__repr__
@@ -94,6 +106,23 @@ class TestJoin:
             assert floattext.join(ints, sep) == oracle(ints, sep)
         assert floattext.join(np.arange(5, dtype=np.uint8)) == "0,1,2,3,4"
 
+    def test_fewer_than_small_values_take_repr(self, monkeypatch):
+        monkeypatch.setattr(floattext, "SMALL", SMALL)
+        values = edge_values()
+        for size in (1, SMALL - 1, SMALL):
+            assert floattext.join(values[:size], ", ") == oracle(values[:size], ", ")
+            assert floattext.join(np.arange(size), ", ") == oracle(np.arange(size), ", ")
+        assert list(floattext.pieces(values[: SMALL - 1], ",")) == [oracle(values[: SMALL - 1])]
+
+    def test_tables_are_uint64_words(self):
+        # numpy 1's value-based casting would keep a narrower table narrow
+        # through a shift by a uint64 scalar and drop its high digits
+        for table in (floattext._DIGITS4, floattext._PREFIX, floattext._LEADS):
+            assert table.dtype.kind == "u" and table.dtype.itemsize == 8
+        words = floattext._eight(np.array([12345678, 90000001, 99999999]))
+        assert words.dtype == np.uint64
+        assert words.astype("<u8").tobytes() == b"123456789000000199999999"
+
     def test_refuses_other_dtypes(self):
         with pytest.raises(TypeError, match="dtype"):
             floattext.join(np.array(["a"]))
@@ -126,6 +155,16 @@ class TestArtifactValues:
         with_index = "".join(f"{t},{oracle(row)}\n" for t, row in zip(index.tolist(), table))
         assert "".join(floattext.csv_lines(table, index=index)) == with_index
         assert "".join(floattext.matrix_lines(table)) == expected
+
+    @pytest.mark.parametrize("share", [0.0, 0.01, 0.19, 0.21, 1.0])
+    def test_matrix_lines_sparse_and_dense(self, share):
+        # below a fifth of the entries set, the runs of +0.0 are sliced text
+        rng = np.random.default_rng(5)
+        matrix = rng.normal(size=(60, 50)) * 10.0 ** rng.integers(-8, 20, size=(60, 50))
+        matrix[rng.random(matrix.shape) >= share] = 0.0
+        matrix[rng.random(matrix.shape) < 0.02] = -0.0
+        expected = "".join(f"{oracle(row)}\n" for row in matrix)
+        assert "".join(floattext.matrix_lines(matrix)) == expected
 
     def test_matrix_lines_of_zeros_and_signed_zeros(self):
         matrix = np.zeros((5, 4))
