@@ -36,6 +36,7 @@ float arithmetic.
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -66,8 +67,10 @@ def _powers_of_ten():
     correctly rounded double and ``lo`` the correctly rounded rest, and
     ``hi`` split by Veltkamp into ``hi_hi + hi_lo``: views of the bytes of
     Python floats, from int arithmetic, whose true division and
-    int-to-float are correctly rounded."""
-    columns = [bytearray() for _ in range(4)]
+    int-to-float are correctly rounded.  For ``k < 0``, ``hi`` is a ratio
+    ``num / 2**m`` and ``lo`` is ``(2**m - num * 10**-k) / 10**-k`` scaled
+    by ``2**-m``, which is exact above the subnormals."""
+    columns = ([], [], [], [])
     for k in range(_K_MIN, _K_MAX + 1):
         if k >= 0:
             exact = 10**k
@@ -77,12 +80,12 @@ def _powers_of_ten():
             den10 = 10**-k
             h = 1 / den10
             num, den2 = h.as_integer_ratio()
-            l = (den2 - num * den10) / (den2 * den10)
+            l = math.ldexp((den2 - num * den10) / den10, 1 - den2.bit_length())
         c = _SPLIT * h
         hh = c - (c - h)
         for column, value in zip(columns, (h, l, hh, h - hh)):
-            column += struct.pack("<d", value)
-    return [np.frombuffer(column, "<f8") for column in columns]
+            column.append(value)
+    return [np.frombuffer(struct.pack(f"<{len(c)}d", *c), "<f8") for c in columns]
 
 
 _P_HI, _P_LO, _P_HI_HI, _P_HI_LO = _powers_of_ten()
