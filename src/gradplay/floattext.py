@@ -41,7 +41,7 @@ import struct
 
 import numpy as np
 
-__all__ = ["CHUNK", "join", "pieces", "csv_lines", "matrix_lines"]
+__all__ = ["CHUNK", "SMALL", "join", "pieces", "csv_lines", "matrix_lines"]
 
 #: Most values formatted at once.
 CHUNK = 8192
