@@ -22,7 +22,12 @@ into one buffer allocated per run: each product is written into its slot by
 n-vector, is applied through precomputed diagonal views; a one-state chunk
 allocates each new state.  The two norms of the ``n x n`` states and the
 column means (one ``einsum`` over the chunk) are reduced once per chunk, the
-gradient norms and residuals once per block of 256 states.  A block's
+gradient norms and residuals once per block of 256 states.  From n = 200
+(``_OVERLAP_FLOATS``) a thread started for the run reduces each state's
+norms while the calling thread computes its own gradients and the next
+state, ahead of need; a state that stops the run drops the state computed
+after it, and no step is taken past the horizon.  The reductions are the
+same calls on the same arrays, so every value is the same.  A block's
 columns hold its states in rows 1.., and row 0 carries the last state of the
 block before (NaN before t = 0).  Each finished block becomes its trace rows
 at once, with, column-wise against the row above, the recursion residual and
@@ -37,6 +42,7 @@ from __future__ import annotations
 import math
 import operator
 import sys
+import threading
 
 import numpy as np
 
@@ -65,6 +71,17 @@ _BLOCK = 256
 #: Most bytes of ``n x n`` states that :func:`run` holds for one reduction of
 #: their norms, so that a chunk stays in cache (see :func:`_record_spans`).
 _CHUNK_BYTES = 256 * 1024
+
+#: Entries of an ``n x n`` state from which :func:`run`'s one-state branch
+#: reduces each state's norms on a worker thread while it steps to the next
+#: state (:class:`_NormWorker`; n >= 200).  Per-iteration time of 80 steps
+#: on a random tree, alternating pairs in one warm process per run, one BLAS
+#: thread, 2 vCPUs, thread against none (medians of 10 pairs): 1.22-1.31x
+#: at n = 91-100 (lower in 0 of 10), 0.76-1.07x at 105-175 (lower in 2 to
+#: 10 of 10), 0.80-0.90x at 200 (8-10 of 10 in each of four runs) and
+#: 0.73-0.79x at 300 (10 of 10 in each of three runs); 0.65x at 500 and
+#: 0.61x at 750 and 1000 (6 pairs, 6 of 6).
+_OVERLAP_FLOATS = 200 * 200
 
 #: Trace columns, in ``trace.csv`` order.  All norms are Frobenius norms of
 #: ``n x n`` matrices.  The slack columns hold ``rhs - lhs`` of the
@@ -204,6 +221,16 @@ def run(
     (final, trace) : (ndarray, np.recarray of dtype IterationTrace)
         The trace has one row per visited state, the initial one included.
 
+    Notes
+    -----
+    From ``_OVERLAP_FLOATS`` entries of a state (n >= 200), a thread started
+    for the call reduces the norms of state t while the calling thread
+    computes the own gradients at t and state t + 1 (only while t is below
+    ``max_iters``).  The stop test waits for the norms; if state t stops the
+    run, state t + 1 is dropped.  The results are those of one thread to
+    the bit, an exception raised in the thread is raised by the call, and
+    the thread is joined before the call returns or raises.
+
     Raises
     ------
     DivergenceError
@@ -243,7 +270,7 @@ def run(
     held = np.full((2, block + 1, n), math.nan)
     norms = np.full((2, block + 1), math.nan)
     filled = 1
-    work = diff = None
+    work = None
     if chunk > 1:
         # A chunk's states (0) and their differences (1), allocated once.  The
         # loop steps in place: W times the state in slot k - 1 goes into slot
@@ -262,9 +289,12 @@ def run(
         # scalar path; the products alpha * g_i are the same bits
         alphas, step_g = np.full(n, alpha, dtype=float), np.empty(n)
 
+    # From _OVERLAP_FLOATS a one-state chunk's norms are reduced on a worker
+    # thread while this thread steps to the next state, ahead of need.
+    overlap = work is None and n * n >= _OVERLAP_FLOATS
     # A diverging run overflows; the guard below turns the non-finite
     # distance into a DivergenceError.
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"), _NormWorker(x_star, n, overlap) as worker:
         initial_dist = _norm(x - x_star)
         # a state whose distance is not <= this finite limit (NaN and inf
         # included) diverged, unless its distance is <= tol
@@ -274,10 +304,12 @@ def run(
             # Step through one chunk, holding its states; then reduce them.
             size = min(chunk, max_iters + 1 - t)
             if work is None:
-                if t:
-                    x = _update(w_op, x, alpha, g)
-                xs = x[None]  # frees the state before, as the gradient allocates
+                if t:  # frees the state before, as the gradient allocates
+                    x = ahead if overlap else _update(w_op, x, alpha, g)
+                worker.start(x)
                 g = held[1, filled] = _own_gradient(game, x)
+                if overlap and t < max_iters:  # dropped if state t stops the run
+                    ahead = _update(w_op, x, alpha, g)
             else:
                 for k in range(size):
                     if k or t:
@@ -287,11 +319,10 @@ def run(
                     np.multiply(a_mat, slots[k], out=scratch)
                     g = np.add.reduce(scratch, axis=1, out=grads[filled + k])
                     np.add(g, b, g)
-                xs = work[0, :size]
-                diff = work[1, :size]
+                worker.start(work[0, :size], work[1, :size])
 
             span = slice(filled, filled + size)
-            held[0, span], norms[0, span], norms[1, span] = _chunk_norms(xs, x_star, n, diff)
+            held[0, span], norms[0, span], norms[1, span] = worker.result()
             dist = norms[1, span].tolist()
             stop = next((k for k, d in enumerate(dist) if d <= tol or not d <= dist_limit), None)
             kept = size if stop is None else stop + 1
@@ -341,19 +372,95 @@ def _chunk_norms(xs, x_star, n, diff):
     """Column means, consensus violations and NE distances of a stack of
     states, for the held rows of :func:`run`.  Each mean is a sum over n (the
     floating-point operations of mean) and each norm the BLAS dot of _norm.
-    The differences go into ``diff``.  Without it the stack is one state,
-    reduced as it is (the stacked reduction was 6-15 % slower per run at
-    n = 100); each n x n difference is freed before the next is built."""
-    if diff is None:
-        x = xs[0]
-        mean = x.sum(axis=0) / n
-        return mean, [_norm(x - mean)], [_norm(x - x_star)]
+    The differences go into ``diff``, or, for a single ``n x n`` state
+    without it, into temporaries, each freed before the next is built.  A
+    single state is reduced as it is (the stacked reduction was 6-15 % slower
+    per run at n = 100)."""
+    if xs.ndim == 2:
+        mean = xs.sum(axis=0) / n
+        cv = _norm(np.subtract(xs, mean, out=diff))
+        return mean, [cv], [_norm(np.subtract(xs, x_star, out=diff))]
     # einsum adds the rows in order, as x.sum(axis=0) does, with less
     # dispatch than xs.sum(axis=1)
     means = np.einsum("kij->kj", xs) / n
     cv = _flat_dots(np.subtract(xs, means[:, None], out=diff))
     dist = _flat_dots(np.subtract(xs, x_star, out=diff))
     return (means, *np.sqrt([cv, dist]))
+
+
+class _NormWorker:
+    """The norm reductions of :func:`run`, one :func:`_chunk_norms` call a
+    chunk: ``start(xs, diff)`` hands over a chunk, ``result()`` returns its
+    reduction.  Without ``overlap`` the reduction runs in ``result()``.
+
+    With it, a thread started for the run reduces one state at a time while
+    the calling thread steps on, and ``result()`` waits for it and raises
+    on the calling thread what the reduction raised.  Its differences go into
+    one ``n x n`` buffer allocated here, on the calling thread.  Differences
+    allocated by the thread come from the thread's own malloc arena, which
+    cannot reuse memory the caller freed: the scale-tree benchmark process
+    then peaked at 137.8 and 139.1 MB, against 132.2 and 133.2 MB with this
+    buffer (two runs each).  The thread runs under the run's ``np.errstate``,
+    which a new thread does not inherit, and calls nothing that
+    ``perfbench/tracing.py`` wraps (its span stack is one thread's).
+    Leaving the ``with`` block waits for a reduction under way and joins the
+    thread."""
+
+    def __init__(self, x_star, n, overlap):
+        self.args, self.job, self.reduced = (x_star, n), None, None
+        self.thread, self.busy = None, False
+        if overlap:
+            self.diff = np.empty((n, n))
+            self.posted, self.done = threading.Lock(), threading.Lock()
+            self.posted.acquire()
+            self.done.acquire()
+            self.thread = threading.Thread(target=self._work, name="run norms")
+
+    def __enter__(self):
+        if self.thread is not None:
+            self.thread.start()
+        return self
+
+    def __exit__(self, *exc_info):
+        if self.thread is not None:
+            if self.busy:
+                self.done.acquire()
+            self.job = None  # ends the thread
+            self.posted.release()
+            self.thread.join()
+
+    def start(self, xs, diff=None):
+        if self.thread is None:
+            self.job = xs, diff
+        else:
+            self.job, self.busy = (xs, self.diff), True
+            self.posted.release()
+
+    def result(self):
+        if self.thread is None:
+            return self._reduce()
+        self.done.acquire()
+        self.busy = False
+        reduced, self.reduced = self.reduced, None
+        if isinstance(reduced, BaseException):
+            raise reduced
+        return reduced
+
+    def _reduce(self):
+        (xs, diff), self.job = self.job, None
+        return _chunk_norms(xs, *self.args, diff)
+
+    def _work(self):
+        with np.errstate(over="ignore", invalid="ignore"):
+            while True:
+                self.posted.acquire()
+                if self.job is None:
+                    return
+                try:
+                    self.reduced = self._reduce()
+                except BaseException as exc:  # raised again on the calling thread
+                    self.reduced = exc
+                self.done.release()
 
 
 def _flat_dots(stack: np.ndarray) -> np.ndarray:

@@ -15,10 +15,14 @@ import os
 
 #: Dense ``n x n`` float64 arrays a run holds at its peak, and bytes per
 #: trace row (the record, the per-state norms and the analysis; ``trace.csv``
-#: is written in blocks): peak RSS above the interpreter's was 9.7 and 8.7
-#: arrays at n = 600 and 1200 (tree, 3 steps), and 207 bytes a row at n = 5
-#: over 200 000 steps, artifacts written in process.
-_DENSE_ARRAYS = 9
+#: is written in blocks).  One tree ``run_experiment`` of 3 steps in a fresh
+#: process, peak RSS (``ru_maxrss``) above a warm-up run and audit at n = 5
+#: and ``import scipy.sparse``, three processes a size: 9.2 arrays at
+#: n = 600 and 7.8-8.7 at 1200, one more than without the worker thread's
+#: difference buffer (``dynamics._NormWorker``); a one-topology tree audit
+#: read 9.4 and 8.7.  207 bytes a row at n = 5 over 200 000 steps,
+#: artifacts written in process.
+_DENSE_ARRAYS = 10
 _TRACE_ROW_BYTES = 256
 
 

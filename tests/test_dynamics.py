@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ from numpy.testing import assert_allclose
 
 from gradplay import (
     DivergenceError,
+    IterationTrace,
     MixingMatrix,
     QuadraticGame,
     alpha_max,
@@ -633,6 +636,165 @@ class TestRecordedNorms:
         w = metropolis_weights(ring(240))
         assert w.operator.format == "csr"
         self.check(random_game(240, 21), w, 0.02, initial_estimates(240, 22), 30)
+
+
+#: The smallest n whose one-state chunks run() reduces on a worker thread.
+OVERLAP_N = math.isqrt(dynamics._OVERLAP_FLOATS - 1) + 1
+
+
+class TestOverlappedNorms:
+    """From _OVERLAP_FLOATS a worker thread reduces the norms of state t while
+    run() steps to t + 1.  The trace, the final state, a tol stop and a
+    divergence must be those of the one-thread reference to the bit, and no
+    thread may outlive the call."""
+
+    NORMS = ("consensus_violation", "distance_to_ne", "avg_distance_to_ne", "grad_norm")
+    # at the threshold (a dense operator) and above it (CSR)
+    SIZES = [OVERLAP_N, 250]
+
+    @staticmethod
+    def setup_case(n):
+        game = random_game(n, 8)
+        w = metropolis_weights(build_graph("tree", n, 8))
+        return game, w, initial_estimates(n, 8)
+
+    @staticmethod
+    def assert_same_rows(trace, expected):
+        for name in IterationTrace.names:  # NaN equals NaN column by column
+            np.testing.assert_array_equal(trace[name], expected[name])
+
+    @staticmethod
+    def threads_during(*args, **kwargs):
+        """run()'s result and the threads alive while it called ``rows``."""
+        seen = []
+        result = run(*args, **kwargs, rows=lambda block: seen.append(threading.active_count()))
+        return result, set(seen)
+
+    def test_sizes_straddle_the_csr_switch(self):
+        assert dynamics._record_spans(OVERLAP_N - 1)[0] == 1
+        assert (OVERLAP_N - 1) ** 2 < dynamics._OVERLAP_FLOATS <= OVERLAP_N**2
+        assert isinstance(self.setup_case(OVERLAP_N)[1].operator, np.ndarray)
+        assert self.setup_case(250)[1].operator.format == "csr"
+
+    @pytest.mark.parametrize("n, extra", [(OVERLAP_N - 1, 0), (OVERLAP_N, 1), (250, 1)])
+    def test_the_worker_runs_from_the_threshold(self, n, extra):
+        game, w, x0 = self.setup_case(n)
+        before = threading.active_count()
+        _, seen = self.threads_during(game, w, 0.03, x0, 3)
+        assert seen == {before + extra}
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_norm_columns_and_final_state_match_step_replay(self, n, monkeypatch):
+        game, w, x0 = self.setup_case(n)
+        update, steps = dynamics._update, []
+        monkeypatch.setattr(dynamics, "_update", lambda *args: steps.append(1) or update(*args))
+        for iters in (0, 1, 17):
+            steps.clear()
+            final, trace = run(game, w, 0.03, x0, max_iters=iters)
+            assert len(steps) == iters  # no step past the horizon
+            ref = reference_norm_columns(game, w, 0.03, x0, iters)
+            for k, name in enumerate(self.NORMS):
+                np.testing.assert_array_equal(trace[name], ref[:, k])
+            assert final.base is None and final.flags.c_contiguous and final.flags.owndata
+            np.testing.assert_array_equal(final, step_replay_final(game, w, 0.03, x0, iters))
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_tol_stop_returns_the_state_it_stopped_at(self, n):
+        # the state computed ahead of the stop is dropped
+        game, w, x0 = self.setup_case(n)
+        _, full = run(game, w, 0.03, x0, max_iters=40)
+        tol = full.distance_to_ne[23]
+        stop = int(np.argmax(full.distance_to_ne <= tol))
+        final, trace = run(game, w, 0.03, x0, max_iters=40, tol=tol)
+        assert len(trace) == stop + 1 and stop < 40
+        self.assert_same_rows(trace, full[: stop + 1])
+        np.testing.assert_array_equal(final, step_replay_final(game, w, 0.03, x0, stop))
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_divergence_matches_the_reference(self, n, monkeypatch):
+        game, w, x0 = self.setup_case(n)
+        with pytest.raises(DivergenceError) as excinfo:
+            run(game, w, 2.0, x0, max_iters=60)
+        monkeypatch.setattr(dynamics, "_OVERLAP_FLOATS", math.inf)  # one thread
+        with pytest.raises(DivergenceError) as reference:
+            run(game, w, 2.0, x0, max_iters=60)
+        t = excinfo.value.iteration
+        assert 0 < t == reference.value.iteration < 60
+        ref = reference_norm_columns(game, w, 2.0, x0, t)
+        for k, name in enumerate(self.NORMS):
+            np.testing.assert_array_equal(excinfo.value.trace[name], ref[:, k])
+        self.assert_same_rows(excinfo.value.trace, reference.value.trace)
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_overflowing_run_warns_nothing(self, n, recwarn):
+        # numpy's errstate is per thread: the worker sets the run's own
+        game, w, x0 = self.setup_case(n)
+        with pytest.raises(DivergenceError) as excinfo:
+            run(game, w, 1e300, x0, max_iters=50)
+        assert not math.isfinite(excinfo.value.trace[-1].distance_to_ne)
+        assert not [wn for wn in recwarn if issubclass(wn.category, RuntimeWarning)]
+
+    def test_no_thread_outlives_the_run(self):
+        game, w, x0 = self.setup_case(250)
+        before = threading.active_count()
+        run(game, w, 0.03, x0, max_iters=5)
+        assert threading.active_count() == before
+        with pytest.raises(DivergenceError):
+            run(game, w, 2.0, x0, max_iters=60)
+        assert threading.active_count() == before
+
+        def full_disk(block):
+            raise OSError(28, "No space left on device")
+
+        for iters in (5, 300):  # the last block, and a block before it
+            with pytest.raises(OSError, match="No space"):
+                run(game, w, 0.03, x0, max_iters=iters, rows=full_disk)
+            assert threading.active_count() == before
+
+    def test_concurrent_runs_under_a_short_switch_interval(self):
+        # more runs than cores, each with its own worker: a hand-over lost
+        # between a caller and its worker shows as a wrong row or a hang
+        game, w, x0 = self.setup_case(250)
+        _, expected = run(game, w, 0.03, x0, max_iters=12)
+        traces = {}
+
+        def one(k):
+            traces[k] = run(game, w, 0.03, x0, max_iters=12)[1]
+
+        callers = [threading.Thread(target=one, args=(k,)) for k in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        assert sorted(traces) == [0, 1, 2, 3]
+        for trace in traces.values():
+            self.assert_same_rows(trace, expected)
+
+    def test_a_worker_exception_reaches_the_caller_unchanged(self, monkeypatch):
+        game, w, x0 = self.setup_case(250)
+        chunk_norms, boom = dynamics._chunk_norms, ArithmeticError("boom")
+        calls = []
+
+        def failing(xs, *args):
+            calls.append(threading.current_thread())
+            if len(calls) == 3:
+                raise boom
+            return chunk_norms(xs, *args)
+
+        monkeypatch.setattr(dynamics, "_chunk_norms", failing)
+        before = threading.active_count()
+        with pytest.raises(ArithmeticError) as excinfo:
+            run(game, w, 0.03, x0, max_iters=10)
+        assert excinfo.value is boom
+        assert len(calls) == 3 and threading.main_thread() not in calls
+        assert threading.active_count() == before
 
 
 class TestSparseOperator:

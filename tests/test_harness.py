@@ -230,12 +230,14 @@ class TestRunExperiment:
 
     def test_dense_runs_never_import_scipy(self, tmp_path):
         """paper-sim and the default audit iterate small dense matrices; the
-        sparse operator's scipy import must stay out of their processes."""
+        sparse operator's scipy import must stay out of their processes.  So
+        must ``concurrent.futures`` and ``queue``, which the writer and norm
+        threads do without (7 ms and 0.25 MB at import)."""
         script = (
             "import sys, gradplay\n"
             f"gradplay.run_experiment(gradplay.paper_sim_config(), out_dir={str(tmp_path / 'run')!r})\n"
             f"assert gradplay.audit(out_dir={str(tmp_path / 'audit')!r}).ok\n"
-            "print('scipy.sparse' in sys.modules)\n"
+            "print(any(m in sys.modules for m in ('scipy.sparse', 'concurrent.futures', 'queue')))\n"
         )
         src = str(Path(dynamics.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
@@ -1289,9 +1291,9 @@ class TestCli:
         root = self.fake_root(tmp_path, "0::/job\n", {"job": "1073741824\n"})
         physical_memory = footprint._physical_memory
         monkeypatch.setattr(footprint, "_physical_memory", lambda: physical_memory(root))
-        footprint._check_footprint(3000, 1000)  # 0.6 GiB
+        footprint._check_footprint(3000, 1000)  # 0.67 GiB
         with pytest.raises(ValueError, match="more than the 1 GiB of physical memory"):
-            footprint._check_footprint(4000, 1000)  # 1.07 GiB
+            footprint._check_footprint(4000, 1000)  # 1.19 GiB
 
     def test_audit_counts_the_mixing_matrices_it_shares(self, tmp_path, monkeypatch, capsys):
         def sysconf(name):
@@ -1301,11 +1303,11 @@ class TestCli:
         root = self.fake_root(tmp_path, "0::/job\n", {"job": "1073741824\n"})
         physical_memory = footprint._physical_memory
         monkeypatch.setattr(footprint, "_physical_memory", lambda: physical_memory(root))
-        # n = 3500: a run's 9 arrays are 0.82 GiB, an audit's 9 + 3 are 1.1 GiB
+        # n = 3500: a run's 10 arrays are 0.91 GiB, an audit's 10 + 3 are 1.19 GiB
         ExperimentConfig(n=3500, max_iters=1).validate()
         argv = ["audit", "--sizes", "3500", "--iters", "1", "--out", str(tmp_path / "o")]
         err = self.refused_before_allocating(argv, monkeypatch, capsys)
-        assert err.startswith("error: n=3500 and max_iters=1 need an estimated 1.1 GiB")
+        assert err.startswith("error: n=3500 and max_iters=1 need an estimated 1.19 GiB")
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("n", [10**6, 10**400])
