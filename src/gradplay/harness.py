@@ -13,12 +13,10 @@ imports it.
 
 from __future__ import annotations
 
-import builtins
 import ctypes
 import math
 import os
 import signal
-import threading
 import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
@@ -138,7 +136,7 @@ class ExperimentConfig:
             raise ValueError("max_iters must be >= 0")
         if not (_finite(self.tol) and self.tol >= 0):
             raise ValueError(f"tol must be finite and >= 0, got {self.tol}")
-        _check_footprint(self.n, self.max_iters, self.tol)
+        _check_footprint(self.n, self.max_iters, self.tol, topologies=[self.topology])
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -589,57 +587,35 @@ def _resolve_alpha(alpha, mu, l, sigma, n, ceiling_note=_CEILING_NOTE):
     return alpha, terms, ceiling, True, "explicit alpha below the certified ceiling", plan
 
 
-#: Trace floats, ``7 * (max_iters + 1)``, from which :func:`_write_aside`
-#: writes ``trace.csv`` and ``game.json`` in a forked child while the run
-#: goes on.  Whole jobs at n = 20, a fresh process per job, 8 alternating
-#: rounds, forked minus in process (medians at the host probe's reference
-#: speed, 2 vCPUs, one BLAS thread): +7.3 ms over 1,000 steps, +12.6 over
-#: 2,000, +13.5 over 4,000, +12.7 over 8,000 (56,007 floats), +13.7 over
-#: 10,000.  Repeated paper-sim jobs (10,000 steps) in one perfbench
-#: process read 0.086, 0.088 and 0.134 s forked against 0.118-0.125 s in
-#: process in three runs, then 0.130-0.141 against 0.119-0.126 s in eight
-#: alternating pairs (the forked path depends on the host's second vCPU),
-#: so paper-sim keeps its child.
-_FORK_FLOATS = 56_000
-
-#: Game floats, ``n * n``, from which a run that does not fork writes
-#: ``game.json`` from a thread while it goes on (n >= 750).  Whole jobs of
-#: 80 steps on a random tree, 20 alternating pairs in one warm process per
-#: size, thread minus in process, medians at the probe's reference speed:
-#: +1.1 to +2.0 ms at n = 100-200, +5.6 to +11.8 at 300-500, +3.4 (-7.1 to
-#: +10.9 over three runs) at 700, +22.7 at 725, -85 (-152 to +47 over
-#: three runs) at 750, -145 (-184 to +19 over four runs) at 800, and -186
-#: to -295 ms at 850-1000, lower in 20 of 20 pairs in every run.  Why the
-#: runs at 750 and 800 differ so was not found.
-_THREAD_FLOATS = 750 * 750
-
-
-class _Stopped(Exception):
-    """The writer thread was told to stop."""
-
-
-class _StoppableFile:
-    """The writes of a text file, refused once ``stop`` is set."""
-
-    def __init__(self, f, stop):
-        self.f, self.stop = f, stop
-
-    def write(self, text):
-        if self.stop.is_set():
-            raise _Stopped
-        self.f.write(text)
-
-    def writelines(self, pieces):
-        for piece in pieces:
-            self.write(piece)
+#: Floats of text, ``game.c.size + 7 * (max_iters + 1)`` (the game and the
+#: trace), from which :func:`_write_aside` writes ``game.json`` and
+#: ``trace.csv`` in a forked child while the run goes on.  Whole
+#: ``run_experiment`` calls, forked minus in process, medians of alternating
+#: pairs on 2 vCPUs with one BLAS thread: first one job per fresh process
+#: (as the CLI runs, 8-10 pairs a size), then repeated jobs in one warm
+#: process a size (as perfbench runs, 10-12 pairs):
+#:
+#: - paper-sim's n = 20 game by steps: 1,000 (7,407 floats) -0.9 and +0.8
+#:   ms fresh, +5.4 (forked lower in 0 of 10 pairs) and +0.7 ms warm; 2,000
+#:   -5.2 and -1.0; 3,000 -3.1 and -5.7; 4,000 (28,407) -6.9 and -3.7
+#:   fresh, -0.2 and -6.6 warm; 6,000 (42,407) -16.8 and -13.7, lower in 22
+#:   of 22; 8,000 -20.2 and -18.7; 10,000 (paper-sim) -27.4 and -31.7.
+#: - a random tree over 80 steps by n: 100 (10,567) +0.2 and +0.0; 150 -3.3
+#:   and -2.6; 200 (40,567) -5.3 fresh and +1.6 warm (lower in 6 of 12); 250
+#:   (62,567) -13.9 and -4.7; 400 -47 and -13; 550 -93 and -33; 700 -85 and
+#:   -90; 850 -164 and -168; 1000 (scale-tree) -265 and -248.
+#:
+#: The trace and the game cross over at the same count: up to 40,567 floats
+#: the fork does not win in both kinds of traffic, and from 42,407 it does.
+_FORK_FLOATS = 41_000
 
 
 def _trim_heap():
     """Hand the free memory of every malloc arena back to the system, where
-    the C library has glibc's ``malloc_trim``.  A thread's arena otherwise
-    keeps its high-water mark after the thread ends: 2-4 MB for the
-    ``game.json`` text of a 1000-player game, which every later peak of
-    the process would carry."""
+    the C library has glibc's ``malloc_trim``.  Without it the n x n states
+    a run has freed stay resident: 88-105 MB after one scale-tree job in a
+    fresh process against 74 MB with it, which every later peak of the
+    process would carry."""
     trim = getattr(ctypes.CDLL(None), "malloc_trim", None) if os.name == "posix" else None
     if trim is not None:
         trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
@@ -653,26 +629,22 @@ def _write_aside(game, out_dir, max_iters):
 
     Both go under temporary names next to their artifacts: the game and the
     trace header first, then each block of rows as the text of
-    :func:`~gradplay.dynamics._csv_rows`.  A trace of at least
-    ``_FORK_FLOATS`` floats is written by a forked child (where ``os.fork``
-    exists): the callback sends the rows down a pipe to the child, which
-    writes both parts (and always leaves through ``os._exit``), until the
-    child stops reading (it failed).  Otherwise the callback appends each
-    block in process, and a game of at least ``_THREAD_FLOATS`` floats is
-    written by a thread, which checks a stop flag between pieces.  The
-    thread opens its file with ``builtins.open``, never this module's
-    ``open``, which a tracer may wrap with spans kept for one thread (as
-    ``perfbench/tracing.py`` does).  When the block ends, the pipe is
-    closed, the child reaped or the thread joined, and the parts renamed.  A
-    failed write raises ``OSError`` on every path by one rule, from its
-    errno and the artifact it was writing.  When the block raises, the child
-    is killed and reaped or the thread stopped and joined, and the parts
-    removed.
+    :func:`~gradplay.dynamics._csv_rows`.  A game and trace of at least
+    ``_FORK_FLOATS`` floats together are written by a forked child (where
+    ``os.fork`` exists): the callback sends the rows down a pipe to the
+    child, which writes both parts (and always leaves through
+    ``os._exit``), until the child stops reading (it failed).  Otherwise the
+    game and the header are written in process before the block runs, and
+    the callback appends each block.  When the block ends, the pipe is
+    closed, the child reaped and the parts renamed.  A failed write raises
+    ``OSError`` on both paths by one rule, from its errno and the artifact
+    it was writing.  When the block raises, the child is killed and reaped
+    and the parts removed.  Either way the heap is trimmed last
+    (:func:`_trim_heap`).
     """
     names = ("game.json", "trace.csv")
     parts = [os.path.join(out_dir, f".{name}.{os.getpid()}.part") for name in names]
-    fork = 7 * (max_iters + 1) >= _FORK_FLOATS and hasattr(os, "fork")
-    thread = not fork and game.c.size >= _THREAD_FLOATS
+    fork = game.c.size + 7 * (max_iters + 1) >= _FORK_FLOATS and hasattr(os, "fork")
 
     def start_game():
         with open(parts[0], "w", encoding="utf-8") as f:
@@ -701,15 +673,6 @@ def _write_aside(game, out_dir, max_iters):
         except OSError as exc:
             raise failed(status(exc), name) from exc
 
-    def write_game(stop, errors):  # the writer thread
-        try:
-            with builtins.open(parts[0], "w", encoding="utf-8") as f:
-                _dump_game(game, _StoppableFile(f, stop))
-        except _Stopped:
-            pass
-        except BaseException as exc:  # raised again on the calling thread
-            errors.append(exc)
-
     def send(block):
         data = memoryview(block.tobytes())
         try:
@@ -718,8 +681,7 @@ def _write_aside(game, out_dir, max_iters):
         except BrokenPipeError:  # the child failed: its exit status says how
             os.close(pipe.pop())
 
-    pid, pipe, writer = None, [], None  # the child and its pipe's write end, or the thread
-    stop, errors = threading.Event(), []
+    pid, pipe = None, []  # the child and its pipe's write end
     try:
         if fork:
             read_end, write_end = os.pipe()
@@ -742,11 +704,7 @@ def _write_aside(game, out_dir, max_iters):
             os.close(read_end)
             pipe.append(write_end)
         else:
-            if thread:
-                writer = threading.Thread(target=write_game, args=(stop, errors), name="game.json")
-                writer.start()
-            else:
-                in_process(names[0], start_game)
+            in_process(names[0], start_game)
             in_process(names[1], start_trace)
         yield send if fork else lambda block: in_process(names[1], append, block)
         if pipe:
@@ -756,14 +714,6 @@ def _write_aside(game, out_dir, max_iters):
             pid = None
             if code:  # the trace.csv part is opened only once game.json is written
                 raise failed(code, names[os.path.exists(parts[1])])
-        if writer is not None:
-            writer.join()
-            writer = None
-            _trim_heap()
-            if errors and isinstance(errors[0], OSError):
-                raise failed(status(errors[0]), names[0]) from errors[0]
-            if errors:
-                raise errors[0]
         for part, name in zip(parts, names):
             os.replace(part, os.path.join(out_dir, name))
     except BaseException:
@@ -772,15 +722,14 @@ def _write_aside(game, out_dir, max_iters):
         if pid is not None:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-        if writer is not None:
-            stop.set()
-            writer.join()
         for part in parts:
             try:
                 os.remove(part)
             except FileNotFoundError:
                 pass
         raise
+    finally:
+        _trim_heap()
 
 
 def run_experiment(config: ExperimentConfig, out_dir=None, game=None, graph=None, x0=None):
@@ -792,10 +741,9 @@ def run_experiment(config: ExperimentConfig, out_dir=None, game=None, graph=None
     ``summary.json``, ``plot.py``, plus the game, graph and mixing-matrix
     documents.  ``game.json`` and ``trace.csv`` are written while the run
     goes on (:func:`_write_aside`): by a child process where ``os.fork``
-    exists and the trace holds at least ``_FORK_FLOATS`` floats, and
-    otherwise ``game.json`` by a thread when the game holds at least
-    ``_THREAD_FLOATS``; the call reaps the child or joins the thread before
-    it returns or raises.
+    exists and the game and trace hold at least ``_FORK_FLOATS`` floats
+    together, and otherwise in process; the call reaps the child and trims
+    the heap before it returns or raises.
     """
     config.validate()
     t_start = time.perf_counter()

@@ -105,6 +105,12 @@ class Graph:
 SPARSE_FILL_RATIO = 75
 
 
+def _sparse_operator(nnz: int, n: int) -> bool:
+    """Whether :attr:`MixingMatrix.operator` is sparse for an ``n x n``
+    matrix with ``nnz`` nonzero entries."""
+    return SPARSE_FILL_RATIO * nnz <= n * n
+
+
 @dataclass(frozen=True)
 class MixingMatrix:
     """A doubly stochastic weight matrix together with its contraction factor.
@@ -163,7 +169,7 @@ class MixingMatrix:
         The two agree to rounding, not bit for bit.  scipy is imported only
         here, so dense runs never pay for the import.
         """
-        if SPARSE_FILL_RATIO * np.count_nonzero(self.w) > self.w.size:
+        if not _sparse_operator(np.count_nonzero(self.w), self.n):
             return self.w
         from scipy.sparse import csr_array
 

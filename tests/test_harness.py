@@ -1,3 +1,4 @@
+import contextlib
 import errno
 import inspect
 import io
@@ -7,7 +8,6 @@ import os
 import subprocess
 import sys
 import threading
-import time
 import weakref
 from pathlib import Path
 
@@ -231,8 +231,8 @@ class TestRunExperiment:
     def test_dense_runs_never_import_scipy(self, tmp_path):
         """paper-sim and the default audit iterate small dense matrices; the
         sparse operator's scipy import must stay out of their processes.  So
-        must ``concurrent.futures`` and ``queue``, which the writer and norm
-        threads do without (7 ms and 0.25 MB at import)."""
+        must ``concurrent.futures`` and ``queue``, which the norm thread
+        does without (7 ms and 0.25 MB at import)."""
         script = (
             "import sys, gradplay\n"
             f"gradplay.run_experiment(gradplay.paper_sim_config(), out_dir={str(tmp_path / 'run')!r})\n"
@@ -285,15 +285,12 @@ def aside_config(**overrides):
     return small_config(**{"n": 12, **overrides})
 
 
-ASIDE_GAME_FLOATS, ASIDE_TRACE_FLOATS = 12 * 12, 7 * 301
+#: The floats of game.json and trace.csv text of aside_config().
+ASIDE_FLOATS = 12 * 12 + 7 * 301
 
-#: (_FORK_FLOATS, _THREAD_FLOATS) that give aside_config() each writer: at
-#: or just above its trace floats, at or just above its game floats.
-WRITERS = {
-    "forked": (ASIDE_TRACE_FLOATS, ASIDE_GAME_FLOATS),
-    "thread": (ASIDE_TRACE_FLOATS + 1, ASIDE_GAME_FLOATS),
-    "in_process": (ASIDE_TRACE_FLOATS + 1, ASIDE_GAME_FLOATS + 1),
-}
+#: The _FORK_FLOATS that gives aside_config() each writer: at or just above
+#: its floats.
+WRITERS = {"forked": ASIDE_FLOATS, "in_process": ASIDE_FLOATS + 1}
 
 
 def run_kind(kind):
@@ -306,18 +303,12 @@ def run_kind(kind):
     return {"alpha": 80.0} if kind == "diverged" else {}
 
 
-def on_main_thread():
-    return threading.current_thread() is threading.main_thread()
-
-
 class WriterSpy:
-    """Which writer wrote game.json: forks, and the thread of each
-    ``_dump_game`` call in this process (a forked child's are not seen).
-    Every call of ``harness.open`` records whether it came from the main
-    thread; nothing may call it from another."""
+    """Which writer wrote game.json: forks, and the ``_dump_game`` calls in
+    this process (a forked child's are not seen)."""
 
     def __init__(self, monkeypatch):
-        self.forks, self.dumps, self.opens = 0, [], []
+        self.forks, self.dumps = 0, 0
         fork, dump = os.fork, harness._dump_game
 
         def counted_fork():
@@ -325,37 +316,32 @@ class WriterSpy:
             return fork()
 
         def spied_dump(game, f):
-            self.dumps.append(on_main_thread())
+            self.dumps += 1
             dump(game, f)
-
-        def spied_open(*args, **kwargs):
-            self.opens.append(on_main_thread())
-            return open(*args, **kwargs)
 
         monkeypatch.setattr(harness.os, "fork", counted_fork)
         monkeypatch.setattr(harness, "_dump_game", spied_dump)
-        monkeypatch.setattr(harness, "open", spied_open, raising=False)
 
     def writer(self):
-        assert all(self.opens), "harness.open was called off the main thread"
         if self.forks:
-            assert self.forks == 1 and self.dumps == []
+            assert self.forks == 1 and self.dumps == 0
             return "forked"
-        [main] = self.dumps
-        return "in_process" if main else "thread"
+        assert self.dumps == 1
+        return "in_process"
+
+
+def thread_names():
+    return sorted(thread.name for thread in threading.enumerate())
 
 
 class TestGameJsonAside:
     """game.json and trace.csv are written while the run goes on: both by one
-    forked child once the trace holds at least ``_FORK_FLOATS`` floats, and
-    otherwise game.json by a thread once the game holds at least
-    ``_THREAD_FLOATS``."""
+    forked child once the game and trace hold at least ``_FORK_FLOATS``
+    floats together, and otherwise in process."""
 
     @pytest.fixture(params=list(WRITERS))
     def writer(self, request, monkeypatch):
-        fork_floats, thread_floats = WRITERS[request.param]
-        monkeypatch.setattr(harness, "_FORK_FLOATS", fork_floats)
-        monkeypatch.setattr(harness, "_THREAD_FLOATS", thread_floats)
+        monkeypatch.setattr(harness, "_FORK_FLOATS", WRITERS[request.param])
         spy = WriterSpy(monkeypatch)
         threads = threading.active_count()
         yield request.param
@@ -363,22 +349,74 @@ class TestGameJsonAside:
         assert threading.active_count() == threads
 
     @pytest.mark.parametrize(
-        "n, max_iters, expected",
+        "n, max_iters",
         [
-            (10, 50, "forked"),  # 7 * 51 trace floats, 100 game floats
-            (9, 50, "forked"),
-            (10, 49, "thread"),
-            (9, 49, "in_process"),
+            (30, 2),  # game-heavy: 900 game floats, 21 trace floats
+            (3, 300),  # trace-heavy: 9 game floats, 2107 trace floats
         ],
     )
-    def test_trace_floats_fork_and_game_floats_thread(self, n, max_iters, expected, tmp_path, monkeypatch):
-        monkeypatch.setattr(harness, "_FORK_FLOATS", 7 * 51)
-        monkeypatch.setattr(harness, "_THREAD_FLOATS", 100)
+    # the run holds `below` floats fewer than the threshold
+    @pytest.mark.parametrize("below, expected", [(0, "forked"), (1, "in_process")])
+    def test_game_and_trace_floats_fork_from_the_threshold(
+        self, n, max_iters, below, expected, tmp_path, monkeypatch
+    ):
+        floats = n * n + 7 * (max_iters + 1)
+        monkeypatch.setattr(harness, "_FORK_FLOATS", floats + below)
         spy = WriterSpy(monkeypatch)
-        threads = threading.active_count()
         run_experiment(small_config(n=n, max_iters=max_iters), out_dir=tmp_path)
         assert spy.writer() == expected
-        assert threading.active_count() == threads
+        assert_no_child_left()
+
+    def test_a_large_game_with_a_short_trace_forks_once_and_starts_no_writer_thread(
+        self, tmp_path, monkeypatch
+    ):
+        # n = 250 starts the run's norm thread (dynamics._OVERLAP_FLOATS);
+        # game.json is formatted by the child alone
+        config = small_config(n=250, max_iters=3, alpha=1e-3, check_lemmas=False)
+        assert 7 * 4 < harness._FORK_FLOATS <= 250 * 250
+        spy = WriterSpy(monkeypatch)
+        seen = []
+        run = harness.run
+
+        def watched_run(*args, rows, **kwargs):
+            def watched_rows(block):
+                seen.append(thread_names())
+                rows(block)
+
+            return run(*args, rows=watched_rows, **kwargs)
+
+        monkeypatch.setattr(harness, "run", watched_run)
+        before = thread_names()
+        run_experiment(config, out_dir=tmp_path)
+        assert spy.writer() == "forked"
+        assert seen and all(names == sorted(before + ["run norms"]) for names in seen)
+        assert thread_names() == before
+        assert_no_child_left()
+
+    def test_without_os_fork_every_run_is_written_in_process(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(harness, "_FORK_FLOATS", 0)
+        dumps = []
+        dump = harness._dump_game
+        monkeypatch.setattr(harness, "_dump_game", lambda game, f: dumps.append(dump(game, f)))
+        monkeypatch.delattr(harness.os, "fork")
+        report = run_experiment(aside_config(), out_dir=tmp_path)
+        assert len(dumps) == 1
+        assert (tmp_path / "trace.csv").read_text() == dynamics.trace_to_csv(report.trace)
+
+    @pytest.mark.parametrize("writer_floats", [0, 10**12], ids=["forked", "in_process"])
+    @pytest.mark.parametrize("raises", [False, True], ids=["returns", "raises"])
+    def test_the_heap_is_trimmed_once_a_run(self, writer_floats, raises, tmp_path, monkeypatch):
+        trims = []
+        monkeypatch.setattr(harness, "_FORK_FLOATS", writer_floats)
+        monkeypatch.setattr(harness, "_trim_heap", lambda: trims.append(os.getpid()))
+        if raises:
+            def failing_run(*args, **kwargs):
+                raise RuntimeError("the run failed")
+
+            monkeypatch.setattr(harness, "run", failing_run)
+        with pytest.raises(RuntimeError) if raises else contextlib.nullcontext():
+            run_experiment(aside_config(), out_dir=tmp_path)
+        assert trims == [os.getpid()]
         assert_no_child_left()
 
     def test_same_bytes_on_both_paths(self, writer, tmp_path):
@@ -466,72 +504,34 @@ class TestGameJsonAside:
         assert_no_child_left()
 
     @staticmethod
-    def assert_a_failed_write_leaves_neither_file(stage, thread, tmp_path, monkeypatch, capsys):
+    def assert_a_failed_write_leaves_neither_file(stage, tmp_path, monkeypatch, capsys):
         def full(game_or_block, f=None):
             if f is not None:
                 f.write("{")
             raise OSError(errno.ENOSPC, "full")
 
         config = small_config(max_iters=20)
-        monkeypatch.setattr(harness, "_FORK_FLOATS", 7 * 21 + 1)  # above the config's trace floats
-        monkeypatch.setattr(harness, "_THREAD_FLOATS", 5 * 5 if thread else 5 * 5 + 1)
-        # game.json fails before the run (or beside it, in the thread),
-        # trace.csv on the run's first block
+        # above the config's game and trace floats
+        monkeypatch.setattr(harness, "_FORK_FLOATS", 5 * 5 + 7 * 21 + 1)
+        # game.json fails before the run, trace.csv on the run's first block
         monkeypatch.setattr(harness, "_dump_game" if stage == "game.json" else "_csv_rows", full)
         monkeypatch.setattr(harness.os, "fork", lambda: pytest.fail("the run forked"))
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps(config.to_dict()))
         out = tmp_path / "o"
-        threads = threading.active_count()
         assert main(["run", "--config", str(config_path), "--out", str(out)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         # the error names the file as the forked path's does
         assert captured.err == f"error: [Errno 28] No space left on device: '{out / stage}'\n"
-        # the thread's error is raised when the run is done, as a child's is
-        others = ["graph.edges", "mixing.csv", "plot.py", "summary.json", "summary.txt"]
-        assert artifact_names(out) == (others if thread and stage == "game.json" else [])
-        assert threading.active_count() == threads
+        assert artifact_names(out) == []
 
     def test_a_failed_write_in_process_leaves_neither_file(self, tmp_path, monkeypatch, capsys):
         # the in-process path once left a truncated game.json beside trace.csv
-        self.assert_a_failed_write_leaves_neither_file("game.json", False, tmp_path, monkeypatch, capsys)
+        self.assert_a_failed_write_leaves_neither_file("game.json", tmp_path, monkeypatch, capsys)
 
     def test_a_failed_append_in_process_leaves_neither_file(self, tmp_path, monkeypatch, capsys):
-        self.assert_a_failed_write_leaves_neither_file("trace.csv", False, tmp_path, monkeypatch, capsys)
-
-    @pytest.mark.parametrize("stage", ["game.json", "trace.csv"])
-    def test_a_failed_write_beside_the_writer_thread_leaves_neither_file(self, stage, tmp_path, monkeypatch, capsys):
-        self.assert_a_failed_write_leaves_neither_file(stage, True, tmp_path, monkeypatch, capsys)
-
-    def test_a_raising_run_stops_the_writer_thread(self, tmp_path, monkeypatch):
-        # game.json's text never ends: only the stop flag ends the thread
-        ended_by = []
-
-        def endless_dump(game, f):
-            deadline = time.monotonic() + 60
-            try:
-                while time.monotonic() < deadline:
-                    f.write("x")
-            except BaseException as exc:
-                ended_by.append(type(exc).__name__)
-                raise
-
-        def failing_run(*args, **kwargs):
-            raise RuntimeError("the run failed")
-
-        monkeypatch.setattr(harness, "_FORK_FLOATS", 10**9)
-        monkeypatch.setattr(harness, "_THREAD_FLOATS", 0)
-        monkeypatch.setattr(harness, "_dump_game", endless_dump)
-        monkeypatch.setattr(harness, "run", failing_run)
-        threads = threading.active_count()
-        started = time.monotonic()
-        with pytest.raises(RuntimeError, match="the run failed"):
-            run_experiment(aside_config(), out_dir=tmp_path / "o")
-        assert time.monotonic() - started < 30
-        assert ended_by == ["_Stopped"]
-        assert threading.active_count() == threads
-        assert artifact_names(tmp_path / "o") == []
+        self.assert_a_failed_write_leaves_neither_file("trace.csv", tmp_path, monkeypatch, capsys)
 
     @pytest.mark.parametrize("stage", ["game.json", "trace.csv"])
     def test_a_child_that_stops_reading_is_not_a_broken_pipe(self, stage, tmp_path, monkeypatch, capsys):
@@ -1303,12 +1303,34 @@ class TestCli:
         root = self.fake_root(tmp_path, "0::/job\n", {"job": "1073741824\n"})
         physical_memory = footprint._physical_memory
         monkeypatch.setattr(footprint, "_physical_memory", lambda: physical_memory(root))
-        # n = 3500: a run's 10 arrays are 0.91 GiB, an audit's 10 + 3 are 1.19 GiB
+        # n = 3500: a run's 10 arrays are 0.91 GiB, an audit's 10 + 3 are 1.19
+        # GiB, and neither counts scipy's import once it is loaded
+        import scipy.sparse  # noqa: F401
+
         ExperimentConfig(n=3500, max_iters=1).validate()
         argv = ["audit", "--sizes", "3500", "--iters", "1", "--out", str(tmp_path / "o")]
         err = self.refused_before_allocating(argv, monkeypatch, capsys)
         assert err.startswith("error: n=3500 and max_iters=1 need an estimated 1.19 GiB")
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("loaded", [False, True], ids=["first sparse run", "scipy loaded"])
+    def test_a_first_sparse_run_counts_the_scipy_import(self, loaded, monkeypatch):
+        # a tree at n = 600 mixes through CSR; the limit is just above its arrays and trace
+        need = footprint._DENSE_ARRAYS * 8 * 600 * 600 + footprint._TRACE_ROW_BYTES * 1001
+        monkeypatch.setattr(footprint, "_physical_memory", lambda: need + 2**20)
+        if loaded:
+            import scipy.sparse  # noqa: F401
+        else:
+            monkeypatch.delitem(sys.modules, "scipy.sparse", raising=False)
+        config = ExperimentConfig(n=600, topology="tree")
+        with contextlib.nullcontext() if loaded else pytest.raises(ValueError, match="n=600"):
+            config.validate()
+        # a dense topology of the same size never imports scipy
+        ExperimentConfig(n=600, topology="complete").validate()
+        argv = {"sizes": [600], "topologies": ["tree"], "iters": 1000}
+        with contextlib.nullcontext() if loaded else pytest.raises(ValueError, match="n=600"):
+            # refused before any cell; one accepted tree cell at n = 600 is not run here
+            auditing.audit(**argv, seeds=0)
 
     @pytest.mark.parametrize("n", [10**6, 10**400])
     def test_size_beyond_memory_is_input_error(self, n, tmp_path, monkeypatch, capsys):
