@@ -367,6 +367,18 @@ class TestGameJsonAside:
         assert spy.writer() == expected
         assert_no_child_left()
 
+    # a 9 x 9 game's 81 floats start no writer thread of their own: they count
+    # with the trace's 7 floats a row toward the one fork threshold
+    @pytest.mark.parametrize("n, max_iters, expected", [(9, 50, "forked"), (9, 49, "in_process")])
+    def test_trace_floats_fork_and_game_floats_thread(self, n, max_iters, expected, tmp_path, monkeypatch):
+        monkeypatch.setattr(harness, "_FORK_FLOATS", 9 * 9 + 7 * 51)
+        spy = WriterSpy(monkeypatch)
+        threads = threading.active_count()
+        run_experiment(small_config(n=n, max_iters=max_iters), out_dir=tmp_path)
+        assert spy.writer() == expected
+        assert threading.active_count() == threads
+        assert_no_child_left()
+
     def test_a_large_game_with_a_short_trace_forks_once_and_starts_no_writer_thread(
         self, tmp_path, monkeypatch
     ):
