@@ -233,9 +233,7 @@ def audit(
         )
     # a run's own arrays, and the mixing matrices of the size's other topologies
     shared = max(len(set(topologies)) - 1, 0)
-    _check_footprint(
-        max(sizes, default=0), iters, arrays=_DENSE_ARRAYS + shared, topologies=topologies
-    )
+    _check_footprint(max(sizes, default=0), iters, arrays=_DENSE_ARRAYS + shared)
     cells = {}
     for n in dict.fromkeys(sizes):
         kinds = [t for size, t in dict.fromkeys(pairs) if size == n]

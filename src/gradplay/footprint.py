@@ -11,38 +11,21 @@ from __future__ import annotations
 
 import math
 import os
-import sys
-
-from .network import _sparse_operator
 
 
 #: Dense ``n x n`` float64 arrays a run holds at its peak, and bytes per
 #: trace row (the record, the per-state norms and the analysis; ``trace.csv``
 #: is written in blocks).  One tree ``run_experiment`` of 3 steps in a fresh
 #: process, peak RSS (``ru_maxrss``) above a warm-up run and audit at n = 5
-#: and ``import scipy.sparse``, three processes a size: 9.2 arrays at
-#: n = 600 and 7.8-8.7 at 1200, one more than without the worker thread's
-#: difference buffer (``dynamics._NormWorker``); a one-topology tree audit
-#: read 9.4 and 8.7.  207 bytes a row at n = 5 over 200 000 steps,
-#: artifacts written in process.
+#: and ``import scipy.sparse`` (which kept that import's ~22 MB out of the
+#: count; no run makes it now, see ``network._sparsetools``), three
+#: processes a size: 9.2 arrays at n = 600 and 7.8-8.7 at 1200, one more
+#: than without the worker thread's difference buffer
+#: (``dynamics._NormWorker``); a one-topology tree audit read 9.4 and 8.7.
+#: 207 bytes a row at n = 5 over 200 000 steps, artifacts written in
+#: process.
 _DENSE_ARRAYS = 10
 _TRACE_ROW_BYTES = 256
-
-#: Resident bytes that the first ``import scipy.sparse`` of a process adds,
-#: paid by its first run whose mixing operator is sparse.  ``ru_maxrss``
-#: around the import in fresh processes: +21.7 to +21.8 MB after ``import
-#: numpy`` (+20.0 to +20.2 MB after ``import gradplay``), five each.
-_SCIPY_SPARSE_BYTES = 22 * 2**20
-
-def _imports_scipy(n: int, topologies) -> bool:
-    """Whether a run of ``n`` players on one of ``topologies`` would import
-    ``scipy.sparse``: it is not loaded yet, and one of them gives a sparse
-    mixing operator (a Metropolis matrix has ``n`` diagonal entries and two
-    an edge, all nonzero)."""
-    if "scipy.sparse" in sys.modules:
-        return False
-    edges = {"tree": n - 1, "star": n - 1, "ring": n, "complete": n * (n - 1) // 2}
-    return any(_sparse_operator(n + 2 * edges[t], n) for t in topologies)
 
 
 def _physical_memory(root="/"):
@@ -101,22 +84,16 @@ def _cgroup_memory_limits(root) -> list:
     return limits
 
 
-def _check_footprint(
-    n: int, max_iters: int, tol: float = 0.0, arrays: int = _DENSE_ARRAYS, topologies=()
-) -> None:
+def _check_footprint(n: int, max_iters: int, tol: float = 0.0, arrays: int = _DENSE_ARRAYS) -> None:
     """Refuse, before anything is allocated, a run of ``n`` players and
     ``max_iters`` steps whose estimated footprint, ``arrays`` dense ``n x n``
     float64 arrays and the trace, exceeds the memory it may use
     (:func:`_physical_memory`): it would end in an out-of-memory kill, not
     in an error.  With ``tol > 0`` the run may stop long before
-    ``max_iters``, so only the dense arrays count.  A run on one of
-    ``topologies`` that would import ``scipy.sparse`` also counts the
-    import (:func:`_imports_scipy`)."""
+    ``max_iters``, so only the dense arrays count."""
     limit = _physical_memory()
     rows = max_iters + 1 if tol == 0 else 0
     need = arrays * 8 * n * n + _TRACE_ROW_BYTES * rows
-    if _imports_scipy(n, topologies):
-        need += _SCIPY_SPARSE_BYTES
     if limit is not None and need > limit:
         gib = need / 2**30 if need < 2**1000 else math.inf  # an int beyond floats
         raise ValueError(

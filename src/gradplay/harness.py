@@ -136,7 +136,7 @@ class ExperimentConfig:
             raise ValueError("max_iters must be >= 0")
         if not (_finite(self.tol) and self.tol >= 0):
             raise ValueError(f"tol must be finite and >= 0, got {self.tol}")
-        _check_footprint(self.n, self.max_iters, self.tol, topologies=[self.topology])
+        _check_footprint(self.n, self.max_iters, self.tol)
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -14,9 +14,13 @@ matrix of the 2-node complete graph).
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from collections import deque
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -97,11 +101,14 @@ class Graph:
 
 #: :attr:`MixingMatrix.operator` is sparse when ``SPARSE_FILL_RATIO * nnz(w)
 #: <= n**2``, i.e. for trees, rings and stars (nnz ~ 3n) from n = 225 on.
-#: Set from whole ``gradplay run`` processes at the default 1000 steps, which
-#: include the one-time ``import scipy.sparse`` (~0.2 s): on a 2-CPU host CSR
-#: lost at n = 200 (0 to +16 %), broke even at 210-220 and won from 230 on
-#: (-14 to -23 % at 230-300).  One ``W @ x`` alone breaks even much earlier,
-#: at n**2 / nnz of 12-16.
+#: Set from whole ``gradplay run`` processes at the default 1000 steps, when
+#: the first sparse operator of a process still imported ``scipy.sparse``
+#: (~0.2 s): on a 2-CPU host CSR lost at n = 200 (0 to +16 %), broke even at
+#: 210-220 and won from 230 on (-14 to -23 % at 230-300).  One ``W @ x``
+#: alone breaks even much earlier, at n**2 / nnz of 12-16.  The operator now
+#: loads only scipy's compiled kernel (under 1 ms), so the ratio is likely
+#: higher than it need be; re-deriving it is left for later, since moving it
+#: changes the bits of the runs it moves across the switch.
 SPARSE_FILL_RATIO = 75
 
 
@@ -109,6 +116,71 @@ def _sparse_operator(nnz: int, n: int) -> bool:
     """Whether :attr:`MixingMatrix.operator` is sparse for an ``n x n``
     matrix with ``nnz`` nonzero entries."""
     return SPARSE_FILL_RATIO * nnz <= n * n
+
+
+def _sparsetools_file():
+    """Path of scipy's compiled ``scipy/sparse/_sparsetools`` extension, or
+    None where no such file is found.  Found without importing scipy."""
+    spec = importlib.util.find_spec("scipy")
+    if spec is None or not spec.submodule_search_locations:
+        return None
+    for folder in spec.submodule_search_locations:
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(folder, "sparse", "_sparsetools" + suffix)
+            if os.path.isfile(path):
+                return path
+    return None
+
+
+@cache
+def _sparsetools():
+    """scipy's ``_sparsetools`` extension, loaded from its file alone in
+    ~1 ms and 0.1 MB: ``scipy`` and ``scipy.sparse``, whose import takes
+    ~0.2 s and ~22 MB resident, are neither run nor entered in
+    ``sys.modules``.  Where the file cannot be found or loaded, the module
+    that ``scipy.sparse`` imports."""
+    path = _sparsetools_file()
+    if path is not None:
+        name = "scipy.sparse._sparsetools"
+        entered = name in sys.modules
+        loader = importlib.machinery.ExtensionFileLoader(name, path)
+        try:
+            module = importlib.util.module_from_spec(importlib.util.spec_from_loader(name, loader))
+            loader.exec_module(module)
+        except ImportError:
+            pass
+        else:
+            if not entered:  # CPython enters the module; scipy.sparse enters its own on import
+                sys.modules.pop(name, None)
+            return module
+    from scipy.sparse import _sparsetools
+
+    return _sparsetools
+
+
+class _CsrOperator:
+    """A square matrix in compressed sparse row form, multiplied into an
+    ndarray by scipy's ``csr_matvecs``: the kernel, the entries and their
+    order of ``scipy.sparse.csr_array(w) @ x``, so the same bits."""
+
+    def __init__(self, w: np.ndarray):
+        rows, self.indices = np.nonzero(w)  # row-major, as scipy orders them
+        self.data = w[rows, self.indices]
+        self.n = w.shape[0]
+        self.indptr = np.searchsorted(rows, np.arange(self.n + 1))
+        self._matvecs = _sparsetools().csr_matvecs
+
+    def __matmul__(self, x) -> np.ndarray:
+        """The product with each column of ``x``, whose first axis is n."""
+        x = np.ascontiguousarray(x, dtype=float)
+        n = self.n
+        if x.shape[:1] != (n,):  # csr_matvecs checks no size
+            raise ValueError(f"operand has shape {x.shape}, expected ({n}, ...)")
+        out = np.zeros(x.shape)
+        self._matvecs(
+            n, n, x.size // n, self.indptr, self.indices, self.data, x.ravel(), out.ravel()
+        )
+        return out
 
 
 @dataclass(frozen=True)
@@ -162,18 +234,17 @@ class MixingMatrix:
     def operator(self):
         """``w`` in the form the iteration multiplies by.
 
-        A ``scipy.sparse.csr_array`` when at most one entry in
-        ``SPARSE_FILL_RATIO`` is nonzero (the Metropolis matrix of a tree,
-        ring or star from 225 nodes), so that ``operator @ x`` costs
-        O((n + |E|) n) instead of O(n^3); otherwise the dense ``w`` itself.
-        The two agree to rounding, not bit for bit.  scipy is imported only
-        here, so dense runs never pay for the import.
+        A CSR operator when at most one entry in ``SPARSE_FILL_RATIO`` is
+        nonzero (the Metropolis matrix of a tree, ring or star from 225
+        nodes), so that ``operator @ x`` costs O((n + |E|) n) instead of
+        O(n^3); otherwise the dense ``w`` itself.  The two agree to rounding,
+        not bit for bit.  The CSR operator gives the bits of
+        ``scipy.sparse.csr_array(w) @ x`` through scipy's compiled kernel,
+        loaded without importing ``scipy.sparse``.
         """
         if not _sparse_operator(np.count_nonzero(self.w), self.n):
             return self.w
-        from scipy.sparse import csr_array
-
-        return csr_array(self.w)
+        return _CsrOperator(self.w)
 
 
 def random_tree(n: int, seed: int) -> Graph:
@@ -246,7 +317,7 @@ def second_largest_singular_value(w: np.ndarray) -> float:
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {w.shape}")
     n = w.shape[0]
-    deflated = w - np.full((n, n), 1.0 / n)
+    deflated = w - 1.0 / n
     if np.array_equal(w, w.T):
         return float(np.max(np.abs(np.linalg.eigvalsh(deflated))))
     return float(np.linalg.svd(deflated, compute_uv=False)[0])

@@ -247,6 +247,45 @@ class TestRunExperiment:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
 
+    def test_sparse_runs_never_import_scipy(self, tmp_path):
+        """A tree run and a ring audit at n = 250 multiply through the CSR
+        operator, whose kernel is loaded without importing scipy or
+        scipy.sparse; an import after them gives the same products."""
+        script = (
+            "import sys, numpy as np, gradplay\n"
+            "from gradplay import network\n"
+            "config = gradplay.ExperimentConfig(n=250, topology='tree', max_iters=3)\n"
+            f"gradplay.run_experiment(config, out_dir={str(tmp_path / 'run')!r})\n"
+            "assert gradplay.audit(sizes=(250,), topologies=('ring',), seeds=1, iters=3).ok\n"
+            "assert network._sparsetools.cache_info().currsize == 1\n"
+            "print(any(m in sys.modules for m in ('scipy', 'scipy.sparse')))\n"
+            "from scipy.sparse import csr_array\n"
+            "w = network.metropolis_weights(network.ring(250))\n"
+            "x = gradplay.initial_estimates(250, 1)\n"
+            "assert np.array_equal(w.operator @ x, csr_array(w.w) @ x)\n"
+        )
+        src = str(Path(dynamics.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=300, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
+    def test_sparse_artifacts_are_scipys(self, tmp_path, monkeypatch):
+        # the CSR operator against scipy.sparse.csr_array: every artifact to the byte
+        from scipy.sparse import csr_array
+
+        config = ExperimentConfig(n=250, topology="tree", max_iters=20)
+        run_experiment(config, out_dir=tmp_path / "kernel")
+        monkeypatch.setattr(
+            gradplay.network.MixingMatrix, "operator", property(lambda w: csr_array(w.w))
+        )
+        run_experiment(config, out_dir=tmp_path / "scipy")
+        for name in ("trace.csv", "mixing.csv", "game.json"):
+            kernel, scipy = (tmp_path / side / name for side in ("kernel", "scipy"))
+            assert kernel.read_bytes() == scipy.read_bytes()
+
     def test_byte_identical_reruns(self, tmp_path):
         config = small_config(max_iters=120)
         run_experiment(config, out_dir=tmp_path / "a")
@@ -1315,34 +1354,35 @@ class TestCli:
         root = self.fake_root(tmp_path, "0::/job\n", {"job": "1073741824\n"})
         physical_memory = footprint._physical_memory
         monkeypatch.setattr(footprint, "_physical_memory", lambda: physical_memory(root))
-        # n = 3500: a run's 10 arrays are 0.91 GiB, an audit's 10 + 3 are 1.19
-        # GiB, and neither counts scipy's import once it is loaded
-        import scipy.sparse  # noqa: F401
-
+        # n = 3500: a run's 10 arrays are 0.91 GiB, an audit's 10 + 3 are 1.19 GiB
         ExperimentConfig(n=3500, max_iters=1).validate()
         argv = ["audit", "--sizes", "3500", "--iters", "1", "--out", str(tmp_path / "o")]
         err = self.refused_before_allocating(argv, monkeypatch, capsys)
         assert err.startswith("error: n=3500 and max_iters=1 need an estimated 1.19 GiB")
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("loaded", [False, True], ids=["first sparse run", "scipy loaded"])
-    def test_a_first_sparse_run_counts_the_scipy_import(self, loaded, monkeypatch):
-        # a tree at n = 600 mixes through CSR; the limit is just above its arrays and trace
+    @pytest.mark.parametrize("loaded", [False, True], ids=["scipy unloaded", "scipy loaded"])
+    def test_sparse_and_dense_topologies_get_one_estimate(self, loaded, monkeypatch):
+        # a tree at n = 600 mixes through CSR, a complete graph through W
+        # itself, and neither imports scipy.sparse: the limit that admits
+        # their arrays and trace admits both, loaded or not
         need = footprint._DENSE_ARRAYS * 8 * 600 * 600 + footprint._TRACE_ROW_BYTES * 1001
-        monkeypatch.setattr(footprint, "_physical_memory", lambda: need + 2**20)
         if loaded:
             import scipy.sparse  # noqa: F401
         else:
             monkeypatch.delitem(sys.modules, "scipy.sparse", raising=False)
-        config = ExperimentConfig(n=600, topology="tree")
-        with contextlib.nullcontext() if loaded else pytest.raises(ValueError, match="n=600"):
+        for topology in ("tree", "complete"):
+            config = ExperimentConfig(n=600, topology=topology)
+            # seeds=0: the audit is checked, then runs no cell
+            matrix = dict(sizes=[600], topologies=[topology], iters=1000, seeds=0)
+            monkeypatch.setattr(footprint, "_physical_memory", lambda: need)
             config.validate()
-        # a dense topology of the same size never imports scipy
-        ExperimentConfig(n=600, topology="complete").validate()
-        argv = {"sizes": [600], "topologies": ["tree"], "iters": 1000}
-        with contextlib.nullcontext() if loaded else pytest.raises(ValueError, match="n=600"):
-            # refused before any cell; one accepted tree cell at n = 600 is not run here
-            auditing.audit(**argv, seeds=0)
+            auditing.audit(**matrix)
+            monkeypatch.setattr(footprint, "_physical_memory", lambda: need - 1)
+            with pytest.raises(ValueError, match="n=600"):
+                config.validate()
+            with pytest.raises(ValueError, match="n=600"):
+                auditing.audit(**matrix)
 
     @pytest.mark.parametrize("n", [10**6, 10**400])
     def test_size_beyond_memory_is_input_error(self, n, tmp_path, monkeypatch, capsys):

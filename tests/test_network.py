@@ -19,7 +19,8 @@ from gradplay import (
     second_largest_singular_value,
     star,
 )
-from gradplay.network import SPARSE_FILL_RATIO
+from gradplay import network
+from gradplay.network import SPARSE_FILL_RATIO, _CsrOperator
 
 
 def normalized_edges(n, pairs):
@@ -249,7 +250,8 @@ class TestOperator:
     def test_sparse_graph_uses_csr(self):
         w = metropolis_weights(random_tree(1000, 3))
         op = w.operator
-        assert op.format == "csr" and op.nnz == np.count_nonzero(w.w) == 3 * 1000 - 2
+        assert isinstance(op, _CsrOperator)
+        assert op.data.size == np.count_nonzero(w.w) == 3 * 1000 - 2
         assert w.operator is op  # built once
         x = np.random.default_rng(0).uniform(-1, 1, (1000, 7))
         assert_allclose(op @ x, w.w @ x, rtol=1e-12, atol=1e-15)
@@ -259,7 +261,66 @@ class TestOperator:
         n0 = 3 * SPARSE_FILL_RATIO
         below = metropolis_weights(ring(n0 - 1))
         assert below.operator is below.w
-        assert metropolis_weights(ring(n0)).operator.format == "csr"
+        assert isinstance(metropolis_weights(ring(n0)).operator, _CsrOperator)
+
+
+class TestCsrKernel:
+    """The CSR operator multiplies through scipy's own ``csr_matvecs``, loaded
+    without importing ``scipy.sparse``: its products are those of
+    ``scipy.sparse.csr_array(w) @ x`` to the bit."""
+
+    GRAPHS = [
+        build(n) for n in (225, 300) for build in (lambda n: random_tree(n, 7), ring, star)
+    ]
+
+    @staticmethod
+    def assert_scipy_bits(w):
+        from scipy.sparse import csr_array
+
+        x = np.random.default_rng(w.n).uniform(-1, 1, (w.n, w.n))
+        expected = csr_array(w.w) @ x
+        for operand in (x, np.asfortranarray(x)):
+            product = w.operator @ operand
+            assert product.flags.c_contiguous
+            np.testing.assert_array_equal(product, expected)
+
+    @pytest.fixture
+    def fresh_kernel(self):
+        network._sparsetools.cache_clear()
+        yield
+        network._sparsetools.cache_clear()
+
+    @pytest.mark.parametrize(
+        "graph", GRAPHS, ids=[f"{t}{n}" for n in (225, 300) for t in ("tree", "ring", "star")]
+    )
+    def test_products_are_scipys(self, graph):
+        w = metropolis_weights(graph)
+        assert isinstance(w.operator, _CsrOperator)
+        self.assert_scipy_bits(w)
+
+    def test_loaded_from_its_file_after_scipy_sparse(self, fresh_kernel):
+        # the file load meets the extension that scipy.sparse has loaded
+        import scipy.sparse  # noqa: F401
+
+        w = metropolis_weights(ring(300))
+        self.assert_scipy_bits(w)
+        assert network._sparsetools().__file__ == network._sparsetools_file()
+
+    @pytest.mark.parametrize("found", [False, True], ids=["no file", "unloadable file"])
+    def test_falls_back_to_scipy_sparse(self, found, fresh_kernel, tmp_path, monkeypatch):
+        junk = tmp_path / "_sparsetools.so"
+        junk.write_bytes(b"not a shared object")
+        monkeypatch.setattr(network, "_sparsetools_file", lambda: str(junk) if found else None)
+        w = metropolis_weights(random_tree(250, 4))
+        self.assert_scipy_bits(w)
+        import scipy.sparse
+
+        assert network._sparsetools() is scipy.sparse._sparsetools
+
+    def test_operand_must_have_n_rows(self):
+        op = metropolis_weights(ring(240)).operator
+        with pytest.raises(ValueError, match=r"shape \(239, 240\), expected \(240, ...\)"):
+            op @ np.zeros((239, 240))
 
 
 class TestAveragingContraction:
