@@ -158,9 +158,9 @@ def _audit_mixing(graph, w):
         float(np.max(np.abs(w.w.sum(axis=0) - 1.0))),
     )
     symmetric = bool(np.array_equal(w.w, w.w.T))
-    edges = np.array(graph.edges, dtype=int).reshape(-1, 2)
+    i, j = graph.edges.T
     adjacency = np.zeros((graph.n, graph.n), dtype=bool)
-    adjacency[edges[:, 0], edges[:, 1]] = adjacency[edges[:, 1], edges[:, 0]] = True
+    adjacency[i, j] = adjacency[j, i] = True
     support = w.w > 0
     np.fill_diagonal(support, False)
     sparsity_ok = np.array_equal(support, adjacency)
@@ -260,7 +260,7 @@ def _audit_size(n, topologies, seeds, coupling_scale, iters, alpha_override, eq5
     are built before the first seed that needs them draws its game, and
     dropped after the last cell that uses them; the graph goes once they
     are built.  A seed builds its new matrices in order of decreasing edge
-    count, so a complete graph's O(n**2) edge tuple is gone before any
+    count, so a complete graph's O(n**2) edge array is gone before any
     other matrix is built.
     """
     keys, graphs = _audit_graphs(n, topologies, seeds)
@@ -286,16 +286,16 @@ def _audit_size(n, topologies, seeds, coupling_scale, iters, alpha_override, eq5
 def _audit_graphs(n, topologies, seeds):
     """The key of each cell's graph, seed by seed, and one graph per key.
 
-    A key numbers a distinct edge set.  The table from edges to numbers
-    lives only while the graphs it names do: kept longer, it would hold a
-    complete graph's O(n**2) edge tuple alive."""
+    A key numbers a distinct edge set, found by its edge array's bytes.  The
+    table from bytes to numbers lives only while the graphs it names do:
+    kept longer, it would hold a copy of a complete graph's O(n**2) edges."""
     keys, known, numbers, graphs = [], {}, {}, {}
     for seed in range(seeds):
         for topology in topologies:
             recipe = (topology, seed) if topology == "tree" else topology  # trees read the seed
             if recipe not in known:
                 graph = harness.build_graph(topology, n, seed=1000 + seed)
-                known[recipe] = numbers.setdefault(graph.edges, len(numbers))
+                known[recipe] = numbers.setdefault(graph.edges.tobytes(), len(numbers))
                 graphs.setdefault(known[recipe], graph)
             keys.append(known[recipe])
     return keys, graphs

@@ -15,15 +15,14 @@ import os
 
 #: Dense ``n x n`` float64 arrays a run holds at its peak, and bytes per
 #: trace row (the record, the per-state norms and the analysis; ``trace.csv``
-#: is written in blocks).  One tree ``run_experiment`` of 3 steps in a fresh
-#: process, peak RSS (``ru_maxrss``) above a warm-up run and audit at n = 5
-#: and ``import scipy.sparse`` (which kept that import's ~22 MB out of the
-#: count; no run makes it now, see ``network._sparsetools``), three
-#: processes a size: 9.2 arrays at n = 600 and 7.8-8.7 at 1200, one more
-#: than without the worker thread's difference buffer
-#: (``dynamics._NormWorker``); a one-topology tree audit read 9.4 and 8.7.
-#: 207 bytes a row at n = 5 over 200 000 steps, artifacts written in
-#: process.
+#: is written in blocks).  Peak RSS (``ru_maxrss``) of one 3-step job in a
+#: fresh process above a warm-up run and audit at n = 5, at n = 600 and 1200:
+#: tree run 9.2 and 7.8-8.7 arrays (one is ``dynamics._NormWorker``'s
+#: difference buffer), tree audit 9.4 and 8.7 (with ``import scipy.sparse``
+#: in the warm-up, which no run makes now); complete run (alpha = 0.01) 9.1
+#: and 8.6, complete audit 6.3 and 6.1 (17.4-17.8 and 13.9-14.2 with edges
+#: as a tuple of pairs).  207 bytes a row at n = 5 over 200 000 steps,
+#: artifacts written in process.
 _DENSE_ARRAYS = 10
 _TRACE_ROW_BYTES = 256
 

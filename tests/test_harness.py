@@ -211,7 +211,7 @@ class TestRunExperiment:
             assert np.array_equal(doc[key], getattr(game, key).ravel())
         pairs = [line.split() for line in (out / "graph.edges").read_text().splitlines()]
         edges = tuple((int(i) - 1, int(j) - 1) for i, j in pairs)
-        assert Graph(n=5, edges=edges) == build_graph("star", 5)
+        assert np.array_equal(Graph(n=5, edges=edges).edges, build_graph("star", 5).edges)
         w = np.loadtxt(out / "mixing.csv", delimiter=",")
         assert w.shape == (5, 5)
 
@@ -1383,6 +1383,49 @@ class TestCli:
                 config.validate()
             with pytest.raises(ValueError, match="n=600"):
                 auditing.audit(**matrix)
+
+    @pytest.mark.parametrize(
+        "job",
+        [
+            "run_experiment(ExperimentConfig(n=1200, topology='complete', alpha=0.01, max_iters=3), out_dir=OUT)",
+            "audit(sizes=(1200,), topologies=('complete',), seeds=1, iters=3)",
+        ],
+        ids=["run", "audit"],
+    )
+    def test_complete_graph_fits_its_estimate(self, job, tmp_path, monkeypatch):
+        # a complete graph holds O(n**2) edges, which the guard does not
+        # count apart: the peak of one job above a warm-up run and audit, in
+        # a fresh process on one BLAS thread, must stay within the estimate
+        # (alpha = 0.01: auto refuses sigma = 0)
+        script = (
+            "import resource\n"
+            "from gradplay import ExperimentConfig, audit, run_experiment\n"
+            f"OUT = {str(tmp_path / 'out')!r}\n"
+            "run_experiment(ExperimentConfig(n=5, max_iters=3))\n"
+            "audit(sizes=(5,), seeds=1, iters=3)\n"
+            "warm = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            f"{job}\n"
+            "print(1024 * (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - warm))\n"
+        )
+        src = str(Path(dynamics.__file__).resolve().parents[1])
+        env = dict(
+            os.environ,
+            PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""),
+            OPENBLAS_NUM_THREADS="1",
+            OMP_NUM_THREADS="1",
+            MKL_NUM_THREADS="1",
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=300, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        grew = int(proc.stdout)
+        # the guard refuses the job wherever less memory than it took is free
+        monkeypatch.setattr(footprint, "_physical_memory", lambda: grew - 1)
+        with pytest.raises(ValueError, match="n=1200 and max_iters=3 need"):
+            ExperimentConfig(n=1200, topology="complete", alpha=0.01, max_iters=3).validate()
+        with pytest.raises(ValueError, match="n=1200 and max_iters=3 need"):
+            auditing.audit(sizes=(1200,), topologies=("complete",), seeds=0, iters=3)
 
     @pytest.mark.parametrize("n", [10**6, 10**400])
     def test_size_beyond_memory_is_input_error(self, n, tmp_path, monkeypatch, capsys):

@@ -24,7 +24,8 @@ from gradplay.network import SPARSE_FILL_RATIO, _CsrOperator
 
 
 def normalized_edges(n, pairs):
-    """``Graph``'s edges by a loop over the pairs, refusing the first bad one."""
+    """``Graph``'s edges, as ``edges.tolist()`` gives them, by a loop over
+    the pairs, refusing the first bad one."""
     normalized = set()
     for i, j in pairs:
         if i == j:
@@ -32,7 +33,7 @@ def normalized_edges(n, pairs):
         if not (0 <= i < n and 0 <= j < n):
             raise ValueError(f"edge ({i}, {j}) out of range for n={n}")
         normalized.add((min(i, j), max(i, j)))
-    return tuple(sorted(normalized))
+    return [[i, j] for i, j in sorted(normalized)]
 
 
 def sigma_eig_oracle(w):
@@ -44,7 +45,7 @@ def sigma_eig_oracle(w):
 
 class TestGraphConstructors:
     def test_tree_two_nodes(self):
-        assert random_tree(2, 0).edges == ((0, 1),)
+        assert random_tree(2, 0).edges.tolist() == [[0, 1]]
 
     @pytest.mark.parametrize("n", [2, 5, 13, 40])
     def test_tree_shape(self, n):
@@ -53,11 +54,11 @@ class TestGraphConstructors:
         assert g.is_connected()
 
     def test_tree_deterministic(self):
-        assert random_tree(17, 9).edges == random_tree(17, 9).edges
-        assert random_tree(17, 9).edges != random_tree(17, 10).edges
+        assert np.array_equal(random_tree(17, 9).edges, random_tree(17, 9).edges)
+        assert not np.array_equal(random_tree(17, 9).edges, random_tree(17, 10).edges)
 
     def test_complete_3(self):
-        assert complete(3).edges == ((0, 1), (0, 2), (1, 2))
+        assert complete(3).edges.tolist() == [[0, 1], [0, 2], [1, 2]]
 
     def test_ring_4(self):
         g = ring(4)
@@ -88,7 +89,7 @@ class TestGraphConstructors:
         with pytest.raises(ValueError, match="at least one node"):
             Graph(n=0, edges=())
         # symmetric storage: (2, 0) normalizes to (0, 2)
-        assert Graph(n=3, edges=((2, 0),)).edges == ((0, 2),)
+        assert Graph(n=3, edges=((2, 0),)).edges.tolist() == [[0, 2]]
 
     @pytest.mark.parametrize("seed", range(4))
     def test_edges_normalized_as_the_loop_does(self, seed):
@@ -102,19 +103,117 @@ class TestGraphConstructors:
                 Graph(n=n, edges=tuple(pairs))
         else:
             edges = Graph(n=n, edges=tuple(pairs)).edges
-            assert edges == expected and {type(i) for pair in edges for i in pair} <= {int}
+            assert edges.tolist() == expected and edges.dtype == np.int64
         good = [(i, j) for i, j in pairs if i != j and 0 <= min(i, j) and max(i, j) < n]
-        assert Graph(n=n, edges=good).edges == normalized_edges(n, good)
+        assert Graph(n=n, edges=good).edges.tolist() == normalized_edges(n, good)
 
     @pytest.mark.parametrize("n", [2, 3, 7, 40])
     def test_named_constructors_match_the_loop(self, n):
-        assert complete(n).edges == tuple((i, j) for i in range(n) for j in range(i + 1, n))
+        assert complete(n).edges.tolist() == [[i, j] for i in range(n) for j in range(i + 1, n)]
         for graph in (complete(n), star(n), random_tree(n, n), *([ring(n)] if n >= 3 else [])):
-            assert graph.edges == normalized_edges(n, graph.edges)
+            assert graph.edges.tolist() == normalized_edges(n, graph.edges.tolist())
+
+    def test_named_constructors_give_their_pairs_in_order(self, monkeypatch):
+        # raw pairs out of order are sorted by np.lexsort, whose code a run
+        # would then keep resident; no named constructor needs it
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a named constructor sorted its pairs")
+
+        monkeypatch.setattr(network.np, "lexsort", unreachable)
+        for n in (2, 3, 4, 20, 250):
+            for graph in (complete(n), star(n), random_tree(n, n), *([ring(n)] if n >= 3 else [])):
+                assert graph.edges.tolist() == normalized_edges(n, graph.edges.tolist())
+        with pytest.raises(AssertionError, match="sorted its pairs"):
+            Graph(n=3, edges=((1, 2), (0, 1)))
 
     def test_connectivity(self):
         assert not Graph(n=4, edges=((0, 1), (2, 3))).is_connected()
         assert Graph(n=4, edges=((0, 1), (1, 2), (2, 3))).is_connected()
+
+    def test_edges_are_one_read_only_int64_array(self):
+        for graph in (Graph(1, ()), Graph(n=4, edges=[]), ring(5), complete(4), random_tree(9, 2)):
+            edges = graph.edges
+            assert edges.dtype == np.int64 and edges.shape == (len(edges), 2)
+            assert not edges.flags.writeable
+            with pytest.raises(ValueError):
+                edges[:1] = 0
+        given = np.array([[1, 0], [2, 1]])
+        assert Graph(n=3, edges=given).edges.tolist() == [[0, 1], [1, 2]]
+        assert given.flags.writeable and given.tolist() == [[1, 0], [2, 1]]  # the input is not taken over
+
+    @pytest.mark.parametrize(
+        "n, edges",
+        [
+            (3, ((0.5, 1),)),
+            (3, ((0, 1.9),)),
+            (3, ((0.0, 1.0),)),
+            (3, (("0", "1"),)),
+            (3, ((0, 2**70),)),
+            (3, ((True, False),)),
+            (3.5, ((0, 1),)),
+            ("3", ((0, 1),)),
+            (True, ()),
+        ],
+        ids=["half", "1.9", "integral-float", "strings", "beyond-int64", "bools", "n-float", "n-str", "n-bool"],
+    )
+    def test_non_integer_input_refused(self, n, edges):
+        with pytest.raises(ValueError, match="must be|integer"):
+            Graph(n=n, edges=edges)
+
+    def test_integer_input_of_any_width_taken(self):
+        assert Graph(1, ()).edges.shape == (0, 2)  # np.asarray(()) is float64, and empty
+        assert Graph(n=np.int64(3), edges=np.array([[2, 0]], np.uint8)).edges.tolist() == [[0, 2]]
+        assert Graph(n=3, edges=[(np.int32(1), 2)]).edges.dtype == np.int64
+
+    @pytest.mark.parametrize("n", [2, 20, 1000])
+    @pytest.mark.parametrize("seed", [0, 7, 103, 2024])
+    def test_tree_draws_the_per_node_stream(self, n, seed):
+        # every tree artifact, paper-sim and scale-tree included, rests on
+        # node k drawing its parent by rng.integers(0, k), k = 1 .. n-1, in turn
+        rng = np.random.default_rng(seed)
+        oracle = [(int(rng.integers(0, k)), k) for k in range(1, n)]
+        assert random_tree(n, seed).edges.tolist() == normalized_edges(n, oracle)
+        # one call over an array of bounds draws the same stream
+        parents = np.random.default_rng(seed).integers(0, np.arange(1, n))
+        assert parents.tolist() == [parent for parent, _ in oracle]
+
+    @staticmethod
+    def connected_by_search(n, pairs):
+        adjacent = [[] for _ in range(n)]
+        for i, j in pairs:
+            adjacent[i].append(j)
+            adjacent[j].append(i)
+        seen, todo = {0}, [0]
+        while todo:
+            for v in adjacent[todo.pop()]:
+                if v not in seen:
+                    seen.add(v)
+                    todo.append(v)
+        return len(seen) == n
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_connectivity_matches_a_search(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 16))
+        pairs = [(int(i), int(j)) for i, j in rng.integers(0, n, (int(rng.integers(0, 2 * n + 1)), 2)) if i != j]
+        assert Graph(n=n, edges=pairs).is_connected() == self.connected_by_search(n, pairs)
+
+    def test_connectivity_of_special_shapes(self):
+        labels = np.random.default_rng(5).permutation(60)
+        path = [(int(labels[k]), int(labels[k + 1])) for k in range(59)]
+        cases = [
+            (1, []),  # one node
+            (3, [(0, 1)]),  # an isolated node
+            (3, [(1, 2)]),  # node 0 isolated
+            (6, [(0, 1), (1, 2), (3, 4), (4, 5)]),  # two components
+            (60, path),  # a path in scrambled labels: 59 passes from its far end
+            (60, path[:29] + path[30:]),  # the same path cut once
+            (61, path),  # the path and an isolated node
+        ]
+        for n, pairs in cases:
+            expected = self.connected_by_search(n, pairs)
+            assert Graph(n=n, edges=pairs).is_connected() == expected, (n, len(pairs))
+        assert [self.connected_by_search(n, pairs) for n, pairs in cases] == [True, False, False, False, True, False, False]
 
 
 class TestMetropolisWeights:
@@ -149,7 +248,7 @@ class TestMetropolisWeights:
         assert np.max(np.abs(w.w.sum(axis=1) - 1)) <= 1e-12
         assert np.array_equal(w.w, w.w.T)  # exactly symmetric
         assert np.all(np.diag(w.w) > 0)
-        edges = set(graph.edges)
+        edges = set(map(tuple, graph.edges.tolist()))
         for i in range(graph.n):
             for j in range(i + 1, graph.n):
                 assert ((i, j) in edges) == (w.w[i, j] > 0)
@@ -414,9 +513,15 @@ class TestSerialization:
         text = graph_to_edgelist(Graph(n=3, edges=((0, 1), (1, 2))))
         assert text == "1 2\n2 3\n"
 
+    def test_edgelist_of_many_chunks(self):
+        g = complete(140)  # 9,730 edges, more than floattext.CHUNK
+        assert len(g.edges) == 9730
+        assert graph_to_edgelist(g) == "".join(f"{i + 1} {j + 1}\n" for i, j in g.edges.tolist())
+        assert graph_to_edgelist(Graph(1, ())) == ""
+
     def test_edgelist_round_trip(self):
         g = random_tree(14, 8)
-        assert edges_from_text(graph_to_edgelist(g), g.n) == g
+        assert np.array_equal(edges_from_text(graph_to_edgelist(g), g.n).edges, g.edges)
 
     def test_mixing_csv_full_precision(self, tmp_path):
         w = metropolis_weights(random_tree(7, 3))
