@@ -34,7 +34,10 @@ at once, with, column-wise against the row above, the recursion residual and
 the slack (rhs - lhs) of the three per-step inequalities of the
 geometric-rate proof; the rows are filled by key into a plain structured
 array and handed over as a record-array view, and a caller may take the
-blocks as they finish.
+blocks as they finish.  A fixed horizon (``tol = 0``) knows its row count,
+so the trace is one array allocated before the first step, and each block
+is written into its rows of it; only a run that may stop on ``tol`` keeps
+its blocks apart and joins them at the end.
 """
 
 from __future__ import annotations
@@ -214,15 +217,26 @@ def run(
         Called with each finished block of trace rows (a record array of at
         most ``_BLOCK`` rows), in order, while the run goes on; the blocks
         concatenate to the returned trace, or to the partial trace of a
-        diverged run.
+        diverged run.  At a fixed horizon each block is a view of its rows
+        of the trace.
 
     Returns
     -------
     (final, trace) : (ndarray, np.recarray of dtype IterationTrace)
         The trace has one row per visited state, the initial one included.
+        At a fixed horizon (``tol == 0``) it is a view of one array of
+        ``max_iters + 1`` rows, allocated before the first step, or of its
+        first rows if the run stopped early; with ``tol > 0`` it is the
+        finished blocks joined.
 
     Notes
     -----
+    A fixed horizon allocates its whole trace up front, 72 bytes a row
+    (``IterationTrace``): a horizon whose trace cannot fit fails at once
+    with numpy's ``MemoryError`` (``ValueError`` past numpy's largest
+    array size), not partway.  ``ExperimentConfig.validate`` and ``audit``
+    refuse such horizons before any run (``footprint._check_footprint``).
+
     From ``_OVERLAP_FLOATS`` entries of a state (n >= 200), a thread started
     for the call reduces the norms of state t while the calling thread
     computes the own gradients at t and state t + 1 (only while t is below
@@ -233,6 +247,8 @@ def run(
 
     Raises
     ------
+    MemoryError
+        If a fixed horizon's trace cannot be allocated (see Notes).
     DivergenceError
         If the distance to the equilibrium is not finite or exceeds
         ``DIVERGENCE_FACTOR`` times its initial value (step size far above
@@ -262,7 +278,11 @@ def run(
     x_star = solve_nash_equilibrium(game)
     w_op = w.operator
     chunk, block = (min(span, max_iters + 1) for span in _record_spans(n))
-    blocks = []  # the trace's rows, one finished block at a time
+    # A fixed horizon knows its rows: each finished block is written into its
+    # rows of one trace array.  A tol stop does not, so its blocks are kept
+    # and joined at the end.
+    whole = np.empty(max_iters + 1, IterationTrace) if tol == 0 else None
+    blocks = []
     # Column means (0) and own gradients (1), and consensus violations (0)
     # and NE distances (1), of a block's states in rows 1..; row 0 carries
     # the last state of the block before (NaN before t = 0).  A chunk divides
@@ -329,20 +349,25 @@ def run(
             filled += kept
             last = stop is not None or t + size > max_iters
             if filled > block or last:
-                finished = _trace_rows(  # row 0 is iteration t + kept - filled
-                    t + kept - filled, *held[:, :filled], *norms[:, :filled],
+                first = t + kept - filled + 1  # the iteration of row 1
+                if whole is None:
+                    finished = np.empty(filled - 1, IterationTrace)
+                    blocks.append(finished)
+                else:
+                    finished = whole[first : first + filled - 1]
+                _trace_rows(
+                    finished, first, *held[:, :filled], *norms[:, :filled],
                     x_star, w.sigma, consts, alpha, n,
                 )
-                blocks.append(finished)
                 if rows is not None:
-                    rows(finished)
+                    rows(finished.view(np.recarray))
                 held[:, 0], norms[:, 0], filled = held[:, filled - 1], norms[:, filled - 1], 1
             if not last:
                 t += size
                 continue
-            # the rows as one record array; a final state that is a slot is
-            # copied, so that the caller's final state is not a slot
-            trace = np.concatenate(blocks).view(np.recarray)
+            # a final state that is a slot is copied, so that the caller's
+            # final state is not a slot
+            trace = (np.concatenate(blocks) if whole is None else whole[: t + kept]).view(np.recarray)
             if stop is None or dist[stop] <= tol:
                 return (x if work is None else slots[kept - 1].copy()), trace
             t += stop
@@ -468,36 +493,34 @@ def _flat_dots(stack: np.ndarray) -> np.ndarray:
     return _row_dots(flat, flat)
 
 
-def _trace_rows(t, means, grads, cv, dist, x_star, sigma, consts, alpha, n) -> np.recarray:
-    """The trace rows of the states in rows 1.. of a block's columns; row 0
-    is the state before, iteration ``t`` (NaN before t = 0, which makes the
-    first row's transition columns NaN).  Every norm is the BLAS dot of
-    _norm, so row 0 gets the bits of the last row of the block before; the
-    recursion residual and the slacks compare each row with the one above.
-    The rows are filled by key in a plain structured array, and handed over
-    as a record-array view."""
-    trace = np.empty(len(dist), dtype=IterationTrace)
+def _trace_rows(trace, t, means, grads, cv, dist, x_star, sigma, consts, alpha, n) -> None:
+    """Fill ``trace`` with the rows of the states in rows 1.. of a block's
+    columns, iterations ``t``..; row 0 is the state before (NaN before
+    t = 0, which makes the first row's transition columns NaN).  Every norm
+    is the BLAS dot of _norm, so row 0 has the bits of the last row of the
+    block before; the recursion residual and the slacks compare each row
+    with the one above.  ``trace`` is a plain structured array, filled by
+    key."""
     trace["t"] = np.arange(t, t + len(trace))
-    trace["consensus_violation"], trace["distance_to_ne"] = cv, dist
+    trace["consensus_violation"], trace["distance_to_ne"] = cv[1:], dist[1:]
     pred = means[:-1] - (alpha / n) * grads[:-1]
     vectors = (means - x_star, grads, means[1:] - pred, pred)
     dev, gn, miss, pred_norm = (np.sqrt(_row_dots(v, v)) for v in vectors)
     avg_d = math.sqrt(n) * dev
-    trace["avg_distance_to_ne"], trace["grad_norm"] = avg_d, gn
-    trace["recursion_residual"][1:] = miss / (1.0 + pred_norm)
+    trace["avg_distance_to_ne"], trace["grad_norm"] = avg_d[1:], gn[1:]
+    trace["recursion_residual"] = miss / (1.0 + pred_norm)
     big_l, mu = consts.l, consts.mu
     # the norms of a diverged run may be inf or NaN: their slacks are too
     with np.errstate(over="ignore", invalid="ignore"):
-        trace["lemma1_slack"][1:] = (
+        trace["lemma1_slack"] = (
             sigma * cv[:-1] + alpha * math.sqrt((n - 1) / n) * gn[:-1] - cv[1:]
         )
-        trace["lemma2_slack"][1:] = big_l * dist[1:] - gn[1:]
-        trace["lemma3_slack"][1:] = (
+        trace["lemma2_slack"] = big_l * dist[1:] - gn[1:]
+        trace["lemma3_slack"] = (
             avg_d[:-1] ** 2
             + (big_l**2 * alpha / mu) * cv[:-1] ** 2
             - (1.0 + mu * alpha / n) * avg_d[1:] ** 2
         )
-    return trace[1:].view(np.recarray)
 
 
 def _csv_rows(block) -> str:

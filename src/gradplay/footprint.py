@@ -21,10 +21,15 @@ import os
 #: difference buffer), tree audit 9.4 and 8.7 (with ``import scipy.sparse``
 #: in the warm-up, which no run makes now); complete run (alpha = 0.01) 9.1
 #: and 8.6, complete audit 6.3 and 6.1 (17.4-17.8 and 13.9-14.2 with edges
-#: as a tuple of pairs).  207 bytes a row at n = 5 over 200 000 steps,
-#: artifacts written in process.
+#: as a tuple of pairs).  Per trace row, the same measure at n = 5 and 20
+#: over 200,000 steps, with ``game.json`` and ``trace.csv`` written by the
+#: forked child and in process: 109-114 bytes at auto alpha, where the
+#: distance stays far above the tail fit's floor and ``np.polyfit``'s copies
+#: of half the trace's rows come on top of its 72-byte records; 75-79 bytes
+#: at alpha = 0.05, whose tail is below that floor; an audit 75-77 bytes.
+#: The count is 12 % above the largest.
 _DENSE_ARRAYS = 10
-_TRACE_ROW_BYTES = 256
+_TRACE_ROW_BYTES = 128
 
 
 def _physical_memory(root="/"):

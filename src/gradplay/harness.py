@@ -205,7 +205,6 @@ def _normalized_slacks(trace, mu: float, alpha: float, n: int) -> dict:
     Keys come in check order (lemma2, lemma1, lemma3); values are columns
     with NaN where the inequality has no transition (``t = 0``).
     """
-    trace = trace.view(np.ndarray)  # np.recarray reads a column in Python
     # a diverged run's trace may end in inf or NaN; its slacks stay non-finite
     with np.errstate(over="ignore", invalid="ignore"):
         lhs3 = (1.0 + mu * alpha / n) * trace["avg_distance_to_ne"] ** 2
@@ -217,17 +216,33 @@ def _normalized_slacks(trace, mu: float, alpha: float, n: int) -> dict:
         return {name: slack / (1.0 + np.abs(slack + lhs)) for name, (slack, lhs) in pairs.items()}
 
 
+def _row_slices(trace, overlap: int = 0):
+    """The rows of a trace as plain structured slices of at most
+    ``floattext.CHUNK + overlap`` rows, each starting ``floattext.CHUNK``
+    rows after the one before, so that consecutive slices share ``overlap``
+    rows: an analysis that works slice by slice holds no temporary that
+    grows with the trace."""
+    trace = trace.view(np.ndarray)  # np.recarray reads a column in Python
+    for start in range(0, len(trace) - overlap, floattext.CHUNK):
+        yield trace[start : start + floattext.CHUNK + overlap]
+
+
+def _slack_slices(trace, mu: float, alpha: float, n: int):
+    """Each slice of :func:`_row_slices` with its :func:`_normalized_slacks`."""
+    for rows in _row_slices(trace):
+        yield rows, _normalized_slacks(rows, mu, alpha, n)
+
+
 def lemma_slack_minima(trace, mu: float, l: float, alpha: float, n: int) -> dict:
     """Worst normalized slack of each recorded inequality over a trace.
 
     The averaged-iterate inequality only holds under ``alpha <= mu / l**2``;
     outside that range it is reported but marked inapplicable.
     """
-    slacks = _normalized_slacks(trace, mu, alpha, n)
-    mins = {
-        name: float(np.fmin.reduce(slacks[name], initial=math.inf))
-        for name in ("lemma1", "lemma2", "lemma3")
-    }
+    mins = dict.fromkeys(("lemma1", "lemma2", "lemma3"), math.inf)
+    for _, slacks in _slack_slices(trace, mu, alpha, n):
+        for name, least in mins.items():
+            mins[name] = float(np.fmin.reduce(slacks[name], initial=least))
     mins["lemma3_applicable"] = alpha <= mu / l**2
     return mins
 
@@ -239,15 +254,15 @@ def first_lemma_violation(trace, mu, l, alpha, n):
     lemma1, lemma3.  lemma3 counts only where it applies
     (``alpha <= mu / l**2``).
     """
-    slacks = _normalized_slacks(trace, mu, alpha, n)
-    if alpha > mu / l**2:
-        del slacks["lemma3"]
-    table = np.column_stack(list(slacks.values()))
-    hits = np.argwhere(table < -SLACK_TOL)  # row-major: by iteration, then check order
-    if not len(hits):
-        return None
-    row, col = hits[0]
-    return list(slacks)[col], int(trace["t"][row]), float(table[row, col])
+    for rows, slacks in _slack_slices(trace, mu, alpha, n):
+        if alpha > mu / l**2:
+            del slacks["lemma3"]
+        table = np.column_stack(list(slacks.values()))
+        hits = np.argwhere(table < -SLACK_TOL)  # row-major: by iteration, then check order
+        if len(hits):
+            row, col = hits[0]
+            return list(slacks)[col], int(rows["t"][row]), float(table[row, col])
+    return None
 
 
 def zdomination_excess(trace, z: np.ndarray) -> float:
@@ -258,11 +273,13 @@ def zdomination_excess(trace, z: np.ndarray) -> float:
     """
     if len(trace) < 2:
         return -math.inf
-    trace = trace.view(np.ndarray)
-    zv = np.stack([trace["avg_distance_to_ne"] ** 2, trace["consensus_violation"] ** 2], axis=1)
-    # a stack of 2x2 matrix-vector products, one per transition
-    bound = (z @ zv[:-1, :, None])[..., 0]
-    return float(np.max((zv[1:] - bound) / (1.0 + np.abs(bound))))
+    worst = -math.inf
+    for rows in _row_slices(trace, overlap=1):  # a transition's rows share a slice
+        zv = np.stack([rows["avg_distance_to_ne"] ** 2, rows["consensus_violation"] ** 2], axis=1)
+        # a stack of 2x2 matrix-vector products, one per transition
+        bound = (z @ zv[:-1, :, None])[..., 0]
+        worst = np.maximum(worst, np.max((zv[1:] - bound) / (1.0 + np.abs(bound))))
+    return float(worst)
 
 
 def envelope_excess(trace, z: np.ndarray, lambda1: float, lambda2: float) -> float:
@@ -279,12 +296,14 @@ def envelope_excess(trace, z: np.ndarray, lambda1: float, lambda2: float) -> flo
     """
     if len(trace) < 2:
         return -math.inf
-    trace = trace.view(np.ndarray)
     z10 = trace["avg_distance_to_ne"][0] ** 2
     z20 = trace["consensus_violation"][0] ** 2
     k = 4.0 / (lambda1 - lambda2) * ((z[0, 0] + z[1, 0]) * z10 + (z[0, 1] + z[1, 1]) * z20)
-    env = k * lambda1 ** (trace["t"][1:] - 1.0)
-    return float(np.max((trace["distance_to_ne"][1:] ** 2 - env) / (1.0 + env)))
+    worst = -math.inf
+    for rows in _row_slices(trace[1:]):
+        env = k * lambda1 ** (rows["t"] - 1.0)
+        worst = np.maximum(worst, np.max((rows["distance_to_ne"] ** 2 - env) / (1.0 + env)))
+    return float(worst)
 
 
 def fit_tail_contraction(trace, burn_frac: float = 0.5, min_points: int = 20):
@@ -296,20 +315,21 @@ def fit_tail_contraction(trace, burn_frac: float = 0.5, min_points: int = 20):
     """
     if not len(trace):
         return None
-    start = int(len(trace) * burn_frac)
-    dist = trace["distance_to_ne"]
-    keep = dist[start:] > max(1e-13 * dist[0], 1e-300)
-    dist = dist[start:][keep]
-    if len(dist) < min_points:
+    floor = max(1e-13 * trace["distance_to_ne"][0], 1e-300)
+    tail = trace[int(len(trace) * burn_frac) :].view(np.ndarray)
+    keep = tail["distance_to_ne"] > floor
+    y = tail["distance_to_ne"][keep]
+    if len(y) < min_points:
         return None
-    t = trace["t"][start:][keep].astype(float)
-    y = 2.0 * np.log(dist)
+    np.log(y, out=y)  # 2 log(dist) in place: np.polyfit copies it again
+    y *= 2.0
+    t = tail["t"][keep].astype(float)
     slope, intercept = np.polyfit(t, y, 1)
     fitted = slope * t + intercept
     ss_res = float(np.sum((y - fitted) ** 2))
     ss_tot = float(np.sum((y - np.mean(y)) ** 2))
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    return float(slope), r2, len(dist)
+    return float(slope), r2, len(y)
 
 
 # ---------------------------------------------------------------------------
@@ -639,8 +659,7 @@ def _write_aside(game, out_dir, max_iters):
     closed, the child reaped and the parts renamed.  A failed write raises
     ``OSError`` on both paths by one rule, from its errno and the artifact
     it was writing.  When the block raises, the child is killed and reaped
-    and the parts removed.  Either way the heap is trimmed last
-    (:func:`_trim_heap`).
+    and the parts removed.
     """
     names = ("game.json", "trace.csv")
     parts = [os.path.join(out_dir, f".{name}.{os.getpid()}.part") for name in names]
@@ -728,8 +747,6 @@ def _write_aside(game, out_dir, max_iters):
             except FileNotFoundError:
                 pass
         raise
-    finally:
-        _trim_heap()
 
 
 def run_experiment(config: ExperimentConfig, out_dir=None, game=None, graph=None, x0=None):
@@ -742,10 +759,20 @@ def run_experiment(config: ExperimentConfig, out_dir=None, game=None, graph=None
     documents.  ``game.json`` and ``trace.csv`` are written while the run
     goes on (:func:`_write_aside`): by a child process where ``os.fork``
     exists and the game and trace hold at least ``_FORK_FLOATS`` floats
-    together, and otherwise in process; the call reaps the child and trims
-    the heap before it returns or raises.
+    together, and otherwise in process; the call reaps the child before it
+    returns or raises.  Once the job's game, graph and mixing matrix are
+    dropped, it trims the heap (:func:`_trim_heap`), whether it returns or
+    raises; a raised exception's traceback still holds what its frames held.
     """
     config.validate()
+    try:
+        return _experiment(config, out_dir, game, graph, x0)
+    finally:
+        _trim_heap()
+
+
+def _experiment(config, out_dir, game, graph, x0):
+    """The job of :func:`run_experiment`, whose arrays die with this frame."""
     t_start = time.perf_counter()
     if game is None:
         game = random_game(config.n, config.game_seed, config.coupling_scale)

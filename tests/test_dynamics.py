@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -402,6 +403,48 @@ class TestRun:
         assert joined.tobytes() == trace.tobytes() == trace_of().tobytes()
         assert np.array_equal(joined["t"], np.arange(len(trace)))
         assert np.isnan(joined["lemma1_slack"][0]) and np.isnan(joined["lemma3_slack"][0])
+
+    @pytest.mark.parametrize("n, iters", [(6, 600), (100, 300)])
+    def test_fixed_horizon_blocks_are_rows_of_the_trace(self, n, iters):
+        # a fixed horizon writes each block into its rows of one trace array,
+        # and hands the caller those rows; a tol run keeps blocks of its own
+        g = random_game(n, 8)
+        w = metropolis_weights(random_tree(n, 8))
+        for tol, shared in ((0.0, True), (1e-300, False)):
+            blocks = []
+            _, trace = run(g, w, 0.03, initial_estimates(n, 8), max_iters=iters, tol=tol, rows=blocks.append)
+            assert len(trace) == iters + 1
+            assert [np.shares_memory(block, trace) for block in blocks] == [shared] * len(blocks)
+
+    def test_fixed_horizon_trace_is_the_only_row_storage(self):
+        # run() allocates the rows of a fixed horizon once, and copies no
+        # block into a second trace
+        g, w, x0 = random_game(5, 1), metropolis_weights(random_tree(5, 2)), initial_estimates(5, 3)
+        run(g, w, 1e-3, x0, max_iters=10)
+        tracemalloc.start()
+        try:
+            _, trace = run(g, w, 1e-3, x0, max_iters=50_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(trace) == 50_001
+        assert peak <= 1.1 * trace.nbytes
+
+    def test_divergence_gives_the_same_rows_on_both_trace_layouts(self):
+        # at a fixed horizon the partial trace is the first rows of the one
+        # trace array; with tol > 0 (never reached here) it is the blocks
+        # joined; both are the rows up to the divergence, bit for bit
+        g = random_game(5, 8)
+        w = metropolis_weights(random_tree(5, 8))
+        partial = []
+        for tol in (0.0, 1e-300):
+            with pytest.raises(DivergenceError) as excinfo:
+                run(g, w, 80.0, initial_estimates(5, 8), max_iters=3000, tol=tol)
+            trace = excinfo.value.trace
+            assert len(trace) == excinfo.value.iteration + 1 == 7
+            assert np.array_equal(trace.t, np.arange(7))
+            partial.append(trace.tobytes())
+        assert partial[0] == partial[1]
 
     def test_determinism_bytes(self):
         g = random_game(6, 5)

@@ -47,13 +47,42 @@ from gradplay.harness import (
     zdomination_excess,
 )
 import gradplay
-from gradplay import auditing, bounds, dynamics, footprint, harness
+from gradplay import auditing, bounds, dynamics, floattext, footprint, harness
 from gradplay.game import game_mapping
 from gradplay.network import Graph, average_property_check
 
 
 def reject_json_constant(name):
     raise ValueError(f"non-finite JSON constant {name}")
+
+
+def peak_above_warm_up(job, setup=""):
+    """Bytes by which a fresh process's peak RSS (``ru_maxrss``) grows over
+    ``job``, one line of Python, above a warm-up run and audit at n = 5, on
+    one BLAS thread; ``setup`` runs after the warm-up.  ``job`` and
+    ``setup`` see ``ExperimentConfig``, ``audit``, ``harness`` and
+    ``run_experiment``."""
+    script = (
+        "import resource\n"
+        "from gradplay import ExperimentConfig, audit, harness, run_experiment\n"
+        "run_experiment(ExperimentConfig(n=5, max_iters=3))\n"
+        "audit(sizes=(5,), seeds=1, iters=3)\n"
+        f"{setup}\n"
+        "warm = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        f"{job}\n"
+        "print(1024 * (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - warm))\n"
+    )
+    src = str(Path(dynamics.__file__).resolve().parents[1])
+    env = dict(
+        os.environ,
+        PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""),
+        OPENBLAS_NUM_THREADS="1",
+        OMP_NUM_THREADS="1",
+        MKL_NUM_THREADS="1",
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=300, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return int(proc.stdout)
 
 
 def small_config(**overrides):
@@ -470,6 +499,29 @@ class TestGameJsonAside:
         assert trims == [os.getpid()]
         assert_no_child_left()
 
+    @pytest.mark.parametrize("writer_floats", [0, 10**12], ids=["forked", "in_process"])
+    def test_the_heap_is_trimmed_after_the_jobs_arrays_are_gone(self, writer_floats, tmp_path, monkeypatch):
+        # the game, graph and mixing matrix the job built are freed before
+        # the trim, so the trim hands their memory back
+        monkeypatch.setattr(harness, "_FORK_FLOATS", writer_floats)
+        built = []
+
+        def watched(make):
+            def build(*args):
+                made = make(*args)
+                built.append(weakref.ref(made))
+                return made
+
+            return build
+
+        for name in ("random_game", "build_graph", "metropolis_weights"):
+            monkeypatch.setattr(harness, name, watched(getattr(harness, name)))
+        alive = []
+        monkeypatch.setattr(harness, "_trim_heap", lambda: alive.append([ref() is not None for ref in built]))
+        run_experiment(ExperimentConfig(n=40, max_iters=3), out_dir=tmp_path)
+        assert alive == [[False, False, False]]
+        assert_no_child_left()
+
     def test_same_bytes_on_both_paths(self, writer, tmp_path):
         report = run_experiment(aside_config(), out_dir=tmp_path)
         assert report.ok
@@ -653,6 +705,61 @@ class TestTraceHelpers:
         # lemma3 is ignored where it does not apply; lemma2 precedes lemma1
         assert first_lemma_violation(trace, mu, l, 0.5, n) == ("lemma2", 3, -1.0)
         assert first_lemma_violation(trace[:3], mu, l, 0.5, n) is None
+
+    @staticmethod
+    def slice_boundary_trace():
+        """A trace of one slice and 100 rows, every slack in [0, 1) but the
+        NaN ones of t = 0, and constant norms."""
+        rows = floattext.CHUNK + 100
+        trace = np.zeros(rows, dynamics.IterationTrace).view(np.recarray)
+        trace.t = np.arange(rows)
+        trace.consensus_violation = trace.distance_to_ne = trace.avg_distance_to_ne = trace.grad_norm = 1.0
+        rng = np.random.default_rng(7)
+        for name in ("lemma1_slack", "lemma2_slack", "lemma3_slack"):
+            trace[name] = rng.uniform(0.0, 1.0, rows)
+        trace.lemma1_slack[0] = trace.lemma3_slack[0] = math.nan
+        return trace
+
+    @pytest.mark.parametrize("row", [floattext.CHUNK - 1, floattext.CHUNK, floattext.CHUNK + 57])
+    def test_lemma_analysis_across_a_slice_boundary(self, row):
+        # the analysis works slice by slice: the minima and the first
+        # violation must be those of the whole columns, wherever they fall
+        mu, l, alpha, n = 1.0, 2.0, 0.1, 4
+        trace = self.slice_boundary_trace()
+        trace.lemma1_slack[[row, row + 20]] = -0.5, -0.75
+        trace.lemma3_slack[row + 1] = -2.0
+        lhs = {
+            "lemma1": trace.consensus_violation,
+            "lemma2": trace.grad_norm,
+            "lemma3": (1.0 + mu * alpha / n) * trace.avg_distance_to_ne**2,
+        }
+        whole = {name: trace[f"{name}_slack"] / (1.0 + np.abs(trace[f"{name}_slack"] + lhs[name])) for name in lhs}
+        mins = lemma_slack_minima(trace, mu, l, alpha, n)
+        assert mins == {**{name: float(np.nanmin(whole[name])) for name in whole}, "lemma3_applicable": True}
+        assert mins["lemma3"] == -2.0 / (1.0 + abs(-2.0 + 1.0 + mu * alpha / n))
+        assert first_lemma_violation(trace, mu, l, alpha, n) == ("lemma1", row, float(whole["lemma1"][row]))
+        assert first_lemma_violation(trace[row + 1 :], mu, l, alpha, n) == (
+            "lemma3", row + 1, float(whole["lemma3"][row + 1])
+        )
+        assert first_lemma_violation(trace[: row], mu, l, alpha, n) is None
+
+    @pytest.mark.parametrize("row", [floattext.CHUNK - 1, floattext.CHUNK, floattext.CHUNK + 57])
+    def test_transition_analysis_across_a_slice_boundary(self, row):
+        # z domination compares each row with the one before, across slices
+        # too; the envelope excess is the worst over every slice
+        trace = self.slice_boundary_trace()
+        trace.avg_distance_to_ne[row] = trace.distance_to_ne[row] = 3.0
+        z = np.array([[0.9, 0.05], [0.3, 0.8]])
+        zv = np.stack([trace.avg_distance_to_ne**2, trace.consensus_violation**2], axis=1)
+        bound = (z @ zv[:-1, :, None])[..., 0]
+        excess = (zv[1:] - bound) / (1.0 + np.abs(bound))
+        assert zdomination_excess(trace, z) == float(np.max(excess))
+        assert np.argmax(np.max(excess, axis=1)) == row - 1
+        k = 4.0 / (0.95 - 0.5) * ((0.9 + 0.3) * 1.0 + (0.05 + 0.8) * 1.0)
+        env = k * 0.95 ** (trace.t[1:] - 1.0)
+        excess = (trace.distance_to_ne[1:] ** 2 - env) / (1.0 + env)
+        assert envelope_excess(trace, z, 0.95, 0.5) == float(np.max(excess))
+        assert np.argmax(excess) == row - 1
 
     def test_fit_returns_none_for_short_trace(self):
         assert fit_tail_contraction([]) is None
@@ -1397,35 +1504,28 @@ class TestCli:
         # count apart: the peak of one job above a warm-up run and audit, in
         # a fresh process on one BLAS thread, must stay within the estimate
         # (alpha = 0.01: auto refuses sigma = 0)
-        script = (
-            "import resource\n"
-            "from gradplay import ExperimentConfig, audit, run_experiment\n"
-            f"OUT = {str(tmp_path / 'out')!r}\n"
-            "run_experiment(ExperimentConfig(n=5, max_iters=3))\n"
-            "audit(sizes=(5,), seeds=1, iters=3)\n"
-            "warm = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
-            f"{job}\n"
-            "print(1024 * (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - warm))\n"
-        )
-        src = str(Path(dynamics.__file__).resolve().parents[1])
-        env = dict(
-            os.environ,
-            PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""),
-            OPENBLAS_NUM_THREADS="1",
-            OMP_NUM_THREADS="1",
-            MKL_NUM_THREADS="1",
-        )
-        proc = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, text=True, timeout=300, env=env
-        )
-        assert proc.returncode == 0, proc.stderr
-        grew = int(proc.stdout)
+        grew = peak_above_warm_up(job, f"OUT = {str(tmp_path / 'out')!r}")
         # the guard refuses the job wherever less memory than it took is free
         monkeypatch.setattr(footprint, "_physical_memory", lambda: grew - 1)
         with pytest.raises(ValueError, match="n=1200 and max_iters=3 need"):
             ExperimentConfig(n=1200, topology="complete", alpha=0.01, max_iters=3).validate()
         with pytest.raises(ValueError, match="n=1200 and max_iters=3 need"):
             auditing.audit(sizes=(1200,), topologies=("complete",), seeds=0, iters=3)
+
+    @pytest.mark.parametrize("writer_floats", [0, 10**12], ids=["forked", "in_process"])
+    def test_fixed_horizon_trace_fits_its_estimate(self, writer_floats, tmp_path, monkeypatch):
+        # the guard counts _TRACE_ROW_BYTES a row of a fixed horizon: the
+        # peak of a 200,000-step job above a warm-up run and audit, in a
+        # fresh process on one BLAS thread, must stay within the estimate
+        # (auto alpha: the distance stays far above the fit's floor, so the
+        # tail fit takes half the trace)
+        grew = peak_above_warm_up(
+            f"run_experiment(ExperimentConfig(n=5, max_iters=200_000), out_dir={str(tmp_path / 'out')!r})",
+            f"harness._FORK_FLOATS = {writer_floats}",
+        )
+        monkeypatch.setattr(footprint, "_physical_memory", lambda: grew - 1)
+        with pytest.raises(ValueError, match="n=5 and max_iters=200000 need"):
+            ExperimentConfig(n=5, max_iters=200_000).validate()
 
     @pytest.mark.parametrize("n", [10**6, 10**400])
     def test_size_beyond_memory_is_input_error(self, n, tmp_path, monkeypatch, capsys):

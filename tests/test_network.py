@@ -197,6 +197,23 @@ class TestGraphConstructors:
         n = int(rng.integers(1, 16))
         pairs = [(int(i), int(j)) for i, j in rng.integers(0, n, (int(rng.integers(0, 2 * n + 1)), 2)) if i != j]
         assert Graph(n=n, edges=pairs).is_connected() == self.connected_by_search(n, pairs)
+        # a long path and ring in scrambled labels, whole and cut: a search
+        # that crosses one hop a pass takes up to n passes on them
+        n = int(rng.integers(500, 2001))
+        order = rng.permutation(n)
+        path = np.column_stack((order[:-1], order[1:]))
+        loop = np.vstack((path, [[order[-1], order[0]]]))
+        cut = int(rng.integers(1, n - 1))
+        shapes = [
+            (path, True),
+            (loop, True),
+            (np.delete(path, cut, axis=0), False),
+            (np.delete(loop, cut, axis=0), True),
+            (np.delete(loop, [cut // 2, cut], axis=0), False),
+        ]
+        for pairs, connected in shapes:
+            assert self.connected_by_search(n, pairs.tolist()) == connected
+            assert Graph(n=n, edges=pairs).is_connected() == connected
 
     def test_connectivity_of_special_shapes(self):
         labels = np.random.default_rng(5).permutation(60)
