@@ -232,10 +232,14 @@ def run(
     Notes
     -----
     A fixed horizon allocates its whole trace up front, 72 bytes a row
-    (``IterationTrace``): a horizon whose trace cannot fit fails at once
-    with numpy's ``MemoryError`` (``ValueError`` past numpy's largest
-    array size), not partway.  ``ExperimentConfig.validate`` and ``audit``
-    refuse such horizons before any run (``footprint._check_footprint``).
+    (``IterationTrace``).  Where the allocator refuses that size, the call
+    fails at once with numpy's ``MemoryError`` (``ValueError`` past numpy's
+    largest array size).  Where it only reserves address space (Linux's
+    default overcommit), pages are committed as rows are written, so a
+    trace larger than free memory can still get the process killed partway.
+    What guards against that is ``ExperimentConfig.validate`` and ``audit``,
+    which refuse such horizons before any run
+    (``footprint._check_footprint``).
 
     From ``_OVERLAP_FLOATS`` entries of a state (n >= 200), a thread started
     for the call reduces the norms of state t while the calling thread
@@ -248,7 +252,7 @@ def run(
     Raises
     ------
     MemoryError
-        If a fixed horizon's trace cannot be allocated (see Notes).
+        If the allocator refuses a fixed horizon's trace (see Notes).
     DivergenceError
         If the distance to the equilibrium is not finite or exceeds
         ``DIVERGENCE_FACTOR`` times its initial value (step size far above

@@ -760,15 +760,18 @@ def run_experiment(config: ExperimentConfig, out_dir=None, game=None, graph=None
     goes on (:func:`_write_aside`): by a child process where ``os.fork``
     exists and the game and trace hold at least ``_FORK_FLOATS`` floats
     together, and otherwise in process; the call reaps the child before it
-    returns or raises.  Once the job's game, graph and mixing matrix are
-    dropped, it trims the heap (:func:`_trim_heap`), whether it returns or
-    raises; a raised exception's traceback still holds what its frames held.
+    returns or raises.  With ``out_dir`` set, once the job's game, graph and
+    mixing matrix are dropped, it trims the heap (:func:`_trim_heap`),
+    whether it returns or raises; a raised exception's traceback still
+    holds what its frames held.  Without ``out_dir`` it leaves the heap
+    alone, as a caller running many jobs may trim once itself.
     """
     config.validate()
     try:
         return _experiment(config, out_dir, game, graph, x0)
     finally:
-        _trim_heap()
+        if out_dir is not None:
+            _trim_heap()
 
 
 def _experiment(config, out_dir, game, graph, x0):

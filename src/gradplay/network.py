@@ -86,27 +86,13 @@ class Graph:
         return np.bincount(self.edges.ravel(), minlength=self.n)
 
     def is_connected(self) -> bool:
-        """Whether node 0 reaches every node.  Each node holds the root of
-        its tree, first itself.  A round hooks the larger root of every edge
-        that joins two trees onto the smaller one, then jumps every label to
-        its root.  Every tree with an edge out of it merges, or each of its
-        neighbours does, so O(log n) rounds of O(log n) array passes leave
-        one root, 0, exactly when the graph is connected.  Where one root
-        takes several hooks, the first edge's wins: in the first round that
-        is the smallest neighbour, so a complete graph needs one round."""
-        labels = np.arange(self.n)
+        """Whether node 0 reaches every node, in one pass over the edges per hop."""
+        reached = np.zeros(self.n, dtype=bool)
+        reached[0] = True
         i, j = self.edges.T
-        lo, hi = i, j  # every edge joins two roots at first
-        while len(lo):
-            labels[hi[::-1]] = lo[::-1]
-            while ((up := labels[labels]) != labels).any():
-                labels = up
-            if not labels.any():
-                break
-            li, lj = labels[i], labels[j]
-            cross = li != lj
-            lo, hi = np.minimum(li, lj)[cross], np.maximum(li, lj)[cross]
-        return not labels.any()
+        while (cross := reached[i] != reached[j]).any():
+            reached[i[cross]] = reached[j[cross]] = True
+        return bool(reached.all())
 
 
 #: :attr:`MixingMatrix.operator` is sparse when ``SPARSE_FILL_RATIO * nnz(w)

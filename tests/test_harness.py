@@ -499,6 +499,12 @@ class TestGameJsonAside:
         assert trims == [os.getpid()]
         assert_no_child_left()
 
+    def test_a_run_without_artifacts_leaves_the_heap_alone(self, monkeypatch):
+        trims = []
+        monkeypatch.setattr(harness, "_trim_heap", lambda: trims.append(os.getpid()))
+        assert run_experiment(aside_config()).ok
+        assert trims == []
+
     @pytest.mark.parametrize("writer_floats", [0, 10**12], ids=["forked", "in_process"])
     def test_the_heap_is_trimmed_after_the_jobs_arrays_are_gone(self, writer_floats, tmp_path, monkeypatch):
         # the game, graph and mixing matrix the job built are freed before
