@@ -22,14 +22,16 @@ into one buffer allocated per run: each product is written into its slot by
 n-vector, is applied through precomputed diagonal views; a one-state chunk
 allocates each new state.  The two norms of the ``n x n`` states and the
 column means (one ``einsum`` over the chunk) are reduced once per chunk, the
-gradient norms and residuals once per block of 256 states.  From n = 200
-(``_OVERLAP_FLOATS``) a thread started for the run reduces each state's
-norms while the calling thread computes its own gradients and the next
-state, ahead of need; a state that stops the run drops the state computed
-after it, and no step is taken past the horizon.  The reductions are the
-same calls on the same arrays, so every value is the same.  A block's
-columns hold its states in rows 1.., and row 0 carries the last state of the
-block before (NaN before t = 0).  Each finished block becomes its trace rows
+gradient norms and residuals once per block of 256 states.  A one-state
+chunk computes its own gradients and the next state before its norms are
+reduced, ahead of need: a state that stops the run (a ``tol`` stop or a
+divergence) drops the state computed after it, no step is taken past the
+horizon, and the run holds one more ``n x n`` state during each reduction.
+From n = 200 (``_OVERLAP_FLOATS``) a thread started for the run reduces
+each state's norms meanwhile.  The reductions are the same calls on the
+same arrays, so every value is the same.  A block's columns hold its
+states in rows 1.., and row 0 carries the last state of the block before
+(NaN before t = 0).  Each finished block becomes its trace rows
 at once, with, column-wise against the row above, the recursion residual and
 the slack (rhs - lhs) of the three per-step inequalities of the
 geometric-rate proof; the rows are filled by key into a plain structured
@@ -112,6 +114,9 @@ TRACE_COLUMNS = (
     "lemma2_slack",
     "lemma3_slack",
 )
+
+#: The header line of ``trace.csv``.
+_TRACE_HEADER = ",".join(TRACE_COLUMNS) + "\n"
 
 #: Record dtype of a trace: one row per visited state, ``t`` an integer and
 #: every other column a float.  :func:`run` returns a ``np.recarray`` of it,
@@ -241,13 +246,16 @@ def run(
     which refuse such horizons before any run
     (``footprint._check_footprint``).
 
-    From ``_OVERLAP_FLOATS`` entries of a state (n >= 200), a thread started
-    for the call reduces the norms of state t while the calling thread
-    computes the own gradients at t and state t + 1 (only while t is below
-    ``max_iters``).  The stop test waits for the norms; if state t stops the
-    run, state t + 1 is dropped.  The results are those of one thread to
-    the bit, an exception raised in the thread is raised by the call, and
-    the thread is joined before the call returns or raises.
+    From n = 91, where a chunk is one state, the call computes the own
+    gradients at t and state t + 1 (only while t is below ``max_iters``)
+    before it reduces the norms of state t, so it holds one more ``n x n``
+    state during each reduction.  If state t stops the run (``tol`` or
+    divergence), state t + 1 is computed and dropped.  From
+    ``_OVERLAP_FLOATS`` entries of a state (n >= 200), a thread started for
+    the call reduces those norms meanwhile, and the stop test waits for
+    them.  The results are those of one thread to the bit, an exception
+    raised in the thread is raised by the call, and the thread is joined
+    before the call returns or raises.
 
     Raises
     ------
@@ -313,8 +321,8 @@ def run(
         # scalar path; the products alpha * g_i are the same bits
         alphas, step_g = np.full(n, alpha, dtype=float), np.empty(n)
 
-    # From _OVERLAP_FLOATS a one-state chunk's norms are reduced on a worker
-    # thread while this thread steps to the next state, ahead of need.
+    # A one-state chunk steps to the next state before its norms are
+    # reduced, from _OVERLAP_FLOATS on a worker thread meanwhile.
     overlap = work is None and n * n >= _OVERLAP_FLOATS
     # A diverging run overflows; the guard below turns the non-finite
     # distance into a DivergenceError.
@@ -329,10 +337,10 @@ def run(
             size = min(chunk, max_iters + 1 - t)
             if work is None:
                 if t:  # frees the state before, as the gradient allocates
-                    x = ahead if overlap else _update(w_op, x, alpha, g)
+                    x = ahead
                 worker.start(x)
                 g = held[1, filled] = _own_gradient(game, x)
-                if overlap and t < max_iters:  # dropped if state t stops the run
+                if t < max_iters:  # dropped if state t stops the run
                     ahead = _update(w_op, x, alpha, g)
             else:
                 for k in range(size):
@@ -539,4 +547,4 @@ def _csv_rows(block) -> str:
 
 def trace_to_csv(trace) -> str:
     """``trace.csv`` text for a trace."""
-    return ",".join(TRACE_COLUMNS) + "\n" + _csv_rows(trace)
+    return _TRACE_HEADER + _csv_rows(trace)

@@ -25,7 +25,7 @@ from json.encoder import encode_basestring_ascii as _json_string
 import numpy as np
 
 from . import bounds, floattext
-from .dynamics import _BLOCK, TRACE_COLUMNS, IterationTrace, _csv_rows, initial_estimates, run
+from .dynamics import _BLOCK, _TRACE_HEADER, IterationTrace, _csv_rows, initial_estimates, run
 from .errors import DivergenceError, InadmissibleStepSizeError, PerfectMixingError
 from .footprint import _check_footprint
 # game_mapping and average_property_check serve only the audit, which calls
@@ -362,7 +362,7 @@ class ExperimentReport:
     diverged: bool
     runtime_seconds: float
     ok: bool
-    trace: list = field(repr=False, default_factory=list)
+    trace: np.recarray = field(repr=False)  # of IterationTrace
 
     def to_dict(self) -> dict:
         doc = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "trace"}
@@ -473,20 +473,19 @@ def _json_scalar(value):
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _json_pieces(value, newline="\n", depth=2):
+def _json_pieces(value, newline="\n"):
     """The JSON text of ``value``, in pieces; ``newline`` is the line break
     and indent of the line it starts on.
 
     The text is that of ``json.dumps(value, indent=2)`` with every
     non-finite float as ``null``: strings and keys (which must be ``str``)
-    through json's C string encoder, floats as ``float.__repr__``.  Each
-    item of a container up to ``depth`` levels down is its own piece, and
-    anything deeper is built as one string, so neither a file nor its text
-    is ever held as thousands of small strings.  A finite ndarray of floats
-    is the list of its items in C order, one piece per ``CHUNK`` items of
-    :func:`~gradplay.floattext.pieces`, so a large matrix is never one list
-    of Python floats or one string.  Any type ``json`` refuses raises
-    ``TypeError``.
+    through json's C string encoder, floats as ``float.__repr__``.  Every
+    item of a dict or list, at every level, is one piece, its indent and key
+    then its text; a container item's text is its own pieces.  A finite
+    ndarray of floats is the list of its items in C order, one piece per
+    ``CHUNK`` items of :func:`~gradplay.floattext.pieces`, so a large matrix
+    is never one list of Python floats or one string.  Any type ``json``
+    refuses raises ``TypeError``.
     """
     text = _json_scalar(value)
     if text is not None:
@@ -500,7 +499,7 @@ def _json_pieces(value, newline="\n", depth=2):
         if value.dtype.kind != "f" or value.itemsize > 8 or not (
             value.size == 0 or math.isfinite(value.min()) and math.isfinite(value.max())
         ):
-            yield from _json_pieces(value.ravel().tolist(), newline, depth)
+            yield from _json_pieces(value.ravel().tolist(), newline)
         elif not value.size:
             yield "[]"
         else:
@@ -516,20 +515,14 @@ def _json_pieces(value, newline="\n", depth=2):
         items, (opener, closer) = value.values(), "{}"
     else:
         heads, items, (opener, closer) = None, value, "[]"
-    if depth <= 0:
-        texts = [
-            encode(item)
-            if (encode := _JSON_SCALARS.get(type(item)))
-            else "".join(_json_pieces(item, inner, 0))
-            for item in items
-        ]
-        body = texts if heads is None else map(str.__add__, heads, texts)
-        yield opener + inner + comma.join(body) + newline + closer
-        return
     separator = opener + inner
     for k, item in enumerate(items):
-        yield separator if heads is None else separator + heads[k]
-        yield from _json_pieces(item, inner, depth - 1)
+        head = separator if heads is None else separator + heads[k]
+        if encode := _JSON_SCALARS.get(type(item)):
+            yield head + encode(item)
+        else:
+            yield head
+            yield from _json_pieces(item, inner)
         separator = comma
     yield newline + closer
 
@@ -671,7 +664,7 @@ def _write_aside(game, out_dir, max_iters):
 
     def start_trace():
         with open(parts[1], "w", encoding="utf-8") as f:
-            f.write(",".join(TRACE_COLUMNS) + "\n")
+            f.write(_TRACE_HEADER)
 
     def append(block):
         with open(parts[1], "a", encoding="utf-8") as f:

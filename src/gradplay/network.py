@@ -108,12 +108,6 @@ class Graph:
 SPARSE_FILL_RATIO = 75
 
 
-def _sparse_operator(nnz: int, n: int) -> bool:
-    """Whether :attr:`MixingMatrix.operator` is sparse for an ``n x n``
-    matrix with ``nnz`` nonzero entries."""
-    return SPARSE_FILL_RATIO * nnz <= n * n
-
-
 def _sparsetools_file():
     """Path of scipy's compiled ``scipy/sparse/_sparsetools`` extension, or
     None where no such file is found.  Found without importing scipy."""
@@ -238,7 +232,7 @@ class MixingMatrix:
         ``scipy.sparse.csr_array(w) @ x`` through scipy's compiled kernel,
         loaded without importing ``scipy.sparse``.
         """
-        if not _sparse_operator(np.count_nonzero(self.w), self.n):
+        if SPARSE_FILL_RATIO * np.count_nonzero(self.w) > self.n * self.n:
             return self.w
         return _CsrOperator(self.w)
 

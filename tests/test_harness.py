@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -1771,6 +1772,13 @@ def written_json(doc):
     return f.getvalue()
 
 
+class PieceFile(list):
+    """A text file that keeps every string written to it as one item."""
+
+    write = list.append
+    writelines = list.extend
+
+
 class TestJsonWriter:
     """Every JSON artifact and ``--json`` output comes from one writer whose
     text is ``json.dumps(indent=2)``'s with non-finite floats as null."""
@@ -1840,3 +1848,20 @@ class TestJsonWriter:
             harness._json_text({1: "one"})
         with pytest.raises(TypeError):
             harness._json_text([[{"k": {None: 1}}]])
+
+    def test_dump_streams_in_pieces(self):
+        game = random_game(300, 3)
+        doc = {"n": 300, "a": game.a, "b": game.b, "c": game.c}
+        pieces = PieceFile()
+        harness._dump_json(doc, pieces)
+        assert "".join(pieces) == json_oracle(doc)
+        numbers = [len(re.findall(r"-?\d[\d.e+-]*", piece)) for piece in pieces]
+        assert max(numbers) <= floattext.CHUNK
+        # every cell of the audit document is pieces, never one joined string
+        doc = audit().to_dict()
+        pieces = PieceFile()
+        harness._dump_json(doc, pieces)
+        assert "".join(pieces) == json_oracle(doc)
+        cells = ["".join(harness._json_pieces(cell, "\n    ")) for cell in doc["cells"]]
+        assert len(cells) == 75
+        assert not any(cell in piece for piece in pieces for cell in cells)
