@@ -12,6 +12,11 @@ constructors, ``run`` and the trace-analysis helpers it shares with that
 path as ``harness.<name>``, looked up at each call, and writes its files
 through harness's writers, so that a patch of ``harness`` (a test's, or a
 profiler's) sees the audit's calls and files as well as the run's.
+
+Where a size's cells fit a :class:`~gradplay.dynamics.Lockstep` group, the
+non-degenerate cells of that size form one group, which ``run`` steps
+together at the first cell's call.  Each cell still makes its own
+``harness.run`` call, and gets from it the bytes of its run alone.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import bounds, harness
-from .dynamics import initial_estimates
+from .dynamics import Lockstep, initial_estimates
 from .errors import DivergenceError, PerfectMixingError
 from .footprint import _DENSE_ARRAYS, _check_footprint
 from .harness import SLACK_TOL, TOPOLOGIES, _finite, _resolve_alpha
@@ -201,14 +206,18 @@ def audit(
     graph's mixing matrix and mixing check (ring, complete and star ignore
     the seed, and at n = 2 tree, complete and star are the one edge).
     Each shared input is built once, from the seeds and draws a cell of
-    its own would use, so every value is unchanged.  Cells whose mixing
-    matrix has ``sigma = 0`` (the 2-node complete graph) instead verify the
-    documented degenerate-mixing error.  Invalid combinations (ring with
-    n < 3) are skipped; a matrix of them alone is refused.  Before any cell
-    runs, ``seeds`` must be an int >= 0, ``iters`` and ``eq5_samples`` ints
-    >= 1 (an audit of no transition or no sample would pass vacuously),
-    every size an int >= 2, every topology known and ``alpha_override``
-    finite and > 0 (an all-degenerate matrix never reaches ``run``'s check).
+    its own would use, so every value is unchanged.  Where a size's cells
+    fit a :class:`~gradplay.dynamics.Lockstep` group, its non-degenerate
+    cells are stepped together, each through its own ``harness.run`` call
+    and with the bytes of its run alone (:func:`_audit_size`).  Cells
+    whose mixing matrix has ``sigma = 0`` (the 2-node complete graph)
+    instead verify the documented degenerate-mixing error.  Invalid
+    combinations (ring with n < 3) are skipped; a matrix of them alone is
+    refused.  Before any cell runs, ``seeds`` must be an int >= 0,
+    ``iters`` and ``eq5_samples`` ints >= 1 (an audit of no transition or
+    no sample would pass vacuously), every size an int >= 2, every
+    topology known and ``alpha_override`` finite and > 0 (an
+    all-degenerate matrix never reaches ``run``'s check).
     """
     sizes, topologies = tuple(sizes), tuple(topologies)
     for name, value, least in (
@@ -252,35 +261,71 @@ def _audit_size(n, topologies, seeds, coupling_scale, iters, alpha_override, eq5
     """The cells of size ``n`` over distinct ``topologies`` and ``range(seeds)``,
     keyed by ``(n, topology, seed)``.
 
-    They run seed by seed: a game lives through the cells of its seed alone,
-    while the mixing matrices of the graphs that ignore the seed serve them
-    all.  A graph is built once per topology and seed that can change it
-    (only random trees read their seed), and graphs with the same edges
-    share one key (:func:`_audit_graphs`).  A key's mixing matrix and check
-    are built before the first seed that needs them draws its game, and
-    dropped after the last cell that uses them; the graph goes once they
-    are built.  A seed builds its new matrices in order of decreasing edge
-    count, so a complete graph's O(n**2) edge array is gone before any
-    other matrix is built.
+    The cells run in batches (:func:`_audit_batch`).  Where the size's cells
+    fit a :class:`~gradplay.dynamics.Lockstep` group (``Lockstep.fits``,
+    counted over all of them: n <= 20 for the default 20 cells a size, at
+    horizons below 256 steps), one batch holds all seeds, and its
+    non-degenerate cells form one group; elsewhere each seed is a batch of
+    its own, so a game lives through the cells of its seed alone.  The
+    mixing matrices of the graphs that ignore the seed serve every batch.
+
+    A graph is built once per topology and seed that can change it (only
+    random trees read their seed), and graphs with the same edges share one
+    key (:func:`_audit_graphs`).  A key's mixing matrix and check are built
+    before the first batch that needs them draws its games, and dropped
+    after the last batch that uses them; the graph goes once they are built.
+    A batch builds its new matrices in order of decreasing edge count, so a
+    complete graph's O(n**2) edge array is gone before any other matrix is
+    built.
     """
     keys, graphs = _audit_graphs(n, topologies, seeds)
     uses = Counter(keys)
+    grouped = Lockstep.fits(n, len(keys), iters)
     networks, cells = {}, {}
-    for seed in range(seeds):
-        seed_keys = keys[seed * len(topologies) : (seed + 1) * len(topologies)]
-        new = [key for key in dict.fromkeys(seed_keys) if key in graphs]
+    for batch in [range(seeds)] if grouped else [[seed] for seed in range(seeds)]:
+        batch_keys = {
+            (topology, seed): keys[seed * len(topologies) + i]
+            for seed in batch
+            for i, topology in enumerate(topologies)
+        }
+        new = [key for key in dict.fromkeys(batch_keys.values()) if key in graphs]
         for key in sorted(new, key=lambda key: -len(graphs[key].edges)):
             networks[key] = _audit_network(graphs.pop(key))
-        game = _audit_game(n, seed, coupling_scale, eq5_samples)
-        for topology, key in zip(topologies, seed_keys):
-            cells[n, topology, seed] = _audit_cell(
-                topology, seed, game, networks[key], iters, alpha_override
+        cells.update(
+            _audit_batch(
+                n, batch, batch_keys, networks, grouped,
+                coupling_scale, iters, alpha_override, eq5_samples,
             )
+        )
+        for key in batch_keys.values():
             uses[key] -= 1
             if not uses[key]:
                 del networks[key]
-        del game  # the next seed builds its matrices and game without this one
     return cells
+
+
+def _audit_batch(
+    n, seeds, keys, networks, grouped, coupling_scale, iters, alpha_override, eq5_samples
+):
+    """The cells ``(topology, seed)`` of ``keys`` (each cell's network key),
+    keyed by ``(n, topology, seed)``: the games of ``seeds`` are drawn, every
+    cell's checks that need no run and its step size are worked out, and
+    then each non-degenerate cell runs.  With ``grouped`` those cells form
+    one :class:`~gradplay.dynamics.Lockstep` group, which steps them all at
+    the first cell's ``harness.run`` call.  The batch's games, and the
+    group, die when it returns."""
+    games = {seed: _audit_game(n, seed, coupling_scale, eq5_samples) for seed in seeds}
+    setups = [
+        (topology, seed, *_audit_cell(topology, seed, games[seed], networks[key], alpha_override))
+        for (topology, seed), key in keys.items()
+    ]
+    del games  # the setups hold what the runs need
+    runs = [run[0] for *_, run in setups if run is not None]
+    group = Lockstep(runs, iters) if grouped and len(runs) > 1 else None
+    for _, _, cell, run in setups:
+        if run is not None:
+            _audit_run(cell, run, iters, group)
+    return {(n, topology, seed): cell for topology, seed, cell, _ in setups}
 
 
 def _audit_graphs(n, topologies, seeds):
@@ -320,8 +365,11 @@ def _audit_game(n, seed, coupling_scale, eq5_samples):
     return game, consts, x0, vectors, _audit_game_assumptions(game, consts, rng)
 
 
-def _audit_cell(topology, seed, game_inputs, network, iters, alpha_override):
-    """One audit cell from its :func:`_audit_game` and :func:`_audit_network`."""
+def _audit_cell(topology, seed, game_inputs, network, alpha_override):
+    """``(cell, run)``: an audit cell from its :func:`_audit_game` and
+    :func:`_audit_network`, with the checks that need no run, and for a
+    non-degenerate cell what :func:`_audit_run` needs, ``((game, w, alpha,
+    x0), consts, plan)``, or None."""
     game, consts, x0, vectors, (mono_worst, lip_worst) = game_inputs
     w, mix_ok, mix_err = network
     n = game.n
@@ -332,7 +380,7 @@ def _audit_cell(topology, seed, game_inputs, network, iters, alpha_override):
     checks.append(AuditCheck("lipschitz_bounds", lip_worst >= -SLACK_TOL, lip_worst))
 
     degenerate = w.sigma == 0.0
-    alpha = admissible = None
+    alpha = admissible = run = None
     if degenerate:
         # Degenerate perfect mixing: the ceiling terms must refuse, loudly.
         try:
@@ -350,44 +398,9 @@ def _audit_cell(topology, seed, game_inputs, network, iters, alpha_override):
         checks.append(
             AuditCheck("admissible_step", admissible, alpha / ceiling, "" if admissible else note)
         )
+        run = (game, w, alpha, x0), consts, plan
 
-        try:
-            _, trace = harness.run(game, w, alpha, x0, max_iters=iters, tol=0.0)
-        except DivergenceError as exc:
-            trace = exc.trace
-            checks.append(AuditCheck("no_divergence", False, math.inf, str(exc)))
-        else:
-            checks.append(AuditCheck("no_divergence", True, 0.0))
-        trace = trace.view(np.ndarray)  # np.recarray reads a column in Python
-
-        # run() records t = 0 before any stop, so every trace has a row
-        mins = harness.lemma_slack_minima(trace, consts.mu, consts.l, alpha, n)
-        for name in ("lemma1", "lemma2", "lemma3"):
-            if name != "lemma3" or mins["lemma3_applicable"]:
-                checks.append(AuditCheck(name, mins[name] >= -SLACK_TOL, mins[name]))
-
-        resid = np.fmax.reduce(trace["recursion_residual"][1:], initial=0.0)
-        checks.append(AuditCheck("average_recursion", resid <= 1e-12, resid))
-
-        if admissible:
-            eig = np.sort(np.linalg.eigvals(plan.z).real)
-            eig_err = max(abs(eig[1] - plan.lambda1), abs(eig[0] - plan.lambda2))
-            rate_ok = (
-                0 < plan.q < 1
-                and plan.lambda1 > abs(plan.lambda2)
-                and eig_err <= 1e-12
-            )
-            checks.append(AuditCheck("rate_certificate", rate_ok, eig_err))
-            t5 = plan.terms[4]
-            alt = bounds.quadratic_form_alpha_bound(consts.mu, consts.l, w.sigma, n)
-            t5_err = abs(t5 - alt) / abs(t5)
-            checks.append(AuditCheck("fifth_term_equivalence", t5_err <= 1e-12, t5_err))
-            zdom = harness.zdomination_excess(trace, plan.z)
-            checks.append(AuditCheck("z_domination", zdom <= SLACK_TOL, zdom))
-            env = harness.envelope_excess(trace, plan.z, plan.lambda1, plan.lambda2)
-            checks.append(AuditCheck("geometric_envelope", env <= SLACK_TOL, env))
-
-    return AuditCell(
+    cell = AuditCell(
         n=n,
         topology=topology,
         seed=seed,
@@ -399,3 +412,48 @@ def _audit_cell(topology, seed, game_inputs, network, iters, alpha_override):
         degenerate=degenerate,
         checks=checks,
     )
+    return cell, run
+
+
+def _audit_run(cell, run, iters, group):
+    """Run a non-degenerate cell through ``harness.run``, as one cell of
+    ``group`` if it is a :class:`~gradplay.dynamics.Lockstep` (the bytes are
+    those of the cell run alone), and add the checks of its trace to
+    ``cell``."""
+    (game, w, alpha, x0), consts, plan = run
+    n, checks = game.n, cell.checks
+    try:
+        _, trace = harness.run(game, w, alpha, x0, max_iters=iters, tol=0.0, batch=group)
+    except DivergenceError as exc:
+        trace = exc.trace
+        checks.append(AuditCheck("no_divergence", False, math.inf, str(exc)))
+    else:
+        checks.append(AuditCheck("no_divergence", True, 0.0))
+    trace = trace.view(np.ndarray)  # np.recarray reads a column in Python
+
+    # run() records t = 0 before any stop, so every trace has a row
+    mins = harness.lemma_slack_minima(trace, consts.mu, consts.l, alpha, n)
+    for name in ("lemma1", "lemma2", "lemma3"):
+        if name != "lemma3" or mins["lemma3_applicable"]:
+            checks.append(AuditCheck(name, mins[name] >= -SLACK_TOL, mins[name]))
+
+    resid = np.fmax.reduce(trace["recursion_residual"][1:], initial=0.0)
+    checks.append(AuditCheck("average_recursion", resid <= 1e-12, resid))
+
+    if cell.admissible:
+        eig = np.sort(np.linalg.eigvals(plan.z).real)
+        eig_err = max(abs(eig[1] - plan.lambda1), abs(eig[0] - plan.lambda2))
+        rate_ok = (
+            0 < plan.q < 1
+            and plan.lambda1 > abs(plan.lambda2)
+            and eig_err <= 1e-12
+        )
+        checks.append(AuditCheck("rate_certificate", rate_ok, eig_err))
+        t5 = plan.terms[4]
+        alt = bounds.quadratic_form_alpha_bound(consts.mu, consts.l, w.sigma, n)
+        t5_err = abs(t5 - alt) / abs(t5)
+        checks.append(AuditCheck("fifth_term_equivalence", t5_err <= 1e-12, t5_err))
+        zdom = harness.zdomination_excess(trace, plan.z)
+        checks.append(AuditCheck("z_domination", zdom <= SLACK_TOL, zdom))
+        env = harness.envelope_excess(trace, plan.z, plan.lambda1, plan.lambda2)
+        checks.append(AuditCheck("geometric_envelope", env <= SLACK_TOL, env))

@@ -220,8 +220,10 @@ def step_size_plan(
     # 1 - sigma^2 and the derived ratios are kept in cancellation-free form.
     one_minus_s2 = (1.0 - sigma) * (1.0 + sigma)
     one_plus_s2 = 1.0 + sigma * sigma
-    beta = one_minus_s2 / (2.0 * sigma * sigma)  # == (1/sigma^2 - 1) / 2
-    one_plus_beta = one_plus_s2 / (2.0 * sigma * sigma)
+    two_s2 = 2.0 * sigma * sigma  # 0 where sigma**2 underflows
+    beta = one_minus_s2 / two_s2 if two_s2 else math.inf  # == (1/sigma^2 - 1) / 2
+    one_plus_beta = one_plus_s2 / two_s2 if two_s2 else math.inf
+    _check_double_range((beta, one_plus_beta), f"mu={mu!r}, l={l!r}, sigma={sigma!r}, n={n}")
     gamma = 1.0 / (1.0 + mu * alpha / n)
     s = sigma + alpha * math.sqrt((n - 1.0) / n) * l
     a22 = one_plus_beta * s * s

@@ -40,6 +40,17 @@ blocks as they finish.  A fixed horizon (``tol = 0``) knows its row count,
 so the trace is one array allocated before the first step, and each block
 is written into its rows of it; only a run that may stop on ``tol`` keeps
 its blocks apart and joins them at the end.
+
+A :class:`Lockstep` group steps several fixed-horizon runs of one size
+together in the same loop, whose held arrays then carry a cell axis: each
+step is one stacked ``np.matmul`` of the cells' mixing matrices, the gradient
+operations against stacked mapping matrices and per-cell alphas, and the
+diagonal correction through stacked diagonal views; each chunk's norms and
+each block's trace rows are reduced for all cells at once.  A run alone is
+the case of one cell and keeps its 2-D ``ndarray.dot``.  Every call is the
+same per-cell arithmetic, so each cell gets the bytes of its run alone, and
+each cell is still run, and its result returned, by its own :func:`run`
+call.
 """
 
 from __future__ import annotations
@@ -58,6 +69,7 @@ from .network import MixingMatrix, _row_dots
 
 __all__ = [
     "IterationTrace",
+    "Lockstep",
     "TRACE_COLUMNS",
     "step",
     "initial_estimates",
@@ -197,6 +209,7 @@ def run(
     tol: float = 0.0,
     *,
     rows=None,
+    batch=None,
 ):
     """Iterate gradient play until the NE distance drops to ``tol`` or
     ``max_iters`` steps have been taken.
@@ -223,16 +236,22 @@ def run(
         most ``_BLOCK`` rows), in order, while the run goes on; the blocks
         concatenate to the returned trace, or to the partial trace of a
         diverged run.  At a fixed horizon each block is a view of its rows
-        of the trace.
+        of the trace.  Not taken together with ``batch``.
+    batch : Lockstep, optional
+        A group that holds this run as one of its cells: ``game``, ``w`` and
+        ``x0`` the cell's own objects, ``alpha`` equal to its step size, and
+        ``max_iters`` and ``tol`` the group's.  The group's first call steps
+        all of its cells together; each call returns, or raises, its own
+        cell's result, with the bytes of the run made without ``batch``.
 
     Returns
     -------
     (final, trace) : (ndarray, np.recarray of dtype IterationTrace)
         The trace has one row per visited state, the initial one included.
         At a fixed horizon (``tol == 0``) it is a view of one array of
-        ``max_iters + 1`` rows, allocated before the first step, or of its
-        first rows if the run stopped early; with ``tol > 0`` it is the
-        finished blocks joined.
+        ``max_iters + 1`` rows, allocated before the first step (in a group,
+        one row of an array for all its cells), or of its first rows if the
+        run stopped early; with ``tol > 0`` it is the finished blocks joined.
 
     Notes
     -----
@@ -265,9 +284,92 @@ def run(
         If the distance to the equilibrium is not finite or exceeds
         ``DIVERGENCE_FACTOR`` times its initial value (step size far above
         the ceiling).  Its ``trace`` holds the rows up to that iteration.
+    ValueError
+        Before any step, for invalid inputs, or with ``batch`` for inputs
+        that are not a cell of the group yet to be taken, or ``rows`` given.
     """
     _check_inputs(game, w)
     _check_step_size(alpha)
+    max_iters = _check_horizon(max_iters, tol)
+    if batch is None:
+        [outcome] = _iterate([(game, w, alpha, x0)], max_iters, tol, rows)
+    elif rows is not None:
+        raise ValueError("a run of a Lockstep group takes no rows callback")
+    else:
+        outcome = batch._take(game, w, alpha, x0, max_iters, tol)
+    if isinstance(outcome, DivergenceError):
+        raise outcome
+    return outcome
+
+
+class Lockstep:
+    """Fixed-horizon runs of one size that :func:`run` steps together.
+
+    ``cells`` are the inputs ``(game, w, alpha, x0)`` of the runs, checked
+    here as :func:`run` checks them, and ``max_iters`` their common horizon
+    (``tol`` is 0).  Each cell is still run by its own call
+    ``run(game, w, alpha, x0, max_iters, batch=group)``.  The first such
+    call steps every cell from its ``x0`` as it is then: each step is one
+    stacked ``np.matmul`` of the cells' mixing matrices and one call per
+    gradient operation on the stacked states, where a run alone makes those
+    calls once per state.  Each call then returns, or raises, its own cell's
+    result and the group lets go of it.  A group forms only where
+    :meth:`fits` holds.  It then holds a chunk of stacked states within
+    ``_CHUNK_BYTES``, a block of their column means and gradients within the
+    same budget (:func:`_record_spans`), and fewer than ``_BLOCK`` trace rows
+    a cell.
+    """
+
+    def __init__(self, cells, max_iters):
+        max_iters = _check_horizon(max_iters, 0.0)
+        cells = [tuple(cell) for cell in cells]
+        for game, w, alpha, x0 in cells:
+            _check_inputs(game, w)
+            _check_step_size(alpha)
+            _start(game, w, x0)
+        sizes = {game.n for game, *_ in cells}
+        if len(sizes) != 1 or not self.fits(*sizes, len(cells), max_iters):
+            raise ValueError(
+                f"{len(cells)} runs of sizes {sorted(sizes)} over {max_iters} steps "
+                "do not form a Lockstep group"
+            )
+        self._cells, self._max_iters, self._outcomes = cells, max_iters, None
+
+    @staticmethod
+    def fits(n: int, cells: int, max_iters: int) -> bool:
+        """Whether ``cells`` runs of size ``n`` over ``max_iters`` steps form a
+        group: two or more, whose stacked chunk holds at least four states
+        within ``_CHUNK_BYTES``, over a horizon within one block."""
+        return cells > 1 and max_iters < _BLOCK and _record_spans(n, cells)[0] > 1
+
+    def _take(self, game, w, alpha, x0, max_iters, tol):
+        """The outcome of the call of :func:`run` for one cell: its
+        ``(final, trace)`` or its ``DivergenceError``."""
+        index = next(
+            (
+                i
+                for i, cell in enumerate(self._cells)
+                if cell is not None
+                and cell[0] is game
+                and cell[1] is w
+                and cell[3] is x0
+                and cell[2] == alpha
+            ),
+            None,
+        )
+        if index is None or max_iters != self._max_iters or tol != 0:
+            raise ValueError(
+                "run inputs are not a cell of this Lockstep group yet to be taken "
+                f"(its runs take max_iters={self._max_iters}, tol=0)"
+            )
+        if self._outcomes is None:  # no cell taken yet
+            self._outcomes = _iterate(self._cells, self._max_iters, 0.0, None)
+        outcome, self._outcomes[index], self._cells[index] = self._outcomes[index], None, None
+        return outcome
+
+
+def _check_horizon(max_iters, tol) -> int:
+    """``max_iters`` as an int, once it and ``tol`` are valid."""
     if not tol >= 0:  # NaN included
         raise ValueError(f"tolerance must be >= 0, got {tol}")
     try:
@@ -276,7 +378,12 @@ def run(
         raise ValueError(f"max_iters must be an integer, got {max_iters!r}") from None
     if max_iters < 0:
         raise ValueError(f"max_iters must be >= 0, got {max_iters}")
+    return max_iters
 
+
+def _start(game, w, x0) -> np.ndarray:
+    """The state a run of checked ``game`` and ``w`` starts from: a checked
+    C-ordered float copy of ``x0``."""
     n = game.n
     x = np.array(x0, dtype=float, order="C")
     if x.shape != (n, n):
@@ -285,52 +392,99 @@ def run(
         raise ValueError("x0 must be finite")
     if w.n != n:
         raise ValueError(f"mixing matrix is {w.n} x {w.n}, game has n={n}")
+    return x
 
-    consts = estimate_constants(game)
-    x_star = solve_nash_equilibrium(game)
-    w_op = w.operator
-    chunk, block = (min(span, max_iters + 1) for span in _record_spans(n))
+
+def _iterate(cells, max_iters, tol, rows) -> list:
+    """The outcome of each run of ``cells``, stepped together: its
+    ``(final, trace)`` or its ``DivergenceError`` (see :func:`run`).
+
+    ``cells`` hold inputs ``(game, w, alpha, x0)`` of one size, checked but
+    for ``x0``, which is checked and copied here.  One cell is a run alone;
+    several (a :class:`Lockstep` group, ``tol = 0`` and no ``rows``) add a
+    cell axis after the state axis of every held array, so that each call
+    of the loop serves them all.  A cell that stops steps on with the
+    others, and its rows past the stop are dropped."""
+    games, ws, alphas, x0s = zip(*cells)
+    n, solo = games[0].n, len(cells) == 1
+    starts = [_start(game, w, x0) for game, w, x0 in zip(games, ws, x0s)]
+
+    def stack(parts):  # the one cell's own, or one array with a cell axis
+        return parts[0] if solo else np.stack(parts)
+
+    def of(array, c):  # cell c's part of an array with a cell axis
+        return array if solo else array[c]
+
+    factors = [
+        _slack_factors(w.sigma, estimate_constants(game), alpha, n)
+        for game, w, alpha in zip(games, ws, alphas)
+    ]
+    factors = factors[0] if solo else np.array(factors).T  # each factor over the cells
+    x_stars = [solve_nash_equilibrium(game) for game in games]
+    x_star = stack(x_stars)
+    cell_axis = () if solo else (len(cells),)
+    spans = _record_spans(n, len(cells))
+    chunk, block = (min(span, max_iters + 1) for span in spans)
     # A fixed horizon knows its rows: each finished block is written into its
     # rows of one trace array.  A tol stop does not, so its blocks are kept
     # and joined at the end.
-    whole = np.empty(max_iters + 1, IterationTrace) if tol == 0 else None
+    whole = np.empty((*cell_axis, max_iters + 1), IterationTrace) if tol == 0 else None
     blocks = []
     # Column means (0) and own gradients (1), and consensus violations (0)
     # and NE distances (1), of a block's states in rows 1..; row 0 carries
     # the last state of the block before (NaN before t = 0).  A chunk divides
     # the block, so its rows never straddle two blocks.
-    held = np.full((2, block + 1, n), math.nan)
-    norms = np.full((2, block + 1), math.nan)
+    held = np.full((2, block + 1, *cell_axis, n), math.nan)
+    norms = np.full((2, block + 1, *cell_axis), math.nan)
     filled = 1
     work = None
-    if chunk > 1:
+    if spans[0] > 1:
         # A chunk's states (0) and their differences (1), allocated once.  The
         # loop steps in place: W times the state in slot k - 1 goes into slot
         # k, and the own gradient into the held row.  Only a full chunk is
-        # followed by another, whose slot 0 takes the last slot (-1).  w_op is
-        # the dense w here: a CSR operator has no out= and needs n >= 225,
-        # where a chunk is one state.
-        work = np.empty((2, chunk, n, n))
-        work[0, 0] = x
+        # followed by another, whose slot 0 takes the last slot (-1).  A run
+        # alone applies its dense w by ndarray.dot (a CSR operator has no out=
+        # and needs n >= 225, where a chunk is one state); a group applies
+        # its stacked matrices by one np.matmul, with the same bits per cell.
+        work = np.empty((2, chunk, *cell_axis, n, n))
+        work[0, 0] = stack(starts)
         slots = list(work[0])
-        diagonals = list(np.einsum("kii->ki", work[0]))
+        diagonals = list(np.einsum("...ii->...i", work[0]))
         grads = list(held[1])
         scratch = work[1, 0]  # free while stepping
-        a_mat, b = game.mapping_matrix, game.b
+        a_mat = stack([game.mapping_matrix for game in games])
+        b = stack([game.b for game in games])
+        if solo:
+            product = ws[0].operator.dot
+        else:
+            w_stack = np.stack([w.operator for w in ws])
+
+            def product(x, out):
+                np.matmul(w_stack, x, out=out)
+
         # alpha as an n-vector: a Python-float operand takes numpy's slower
         # scalar path; the products alpha * g_i are the same bits
-        alphas, step_g = np.full(n, alpha, dtype=float), np.empty(n)
+        alpha_rows = np.repeat(np.array(alphas, dtype=float), n).reshape(*cell_axis, n)
+        step_g = np.empty((*cell_axis, n))
+    else:
+        [(game, w, alpha, _)], [x] = cells, starts
+        w_op = w.operator
 
     # A one-state chunk steps to the next state before its norms are
     # reduced, from _OVERLAP_FLOATS on a worker thread meanwhile.
     overlap = work is None and n * n >= _OVERLAP_FLOATS
+    # each cell's (iteration, distance) where it stopped, and its final state
+    ends, finals, left = [None] * len(cells), [None] * len(cells), len(cells)
     # A diverging run overflows; the guard below turns the non-finite
     # distance into a DivergenceError.
     with np.errstate(over="ignore", invalid="ignore"), _NormWorker(x_star, n, overlap) as worker:
-        initial_dist = _norm(x - x_star)
+        initial = [_norm(start - xs) for start, xs in zip(starts, x_stars)]
+        del starts  # a one-state chunk frees its first state at its first step
         # a state whose distance is not <= this finite limit (NaN and inf
         # included) diverged, unless its distance is <= tol
-        dist_limit = min(DIVERGENCE_FACTOR * max(initial_dist, 1e-300), sys.float_info.max)
+        limits = np.array(
+            [min(DIVERGENCE_FACTOR * max(d, 1e-300), sys.float_info.max) for d in initial]
+        )
         t = 0  # iteration of the chunk's first state
         while True:
             # Step through one chunk, holding its states; then reduce them.
@@ -345,31 +499,40 @@ def run(
             else:
                 for k in range(size):
                     if k or t:
-                        w_op.dot(slots[k - 1], slots[k])
-                        np.multiply(g, alphas, step_g)
+                        product(slots[k - 1], slots[k])
+                        np.multiply(g, alpha_rows, step_g)
                         diagonals[k] -= step_g
                     np.multiply(a_mat, slots[k], out=scratch)
-                    g = np.add.reduce(scratch, axis=1, out=grads[filled + k])
+                    g = np.add.reduce(scratch, axis=-1, out=grads[filled + k])
                     np.add(g, b, g)
                 worker.start(work[0, :size], work[1, :size])
 
             span = slice(filled, filled + size)
             held[0, span], norms[0, span], norms[1, span] = worker.result()
-            dist = norms[1, span].tolist()
-            stop = next((k for k, d in enumerate(dist) if d <= tol or not d <= dist_limit), None)
-            kept = size if stop is None else stop + 1
+            dist = norms[1, span]
+            going = (dist > tol) & (dist <= limits)  # False for NaN
+            kept = size
+            if not going.all():
+                dist, hit = dist.reshape(size, -1), ~going.reshape(size, -1)
+                for c in np.flatnonzero(hit.any(axis=0)):
+                    if ends[c] is None:
+                        stop = int(hit[:, c].argmax())
+                        ends[c], left = (t + stop, float(dist[stop, c])), left - 1
+                        # a final state that is a slot is copied, so that
+                        # the caller's final state is not a slot
+                        finals[c] = x if work is None else of(slots[stop], c).copy()
+                        kept = stop + 1 if solo else size
             filled += kept
-            last = stop is not None or t + size > max_iters
+            last = not left or t + size > max_iters
             if filled > block or last:
                 first = t + kept - filled + 1  # the iteration of row 1
                 if whole is None:
                     finished = np.empty(filled - 1, IterationTrace)
                     blocks.append(finished)
                 else:
-                    finished = whole[first : first + filled - 1]
+                    finished = whole[..., first : first + filled - 1]
                 _trace_rows(
-                    finished, first, *held[:, :filled], *norms[:, :filled],
-                    x_star, w.sigma, consts, alpha, n,
+                    finished, first, *held[:, :filled], *norms[:, :filled], x_star, factors
                 )
                 if rows is not None:
                     rows(finished.view(np.recarray))
@@ -377,51 +540,66 @@ def run(
             if not last:
                 t += size
                 continue
-            # a final state that is a slot is copied, so that the caller's
-            # final state is not a slot
-            trace = (np.concatenate(blocks) if whole is None else whole[: t + kept]).view(np.recarray)
-            if stop is None or dist[stop] <= tol:
-                return (x if work is None else slots[kept - 1].copy()), trace
-            t += stop
-            err = DivergenceError(
-                f"diverged at iteration {t}: distance {dist[stop]:.3e} exceeds "
-                f"{DIVERGENCE_FACTOR:.0e} x initial {initial_dist:.3e} "
-                f"(alpha={alpha} too large)"
-            )
-            err.iteration = t
-            err.trace = trace  # partial trace for post-mortem reporting
-            raise err
+            outcomes = []
+            for c, end in enumerate(ends):
+                if end is None:
+                    end = t + kept - 1, None
+                    finals[c] = x if work is None else of(slots[kept - 1], c).copy()
+                iteration, distance = end
+                rows_c = np.concatenate(blocks) if whole is None else of(whole, c)[: iteration + 1]
+                trace = rows_c.view(np.recarray)
+                if distance is None or distance <= tol:
+                    outcomes.append((finals[c], trace))
+                    continue
+                err = DivergenceError(
+                    f"diverged at iteration {iteration}: distance {distance:.3e} exceeds "
+                    f"{DIVERGENCE_FACTOR:.0e} x initial {initial[c]:.3e} "
+                    f"(alpha={alphas[c]} too large)"
+                )
+                err.iteration = iteration
+                err.trace = trace  # partial trace for post-mortem reporting
+                outcomes.append(err)
+            return outcomes
 
 
-def _record_spans(n: int) -> tuple:
-    """``(chunk, block)``: how many states :func:`run` holds for one
-    reduction of their ``n x n`` norms, and for one reduction of their column
-    means and own gradients.  A chunk is the largest power of two of states
-    within ``_CHUNK_BYTES``, at most a block, so it divides ``_BLOCK``.
-    Below four states (from n = 91) a chunk is one state, stepped by
+def _record_spans(n: int, cells: int = 1) -> tuple:
+    """``(chunk, block)``: how many states of each of ``cells`` runs stepped
+    together :func:`run` holds for one reduction of their ``n x n`` norms,
+    and for one reduction of their column means and own gradients.  A chunk
+    is the largest power of two of states whose ``cells`` stacks fit within
+    ``_CHUNK_BYTES``, at most a block, so it divides the block.  Below four
+    states (from n = 91 for one run) a chunk is one state, stepped by
     allocation; this keeps every CSR operator (n >= 225) off the in-place
-    path, whose products need ``out=``."""
-    fit = _CHUNK_BYTES // (8 * n * n)
-    return (min(_BLOCK, 1 << (fit.bit_length() - 1)) if fit >= 4 else 1), _BLOCK
+    path, whose products need ``out=``.  A block is ``_BLOCK`` states for
+    one run; a group halves it, down to a chunk, until its cells' column
+    means and own gradients fit within ``_CHUNK_BYTES`` too."""
+    fit = _CHUNK_BYTES // (8 * n * n * cells)
+    chunk = min(_BLOCK, 1 << (fit.bit_length() - 1)) if fit >= 4 else 1
+    block = _BLOCK
+    while cells > 1 and block > chunk and 2 * 8 * n * cells * block > _CHUNK_BYTES:
+        block //= 2
+    return chunk, block
 
 
 def _chunk_norms(xs, x_star, n, diff):
     """Column means, consensus violations and NE distances of a stack of
-    states, for the held rows of :func:`run`.  Each mean is a sum over n (the
-    floating-point operations of mean) and each norm the BLAS dot of _norm.
-    The differences go into ``diff``, or, for a single ``n x n`` state
-    without it, into temporaries, each freed before the next is built.  A
-    single state is reduced as it is (the stacked reduction was 6-15 % slower
-    per run at n = 100)."""
+    states, for the held rows of :func:`run`: states ``(k, n, n)`` of one run
+    against its ``x_star`` ``(n,)``, or ``(k, cells, n, n)`` of a group
+    against ``(cells, n)``.  Each mean is a sum over n (the floating-point
+    operations of mean) and each norm the BLAS dot of _norm.  The
+    differences go into ``diff``, or, for a single ``n x n`` state without
+    it, into temporaries, each freed before the next is built.  A single
+    state is reduced as it is (the stacked reduction was 6-15 % slower per
+    run at n = 100)."""
     if xs.ndim == 2:
         mean = xs.sum(axis=0) / n
         cv = _norm(np.subtract(xs, mean, out=diff))
         return mean, [cv], [_norm(np.subtract(xs, x_star, out=diff))]
     # einsum adds the rows in order, as x.sum(axis=0) does, with less
     # dispatch than xs.sum(axis=1)
-    means = np.einsum("kij->kj", xs) / n
-    cv = _flat_dots(np.subtract(xs, means[:, None], out=diff))
-    dist = _flat_dots(np.subtract(xs, x_star, out=diff))
+    means = np.einsum("...ij->...j", xs) / n
+    cv = _flat_dots(np.subtract(xs, means[..., None, :], out=diff))
+    dist = _flat_dots(np.subtract(xs, x_star[..., None, :], out=diff))
     return (means, *np.sqrt([cv, dist]))
 
 
@@ -501,38 +679,55 @@ class _NormWorker:
 
 
 def _flat_dots(stack: np.ndarray) -> np.ndarray:
-    flat = stack.reshape(len(stack), -1)
+    """The squared norm of each ``n x n`` matrix of a stack."""
+    flat = stack.reshape(*stack.shape[:-2], -1)
     return _row_dots(flat, flat)
 
 
-def _trace_rows(trace, t, means, grads, cv, dist, x_star, sigma, consts, alpha, n) -> None:
+def _slack_factors(sigma, consts, alpha, n) -> tuple:
+    """A run's factors of its trace columns: ``alpha / n``, ``sigma``,
+    ``alpha * sqrt((n - 1) / n)``, ``L``, ``L**2 * alpha / mu`` and
+    ``1 + mu * alpha / n``, each the float that its column's expression
+    computes, so that a group's cells, which hold them as arrays, get the
+    bits of a run alone."""
+    big_l, mu = consts.l, consts.mu
+    return (
+        alpha / n,
+        sigma,
+        alpha * math.sqrt((n - 1) / n),
+        big_l,
+        big_l**2 * alpha / mu,
+        1.0 + mu * alpha / n,
+    )
+
+
+def _trace_rows(trace, t, means, grads, cv, dist, x_star, factors) -> None:
     """Fill ``trace`` with the rows of the states in rows 1.. of a block's
     columns, iterations ``t``..; row 0 is the state before (NaN before
     t = 0, which makes the first row's transition columns NaN).  Every norm
     is the BLAS dot of _norm, so row 0 has the bits of the last row of the
     block before; the recursion residual and the slacks compare each row
     with the one above.  ``trace`` is a plain structured array, filled by
-    key."""
-    trace["t"] = np.arange(t, t + len(trace))
-    trace["consensus_violation"], trace["distance_to_ne"] = cv[1:], dist[1:]
-    pred = means[:-1] - (alpha / n) * grads[:-1]
+    key.  A group's columns have a cell axis after the row axis, its
+    ``x_star`` and :func:`_slack_factors` one in front, and its ``trace``
+    one row per cell in front of the iterations."""
+    step, sigma, lemma1_gn, big_l, lemma3_cv, lemma3_avg = factors
+    n = means.shape[-1]
+    trace["t"] = np.arange(t, t + trace.shape[-1])
+    trace["consensus_violation"], trace["distance_to_ne"] = cv[1:].T, dist[1:].T
+    pred = means[:-1] - np.expand_dims(step, -1) * grads[:-1]
     vectors = (means - x_star, grads, means[1:] - pred, pred)
     dev, gn, miss, pred_norm = (np.sqrt(_row_dots(v, v)) for v in vectors)
     avg_d = math.sqrt(n) * dev
-    trace["avg_distance_to_ne"], trace["grad_norm"] = avg_d[1:], gn[1:]
-    trace["recursion_residual"] = miss / (1.0 + pred_norm)
-    big_l, mu = consts.l, consts.mu
+    trace["avg_distance_to_ne"], trace["grad_norm"] = avg_d[1:].T, gn[1:].T
+    trace["recursion_residual"] = (miss / (1.0 + pred_norm)).T
     # the norms of a diverged run may be inf or NaN: their slacks are too
     with np.errstate(over="ignore", invalid="ignore"):
-        trace["lemma1_slack"] = (
-            sigma * cv[:-1] + alpha * math.sqrt((n - 1) / n) * gn[:-1] - cv[1:]
-        )
-        trace["lemma2_slack"] = big_l * dist[1:] - gn[1:]
+        trace["lemma1_slack"] = (sigma * cv[:-1] + lemma1_gn * gn[:-1] - cv[1:]).T
+        trace["lemma2_slack"] = (big_l * dist[1:] - gn[1:]).T
         trace["lemma3_slack"] = (
-            avg_d[:-1] ** 2
-            + (big_l**2 * alpha / mu) * cv[:-1] ** 2
-            - (1.0 + mu * alpha / n) * avg_d[1:] ** 2
-        )
+            avg_d[:-1] ** 2 + lemma3_cv * cv[:-1] ** 2 - lemma3_avg * avg_d[1:] ** 2
+        ).T
 
 
 def _csv_rows(block) -> str:

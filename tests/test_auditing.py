@@ -6,7 +6,9 @@ import ast
 import builtins
 from pathlib import Path
 
-from gradplay import audit, harness
+import pytest
+
+from gradplay import DivergenceError, audit, dynamics, harness
 
 #: Every name of ``harness`` that the audit calls and that is patched there.
 PATCHED = (
@@ -59,3 +61,44 @@ def test_run_path_holds_no_audit_code():
     ]
     assert not [name for name in imported if "auditing" in name]
     assert not [name for name in vars(harness) if name.lstrip("_").lower().startswith("audit")]
+
+
+@pytest.mark.parametrize("alpha_override", [None, 0.75], ids=["default", "diverging"])
+def test_grouped_cells_give_the_bytes_of_runs_alone(monkeypatch, alpha_override):
+    # each of the 45 non-degenerate cells makes its own harness.run call as
+    # one cell of its size's Lockstep group; at alpha 0.75 some diverge, each
+    # at its own iteration, and the others reach the horizon
+    calls = []
+    run = harness.run
+
+    def recorded(*args, **kwargs):
+        try:
+            outcome = run(*args, **kwargs)
+        except DivergenceError as exc:
+            calls.append((args, kwargs, exc))
+            raise
+        calls.append((args, kwargs, outcome))
+        return outcome
+
+    monkeypatch.setattr(harness, "run", recorded)
+    audit(alpha_override=alpha_override)
+    assert len(calls) == 45
+    assert all(isinstance(kwargs["batch"], dynamics.Lockstep) for _, kwargs, _ in calls)
+    stops = []
+    for args, kwargs, outcome in calls:
+        try:
+            alone = dynamics.run(*args, max_iters=kwargs["max_iters"], tol=kwargs["tol"])
+        except DivergenceError as exc:
+            alone = exc
+        assert type(outcome) is type(alone)
+        if isinstance(alone, DivergenceError):
+            stops.append(alone.iteration)
+            assert (outcome.iteration, str(outcome)) == (alone.iteration, str(alone))
+            assert outcome.trace.tobytes() == alone.trace.tobytes()
+        else:
+            for got, expected in zip(outcome, alone):
+                assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+    if alpha_override is None:
+        assert stops == []
+    else:
+        assert 0 < len(stops) < 45 and len(set(stops)) > 1

@@ -290,6 +290,18 @@ class TestStepSizePlan:
         assert repr(plan.q) in text  # full precision in the text report
 
 
+    @pytest.mark.parametrize("sigma", [1e-300, 1e-160])
+    def test_tiny_sigma_leaves_the_double_range(self, sigma):
+        # 2 sigma**2 underflows to 0 (1e-300), once a ZeroDivisionError, or to
+        # a subnormal whose reciprocal overflows (1e-160): beta is no double
+        assert alpha_max(1.0, 1.0, sigma, 3) > 0
+        for alpha in (None, 1e-320):
+            with pytest.raises(ValueError, match="leaves the double range") as excinfo:
+                step_size_plan(1.0, 1.0, sigma, 3, alpha)
+            assert f"sigma={sigma!r}" in str(excinfo.value)
+        with pytest.raises(ValueError, match="leaves the double range"):
+            rate_bound(1.0, 1.0, sigma, 3, 1e-320)
+
     def test_rate_bound_and_z_matrix_are_views_of_the_plan(self):
         # rate_bound returns the plan, and the plan's z is the one route to Z
         plan = step_size_plan(1.2, 2.0, 0.7, 6, alpha=1e-4)

@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from gradplay import (
@@ -654,6 +656,154 @@ class TestInPlaceStep:
         assert np.count_nonzero(w.w) == 2 * n
         assert w.sigma == pytest.approx(math.cos(math.pi / n), rel=1e-12)
         assert isinstance(w.operator, np.ndarray)
+
+
+def lockstep_cells(n, specs):
+    """Run inputs ``(game, w, alpha, x0)``, one per ``(topology, seed, alpha)``."""
+    return [
+        (
+            random_game(n, seed),
+            metropolis_weights(build_graph(topology, n, seed)),
+            alpha,
+            initial_estimates(n, seed + 1),
+        )
+        for topology, seed, alpha in specs
+    ]
+
+
+def outcome_of(cell, iters, **kwargs):
+    """``run``'s ``(final, trace)``, or the DivergenceError it raised."""
+    try:
+        return run(*cell, max_iters=iters, **kwargs)
+    except DivergenceError as exc:
+        return exc
+
+
+def assert_same_outcome(outcome, alone):
+    assert type(outcome) is type(alone)
+    if isinstance(alone, DivergenceError):
+        assert (outcome.iteration, str(outcome)) == (alone.iteration, str(alone))
+        trace, expected = outcome.trace, alone.trace
+    else:
+        (final, trace), (expected_final, expected) = outcome, alone
+        assert final.shape == expected_final.shape and final.tobytes() == expected_final.tobytes()
+        assert final.flags.owndata and final.flags.c_contiguous
+    assert isinstance(trace, np.recarray) and trace.dtype == IterationTrace
+    assert len(trace) == len(expected) and trace.tobytes() == expected.tobytes()
+
+
+class TestLockstep:
+    """A Lockstep group steps its cells together in one loop with a cell
+    axis; every cell's own run() call must return, or raise, the bytes of
+    that cell run alone."""
+
+    # Four 90 x 90 cells a chunk of four states: groups form up to n = 90,
+    # the largest n whose run alone steps a chunk of several states.
+    WIDE_CHUNK_BYTES = 4 * 4 * 8 * 90 * 90
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n=st.integers(3, 90),
+        specs=st.lists(
+            st.tuples(
+                st.sampled_from(("tree", "ring", "complete", "star")),
+                st.integers(0, 2**16),
+                st.sampled_from((0.03, 0.5, 1.0, 3.0)),
+            ),
+            min_size=2,
+            max_size=4,
+        ),
+        iters=st.integers(0, dynamics._BLOCK - 1),
+    )
+    def test_a_group_gives_the_bytes_of_runs_alone(self, n, specs, iters):
+        cells = lockstep_cells(n, specs)
+        alone = [outcome_of(cell, iters) for cell in cells]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dynamics, "_CHUNK_BYTES", self.WIDE_CHUNK_BYTES)
+            group = dynamics.Lockstep(cells, iters)
+            # taken last cell first: the first call steps them all
+            for cell, expected in reversed(list(zip(cells, alone))):
+                assert_same_outcome(outcome_of(cell, iters, batch=group), expected)
+
+    def test_stops_inside_a_chunk_and_at_the_horizon(self):
+        # cells that diverge at different iterations of one chunk, and cells
+        # that reach the horizon, over chunks of 4 states and blocks of 32
+        specs = [(t, seed, a) for t in ("tree", "ring", "star") for seed, a in
+                 enumerate((0.03, 0.7, 0.8, 0.9, 1.0))]
+        cells = lockstep_cells(20, specs)
+        assert dynamics._record_spans(20, len(cells)) == (4, 32)
+        alone = [outcome_of(cell, 200) for cell in cells]
+        stops = {exc.iteration for exc in alone if isinstance(exc, DivergenceError)}
+        assert len(stops) > 3 and len({t % 4 for t in stops}) > 1
+        assert any(not isinstance(outcome, DivergenceError) for outcome in alone)
+        group = dynamics.Lockstep(cells, 200)
+        for cell, expected in zip(cells, alone):
+            assert_same_outcome(outcome_of(cell, 200, batch=group), expected)
+
+    def test_refuses_inputs_that_are_not_a_cell_before_any_step(self, monkeypatch):
+        cells = lockstep_cells(5, [("tree", 1, 0.03), ("ring", 2, 0.03)])
+        alone = [outcome_of(cell, 20) for cell in cells]
+        group = dynamics.Lockstep(cells, 20)
+        steps = []
+        iterate = dynamics._iterate
+        monkeypatch.setattr(dynamics, "_iterate", lambda *a: steps.append(a) or iterate(*a))
+        (game, w, alpha, x0), other = cells[0], lockstep_cells(5, [("star", 3, 0.03)])[0]
+        for args, kwargs in [
+            ((other[0], w, alpha, x0), {}),  # another game
+            ((game, cells[1][1], alpha, x0), {}),  # another cell's matrix
+            ((game, w, 0.04, x0), {}),  # another step size
+            ((game, w, alpha, x0.copy()), {}),  # an equal array, not the cell's own
+            ((game, w, alpha, x0), {"max_iters": 19}),
+            ((game, w, alpha, x0), {"tol": 1e-3}),
+        ]:
+            with pytest.raises(ValueError, match="not a cell of this Lockstep group"):
+                run(*args, **{"max_iters": 20, **kwargs}, batch=group)
+        with pytest.raises(ValueError, match="takes no rows callback"):
+            run(*cells[0], max_iters=20, rows=lambda block: None, batch=group)
+        assert steps == []
+        # the group still serves each of its cells, once, from one stepping
+        for cell, expected in zip(cells, alone):
+            assert_same_outcome(outcome_of(cell, 20, batch=group), expected)
+        assert len(steps) == 1
+        with pytest.raises(ValueError, match="not a cell of this Lockstep group yet to be taken"):
+            run(*cells[0], max_iters=20, batch=group)
+
+    def test_refuses_cells_that_do_not_form_a_group(self):
+        five = lockstep_cells(5, [("tree", 1, 0.03), ("ring", 2, 0.03)])
+        large = lockstep_cells(91, [("tree", 1, 0.03), ("ring", 2, 0.03)])
+        for cells, iters in [
+            (five[:1], 20),  # one run is a run alone
+            (five + lockstep_cells(6, [("tree", 1, 0.03)]), 20),  # two sizes
+            (five, dynamics._BLOCK),  # a horizon of more than one block
+            (large, 5),  # no chunk of four stacked states within _CHUNK_BYTES
+        ]:
+            with pytest.raises(ValueError, match="do not form a Lockstep group"):
+                dynamics.Lockstep(cells, iters)
+        game, w, alpha, x0 = five[0]
+        with pytest.raises(ValueError, match="step size"):
+            dynamics.Lockstep([five[1], (game, w, math.nan, x0)], 20)
+        with pytest.raises(ValueError, match="x0 has shape"):
+            dynamics.Lockstep([five[1], (game, w, alpha, x0[:3])], 20)
+        with pytest.raises(TypeError, match="MixingMatrix"):
+            dynamics.Lockstep([five[1], (game, w.w, alpha, x0)], 20)
+        with pytest.raises(ValueError, match="max_iters must be >= 0"):
+            dynamics.Lockstep(five, -1)
+
+    def test_fits_bounds_the_held_states(self):
+        # a group's chunk of stacked states, and its block of column means
+        # and gradients, stay within the budget of a run alone's chunk, and
+        # its trace within one _BLOCK a cell
+        assert dynamics.Lockstep.fits(20, 20, 200) and dynamics.Lockstep.fits(23, 15, 200)
+        assert not dynamics.Lockstep.fits(21, 20, 200) and not dynamics.Lockstep.fits(24, 15, 200)
+        assert not dynamics.Lockstep.fits(20, 15, dynamics._BLOCK)
+        assert not dynamics.Lockstep.fits(20, 1, 200)
+        for n in range(2, 100):
+            for cells in range(2, 40):
+                chunk, block = dynamics._record_spans(n, cells)
+                if dynamics.Lockstep.fits(n, cells, 0):
+                    assert 4 <= chunk and chunk * cells * 8 * n * n <= dynamics._CHUNK_BYTES
+                    assert dynamics._BLOCK % block == 0 and block % chunk == 0
+                    assert block == chunk or 2 * block * cells * 8 * n <= dynamics._CHUNK_BYTES
 
 
 class TestRecordedNorms:

@@ -1,5 +1,7 @@
 """Golden artifact hashes: the bytes of paper-sim's artifacts, of a random
-tree at n = 250 over 20 steps and of the default audit, on one BLAS thread.
+tree at n = 250 over 20 steps, of the default audit and of an audit whose
+step size makes 27 of its 45 runs diverge, at 24 different iterations
+(93 to 198 of 200), on one BLAS thread.
 
 numpy's bundled OpenBLAS is built for many CPUs and picks its kernels by the
 CPU it runs on; another core's kernels may round differently, and the
@@ -43,9 +45,11 @@ GOLDEN = {
     "tree-250/trace.csv": "1aaec73aec162c6fa8bc126aa52c3781ca86f053db92b90b4c0fd8792b57f883",
     "audit/audit.json": "067255e256d9028875f7f865923ea77534b44f17b2340e99f9ddce6c2dde11cb",
     "audit/audit.txt": "f028c2e44c9e7dac0430f72d699215b8e9761d7832136d0f3a7b497ffd29d448",
+    "audit-diverging/audit.json": "2f71a74f7773ad81ad900a47b45567cbb0b5657dec2ef96508a6b1446ef19e5b",
+    "audit-diverging/audit.txt": "3fc897558fccd6f4940ba53205778356934b8e796976a7aac2df1ea6551b8bf0",
 }
 
-#: Writes the three jobs' artifacts under the directory in argv[1] and
+#: Writes the four jobs' artifacts under the directory in argv[1] and
 #: prints their hashes as one JSON object.
 SCRIPT = """
 import hashlib, json, os, sys
@@ -56,6 +60,7 @@ jobs = {
     "paper-sim": lambda out: run_experiment(paper_sim_config(), out_dir=out),
     "tree-250": lambda out: run_experiment(ExperimentConfig(n=250, max_iters=20), out_dir=out),
     "audit": lambda out: audit(out_dir=out),
+    "audit-diverging": lambda out: audit(alpha_override=0.75, out_dir=out),
 }
 digests = {}
 for job, write in jobs.items():

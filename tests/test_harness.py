@@ -1096,16 +1096,23 @@ class TestAudit:
     def test_shared_inputs_give_the_bytes_of_cells_built_alone(self, matrix, tmp_path):
         report = audit(**matrix, out_dir=tmp_path)
         args = {k: p.default for k, p in inspect.signature(audit).parameters.items()} | matrix
+
+        def cell_alone(n, topology, seed):
+            # its own game and matrix, and its own run outside any group
+            cell, run = auditing._audit_cell(
+                topology,
+                seed,
+                auditing._audit_game(n, seed, args["coupling_scale"], args["eq5_samples"]),
+                auditing._audit_network(build_graph(topology, n, seed=1000 + seed)),
+                args["alpha_override"],
+            )
+            if run is not None:
+                auditing._audit_run(cell, run, args["iters"], None)
+            return cell
+
         alone = AuditReport(
             cells=[
-                auditing._audit_cell(
-                    topology,
-                    seed,
-                    auditing._audit_game(n, seed, args["coupling_scale"], args["eq5_samples"]),
-                    auditing._audit_network(build_graph(topology, n, seed=1000 + seed)),
-                    args["iters"],
-                    args["alpha_override"],
-                )
+                cell_alone(n, topology, seed)
                 for n in args["sizes"]
                 for topology in args["topologies"]
                 if not (topology == "ring" and n < 3)
@@ -1144,8 +1151,9 @@ class TestAudit:
         }
 
     def test_shared_inputs_die_after_their_last_cell(self, monkeypatch):
-        """A game lives through the runs of its seed alone, a mixing matrix
-        until its last cell, a complete graph until its matrix is built."""
+        """Outside a Lockstep group (here a horizon of one block), a game
+        lives through the runs of its seed alone, a mixing matrix until its
+        last cell, a complete graph until its matrix is built."""
         refs = {"random_game": [], "metropolis_weights": [], "build_graph": []}
 
         def alive(name):
@@ -1176,8 +1184,10 @@ class TestAudit:
         for name in seen:
             monkeypatch.setattr(harness, name, tracked(name, getattr(harness, name)))
         topologies = ("tree", "ring", "star", "complete")
+        iters = dynamics._BLOCK
+        assert not dynamics.Lockstep.fits(5, 3, iters)
         for seeds in (1, 3):
-            assert audit(sizes=(6, 5), topologies=topologies, seeds=seeds, iters=5).ok
+            assert audit(sizes=(6, 5), topologies=topologies, seeds=seeds, iters=iters).ok
         assert len(seen["run"]) == 2 * 3 * (1 + 3)
         # each run: its seed's game, its matrix and those of ring, star and complete
         assert {games for games, _ in seen["run"]} == {1}
@@ -1195,6 +1205,51 @@ class TestAudit:
                 batches[-1].append(build[1])
         assert all(edges == sorted(edges, reverse=True) for edges in batches)
         assert all(alive == (e == n * (n - 1) // 2) for n, e, alive in filter(None, builds))
+
+    def test_a_group_keeps_its_sizes_inputs_until_its_last_cell(self, monkeypatch):
+        """Where a size's cells form a Lockstep group, its games and mixing
+        matrices are all built before its first run, stay alive through its
+        runs, and are all gone after its last cell, before the next size
+        builds any input."""
+        refs = {"random_game": [], "metropolis_weights": []}
+        seen = []  # per call: (name, n, games alive, matrices alive by size)
+
+        def alive(name):
+            return [obj for obj in (ref() for ref in refs[name]) if obj is not None]
+
+        def tracked(name, original):
+            def wrapper(*args, **kwargs):
+                n = args[0] if name == "random_game" else args[0].n  # game or graph
+                games, ws = alive("random_game"), alive("metropolis_weights")
+                seen.append((name, n, sorted(g.n for g in games), sorted(w.n for w in ws)))
+                if name == "run":
+                    assert isinstance(kwargs["batch"], dynamics.Lockstep)
+                result = original(*args, **kwargs)
+                if name in refs:
+                    refs[name].append(weakref.ref(result))
+                return result
+
+            return wrapper
+
+        for name in ("random_game", "metropolis_weights", "run"):
+            monkeypatch.setattr(harness, name, tracked(name, getattr(harness, name)))
+        sizes, topologies, seeds = (6, 5), ("tree", "ring", "star", "complete"), 3
+        assert all(dynamics.Lockstep.fits(n, 12, 5) for n in sizes)
+        assert audit(sizes=sizes, topologies=topologies, seeds=seeds, iters=5).ok
+        runs = [entry for entry in seen if entry[0] == "run"]
+        assert len(runs) == 2 * 3 * seeds
+        for n in sizes:
+            # every run sees all of its size's games and distinct matrices
+            # (trees 1 and 2 of n = 5 match), and none of another size
+            matrices = len(auditing._audit_graphs(n, topologies, seeds)[1])
+            assert matrices == (6 if n == 6 else 5)
+            assert {(tuple(g), tuple(w)) for _, size, g, w in runs if size == n} == {
+                ((n,) * seeds, (n,) * matrices)
+            }
+        # the second size builds its inputs after the first size's are gone
+        builds = [entry for entry in seen if entry[0] != "run" and entry[1] == 5]
+        assert builds and all(6 not in g and 6 not in w for _, _, g, w in builds)
+        assert not any(alive(name) for name in refs)
 
     def test_report_serialization(self, tmp_path):
         report = audit(sizes=(5,), topologies=("star",), seeds=1, iters=80, out_dir=tmp_path)
@@ -1265,6 +1320,9 @@ class TestCli:
             ("compare-grane --mu nan --L 1 --n 20 --json", "mu and l must be finite"),
             ("compare-grane --mu 1 --L inf --n 20", "mu and l must be finite"),
             ("bounds --mu 1 --L 1e200 --sigma 0.5 --n 20", "leaves the double range"),
+            # 2 sigma**2 underflows to 0: once a ZeroDivisionError traceback
+            ("bounds --mu 1 --L 1 --sigma 1e-300 --n 3", "leaves the double range"),
+            ("bounds --mu 1 --L 1 --sigma 1e-300 --n 3 --json", "leaves the double range"),
             ("bounds --mu 1 --L inf --sigma 0.5 --n 20", "l must be finite and > 0"),
             ("bounds --mu 1 --L 1 --sigma 0.5 --n 2 --alpha 1e-17", "too small for a contraction"),
             (
