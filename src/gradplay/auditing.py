@@ -33,7 +33,6 @@ from .dynamics import Lockstep, initial_estimates
 from .errors import DivergenceError, PerfectMixingError
 from .footprint import _DENSE_ARRAYS, _check_footprint
 from .harness import SLACK_TOL, TOPOLOGIES, _finite, _resolve_alpha
-from .network import _row_dots
 
 __all__ = ["AuditCheck", "AuditCell", "AuditReport", "audit"]
 
@@ -144,13 +143,13 @@ def _audit_game_assumptions(game, consts, rng, samples=100):
     f = harness.game_mapping(game, np.concatenate([u, v]))
     f_diff = f[:samples] - f[samples:]
     du = u - v
-    du_sq = _row_dots(du, du)
+    du_sq = np.vecdot(du, du)
     du_norm = np.sqrt(du_sq)
     rhs = consts.mu * du_sq
-    mono = (_row_dots(f_diff, du) - rhs) / (1.0 + np.abs(rhs))
+    mono = (np.vecdot(f_diff, du) - rhs) / (1.0 + np.abs(rhs))
     # per-player bound on column i of F(u) - F(v), and the full-mapping bound
     g_diff = np.abs(f_diff[np.arange(samples), players])
-    f_norm = np.sqrt(_row_dots(f_diff, f_diff))
+    f_norm = np.sqrt(np.vecdot(f_diff, f_diff))
     lip_rhs = consts.l_per_player[players] * du_norm
     map_rhs = consts.l_mapping * du_norm
     lip = np.minimum((lip_rhs - g_diff) / (1.0 + lip_rhs), (map_rhs - f_norm) / (1.0 + map_rhs))

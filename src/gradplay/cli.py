@@ -116,6 +116,11 @@ def _cmd_run(args) -> int:
         )
     if report.diverged:
         sys.stderr.write("check failed: divergence guard tripped\n")
+    elif report.growing:
+        sys.stderr.write(
+            "check failed: the error grows (fitted contraction ratio "
+            f"{report.fitted_contraction_ratio!r} >= 1)\n"
+        )
     return 0 if report.ok else 1
 
 

@@ -9,16 +9,20 @@ corrects each player's own-action entry with a local gradient step:
     x[i, i] <- sum_j w[i, j] * x[j, i] - alpha * g_i        g_i = own partial
                                                             gradient at row i
 
-in matrix form ``x <- W x - alpha * Diag(g)``.  The column means (the
-network-wide running average) then follow the exact recursion
-``avg <- avg - (alpha / n) * g``.
+in matrix form ``x <- W x - alpha * Diag(g)``, where ``g_i = A[i] . x[i] +
+b_i`` is the dot product of row i of the game's mapping matrix with player
+i's own row of estimates.  The column means (the network-wide running
+average) then follow the exact recursion ``avg <- avg - (alpha / n) * g``.
 
 :func:`run` iterates this update and records four norms and the recursion
 residual of every state.  Its loop only steps: it computes the own gradients,
-applies the update and holds the states.  The states of a chunk (as many as
-fit in a cache-sized byte budget; one state from n = 91) are stepped in place
-into one buffer allocated per run: each product is written into its slot by
-``ndarray.dot``, and the gradient correction, taken against alpha held as an
+applies the update and holds the states.  The own gradients of a state are
+one ``np.vecdot`` of the mapping matrix and the state, one BLAS dot a row,
+with no ``n x n`` temporary.  The states of a chunk (as many as fit in a
+cache-sized byte budget; one state from n = 91) are stepped in place into one
+buffer allocated per run: each product is written into its slot by
+``ndarray.dot``, each state's own gradients into their held row by
+``np.vecdot``, and the gradient correction, taken against alpha held as an
 n-vector, is applied through precomputed diagonal views; a one-state chunk
 allocates each new state.  The two norms of the ``n x n`` states and the
 column means (one ``einsum`` over the chunk) are reduced once per chunk, the
@@ -43,14 +47,14 @@ its blocks apart and joins them at the end.
 
 A :class:`Lockstep` group steps several fixed-horizon runs of one size
 together in the same loop, whose held arrays then carry a cell axis: each
-step is one stacked ``np.matmul`` of the cells' mixing matrices, the gradient
-operations against stacked mapping matrices and per-cell alphas, and the
-diagonal correction through stacked diagonal views; each chunk's norms and
-each block's trace rows are reduced for all cells at once.  A run alone is
-the case of one cell and keeps its 2-D ``ndarray.dot``.  Every call is the
-same per-cell arithmetic, so each cell gets the bytes of its run alone, and
-each cell is still run, and its result returned, by its own :func:`run`
-call.
+step is one stacked ``np.matmul`` of the cells' mixing matrices, one
+stacked ``np.vecdot`` of their mapping matrices for the own gradients, the
+step against per-cell alphas, and the diagonal correction through stacked
+diagonal views; each chunk's norms and each block's trace rows are reduced
+for all cells at once.  A run alone is the case of one cell and keeps its
+2-D ``ndarray.dot``.  Every call is the same per-cell arithmetic, so each
+cell gets the bytes of its run alone, and each cell is still run, and its
+result returned, by its own :func:`run` call.
 """
 
 from __future__ import annotations
@@ -65,7 +69,7 @@ import numpy as np
 from . import floattext
 from .errors import DivergenceError
 from .game import QuadraticGame, estimate_constants, solve_nash_equilibrium
-from .network import MixingMatrix, _row_dots
+from .network import MixingMatrix
 
 __all__ = [
     "IterationTrace",
@@ -154,7 +158,10 @@ def _check_inputs(game, w) -> None:
 
 
 def _own_gradient(game: QuadraticGame, x_mat: np.ndarray) -> np.ndarray:
-    return (game.mapping_matrix * x_mat).sum(axis=1) + game.b
+    """Each player's own partial gradient ``g_i = A[i] . x[i] + b_i``: row i of
+    the mapping matrix against player i's row of estimates, one BLAS dot a
+    row (``np.vecdot``), with no ``n x n`` temporary."""
+    return np.vecdot(game.mapping_matrix, x_mat) + game.b
 
 
 def _norm(v: np.ndarray) -> float:
@@ -177,7 +184,9 @@ def _update(w_op, x_mat: np.ndarray, alpha: float, g: np.ndarray) -> np.ndarray:
 
 def step(x_mat: np.ndarray, w: MixingMatrix, alpha: float, game: QuadraticGame) -> np.ndarray:
     """One gradient-play update ``W x - alpha * Diag(g)``, with ``g_i`` player
-    i's own partial gradient at row i.
+    i's own partial gradient at row i: ``A[i] . x[i] + b_i``, one BLAS dot of
+    row i of the mapping matrix with row i of ``x_mat`` (``np.vecdot``), as
+    :func:`run` computes it.
 
     Only the diagonal (own-action) entries receive the gradient correction;
     every other entry is pure neighborhood averaging.  Takes the inputs of
@@ -310,14 +319,14 @@ class Lockstep:
     (``tol`` is 0).  Each cell is still run by its own call
     ``run(game, w, alpha, x0, max_iters, batch=group)``.  The first such
     call steps every cell from its ``x0`` as it is then: each step is one
-    stacked ``np.matmul`` of the cells' mixing matrices and one call per
-    gradient operation on the stacked states, where a run alone makes those
-    calls once per state.  Each call then returns, or raises, its own cell's
-    result and the group lets go of it.  A group forms only where
-    :meth:`fits` holds.  It then holds a chunk of stacked states within
-    ``_CHUNK_BYTES``, a block of their column means and gradients within the
-    same budget (:func:`_record_spans`), and fewer than ``_BLOCK`` trace rows
-    a cell.
+    stacked ``np.matmul`` of the cells' mixing matrices, one stacked
+    ``np.vecdot`` for their own gradients and one call per remaining gradient
+    operation on the stacked states, where a run alone makes those calls once
+    per state.  Each call then returns, or raises, its own cell's result and
+    the group lets go of it.  A group forms only where :meth:`fits` holds.  It
+    then holds a chunk of stacked states within ``_CHUNK_BYTES``, a block of
+    their column means and gradients within the same budget
+    (:func:`_record_spans`), and fewer than ``_BLOCK`` trace rows a cell.
     """
 
     def __init__(self, cells, max_iters):
@@ -451,7 +460,6 @@ def _iterate(cells, max_iters, tol, rows) -> list:
         slots = list(work[0])
         diagonals = list(np.einsum("...ii->...i", work[0]))
         grads = list(held[1])
-        scratch = work[1, 0]  # free while stepping
         a_mat = stack([game.mapping_matrix for game in games])
         b = stack([game.b for game in games])
         if solo:
@@ -502,8 +510,7 @@ def _iterate(cells, max_iters, tol, rows) -> list:
                         product(slots[k - 1], slots[k])
                         np.multiply(g, alpha_rows, step_g)
                         diagonals[k] -= step_g
-                    np.multiply(a_mat, slots[k], out=scratch)
-                    g = np.add.reduce(scratch, axis=-1, out=grads[filled + k])
+                    g = np.vecdot(a_mat, slots[k], out=grads[filled + k])
                     np.add(g, b, g)
                 worker.start(work[0, :size], work[1, :size])
 
@@ -681,7 +688,7 @@ class _NormWorker:
 def _flat_dots(stack: np.ndarray) -> np.ndarray:
     """The squared norm of each ``n x n`` matrix of a stack."""
     flat = stack.reshape(*stack.shape[:-2], -1)
-    return _row_dots(flat, flat)
+    return np.vecdot(flat, flat)
 
 
 def _slack_factors(sigma, consts, alpha, n) -> tuple:
@@ -717,7 +724,7 @@ def _trace_rows(trace, t, means, grads, cv, dist, x_star, factors) -> None:
     trace["consensus_violation"], trace["distance_to_ne"] = cv[1:].T, dist[1:].T
     pred = means[:-1] - np.expand_dims(step, -1) * grads[:-1]
     vectors = (means - x_star, grads, means[1:] - pred, pred)
-    dev, gn, miss, pred_norm = (np.sqrt(_row_dots(v, v)) for v in vectors)
+    dev, gn, miss, pred_norm = (np.sqrt(np.vecdot(v, v)) for v in vectors)
     avg_d = math.sqrt(n) * dev
     trace["avg_distance_to_ne"], trace["grad_norm"] = avg_d[1:].T, gn[1:].T
     trace["recursion_residual"] = (miss / (1.0 + pred_norm)).T

@@ -88,16 +88,15 @@ def _cgroup_memory_limits(root) -> list:
     return limits
 
 
-def _check_footprint(n: int, max_iters: int, tol: float = 0.0, arrays: int = _DENSE_ARRAYS) -> None:
+def _check_footprint(n: int, max_iters: int, arrays: int = _DENSE_ARRAYS) -> None:
     """Refuse, before anything is allocated, a run of ``n`` players and
     ``max_iters`` steps whose estimated footprint, ``arrays`` dense ``n x n``
     float64 arrays and the trace, exceeds the memory it may use
     (:func:`_physical_memory`): it would end in an out-of-memory kill, not
-    in an error.  With ``tol > 0`` the run may stop long before
-    ``max_iters``, so only the dense arrays count."""
+    in an error.  The trace counts ``max_iters + 1`` rows whatever the
+    run's ``tol``: a distance ``tol`` may never be reached."""
     limit = _physical_memory()
-    rows = max_iters + 1 if tol == 0 else 0
-    need = arrays * 8 * n * n + _TRACE_ROW_BYTES * rows
+    need = arrays * 8 * n * n + _TRACE_ROW_BYTES * (max_iters + 1)
     if limit is not None and need > limit:
         gib = need / 2**30 if need < 2**1000 else math.inf  # an int beyond floats
         raise ValueError(

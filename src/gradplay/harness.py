@@ -136,7 +136,7 @@ class ExperimentConfig:
             raise ValueError("max_iters must be >= 0")
         if not (_finite(self.tol) and self.tol >= 0):
             raise ValueError(f"tol must be finite and >= 0, got {self.tol}")
-        _check_footprint(self.n, self.max_iters, self.tol)
+        _check_footprint(self.n, self.max_iters)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -360,6 +360,7 @@ class ExperimentReport:
     lemma_min_slacks: dict
     first_violation: tuple | None
     diverged: bool
+    growing: bool
     runtime_seconds: float
     ok: bool
     trace: np.recarray = field(repr=False)  # of IterationTrace
@@ -822,6 +823,9 @@ def _measure(config, game, graph, x0, t_start, rows):
     fit = fit_tail_contraction(trace)
     fitted_ratio = math.exp(fit[0]) if fit else None
     fit_r2 = fit[1] if fit else None
+    # a tail whose squared distance fits a ratio >= 1 a step is not converging,
+    # however far it is from the divergence guard
+    growing = fitted_ratio is not None and fitted_ratio >= 1.0
 
     return ExperimentReport(
         config=config,
@@ -844,7 +848,8 @@ def _measure(config, game, graph, x0, t_start, rows):
         lemma_min_slacks=mins,
         first_violation=violation,
         diverged=diverged,
+        growing=growing,
         runtime_seconds=time.perf_counter() - t_start,
-        ok=not diverged and violation is None,
+        ok=not diverged and not growing and violation is None,
         trace=trace,
     ), w

@@ -313,13 +313,6 @@ def second_largest_singular_value(w: np.ndarray) -> float:
     return float(np.linalg.svd(deflated, compute_uv=False)[0])
 
 
-def _row_dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Dot products of ``u`` and ``v`` along the last axis, one per vector of
-    a stack.  Each is the BLAS dot that ``np.linalg.norm`` takes for a single
-    vector, so a row of a stack gets the bits of that vector alone."""
-    return (u[..., None, :] @ v[..., :, None])[..., 0, 0]
-
-
 def average_property_check(w: MixingMatrix, x: np.ndarray):
     """Both sides of the averaging contraction for one vector.
 
@@ -335,8 +328,8 @@ def average_property_check(w: MixingMatrix, x: np.ndarray):
     xbar = x.mean(axis=-1, keepdims=True)
     mixed = (w.w @ x[..., None])[..., 0] - xbar
     spread = x - xbar
-    lhs = np.sqrt(_row_dots(mixed, mixed))
-    rhs = w.sigma * np.sqrt(_row_dots(spread, spread))
+    lhs = np.sqrt(np.vecdot(mixed, mixed))
+    rhs = w.sigma * np.sqrt(np.vecdot(spread, spread))
     if x.ndim == 1:
         return float(lhs), float(rhs)
     return lhs, rhs

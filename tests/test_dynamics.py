@@ -1,11 +1,15 @@
 import math
+import os
+import subprocess
 import sys
 import threading
 import tracemalloc
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -51,8 +55,10 @@ def half_mixing():
 
 
 def own_gradient(game, x):
-    """Each player's own partial gradient at her own row of ``x``."""
-    return (game.mapping_matrix * x).sum(axis=1) + game.b
+    """Each player's own partial gradient at player i's row of ``x``: the
+    1-D dot of row i of the mapping matrix with row i of ``x``, plus ``b_i``."""
+    a = game.mapping_matrix
+    return np.array([a[i] @ x[i] for i in range(game.n)]) + game.b
 
 
 def step_gradient(x_mat, w, game):
@@ -123,6 +129,106 @@ class TestDiagGradient:
         ):
             with pytest.raises(TypeError, match="expected a MixingMatrix, got ndarray"):
                 call()
+
+
+#: Unit roundoff of float64.
+UNIT_ROUNDOFF = 2.0**-53
+
+
+def exact_own_gradient(game, x, i):
+    """dJ_i/dx_i at row i of ``x``, exactly: ``sum_j A[i, j] x[i, j] + b_i``
+    over the floats' rational values."""
+    a = game.mapping_matrix
+    return sum(Fraction(a[i, j]) * Fraction(x[i, j]) for j in range(game.n)) + Fraction(game.b[i])
+
+
+class TestOwnGradientKernel:
+    """The own gradients are one BLAS dot a row (np.vecdot): right to within a
+    dot product's rounding bound, the bits of the per-row 1-D dot however
+    the operands are stacked or strided, and the same bytes for one or two
+    BLAS threads."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(
+        n=st.integers(2, 120),
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.sampled_from([1e-3, 1.0, 1e3]),
+    )
+    @example(n=90, seed=5, scale=1.0)
+    @example(n=91, seed=6, scale=1e3)
+    @example(n=120, seed=7, scale=1e-3)
+    def test_within_a_dot_product_bound_of_the_exact_gradient(self, n, seed, scale):
+        # n crosses 91, where run()'s chunk becomes one state and
+        # _own_gradient computes each state's gradients
+        game = random_game(n, seed % 1000)
+        x = scale * np.random.default_rng(seed).uniform(-1.0, 1.0, (n, n))
+        w = metropolis_weights(ring(n) if n >= 3 else complete(n))
+        g = dynamics._own_gradient(game, x)
+        g_step = step_gradient(x, w, game)  # through two more roundings
+        mixed = np.abs(np.diagonal(w.w @ x))
+        a = game.mapping_matrix
+        for i in range(n):
+            exact = exact_own_gradient(game, x, i)
+            # |fl(a . x) - a . x| <= gamma_n sum |a_j x_j|, in any order of
+            # the sum, and adding b_i rounds once more
+            magnitude = float(np.abs(a[i]) @ np.abs(x[i])) + abs(game.b[i])
+            bound = (n + 2) * UNIT_ROUNDOFF * magnitude
+            assert abs(Fraction(g[i]) - exact) <= bound
+            # step() subtracts g_i from (W x)_ii, and step_gradient subtracts
+            # that from (W x)_ii again
+            slack = 4 * UNIT_ROUNDOFF * (mixed[i] + abs(g[i]))
+            assert abs(Fraction(g_step[i]) - exact) <= bound + slack
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 20, 64, 90, 91, 120, 250, 1000])
+    def test_stacked_and_strided_rows_equal_the_one_dimensional_dot(self, n):
+        rng = np.random.default_rng(n)
+        u, v = rng.uniform(-1.0, 1.0, (2, 3, 5, n))
+        buffer = np.empty((3, 5, 2 * n))
+        buffer[..., ::2] = v  # strided: every other entry of a buffer
+        x_star = rng.uniform(-1.0, 1.0, n)  # broadcast over the stack
+        cases = [(u, v), (u, buffer[..., ::2]), (u[:, :1], v), (u - x_star, u - x_star)]
+        for left, right in cases:
+            rows = np.vecdot(left, right)
+            left, right = np.broadcast_arrays(left, right)
+            for index in np.ndindex(rows.shape):
+                assert rows[index] == left[index] @ right[index]
+        # written through out= into a row of a stack, as run()'s chunk path does
+        held = np.full((4, 3, 5, n), np.nan)
+        np.vecdot(u, v, out=held[2, :, :, 0])
+        for index in np.ndindex(3, 5):
+            assert held[(2, *index, 0)] == u[index] @ v[index]
+
+    def test_gradient_bytes_do_not_depend_on_blas_threads(self):
+        # OpenBLAS threads a dot only above 10,000 entries, so rows of up to
+        # 2000 do not; step() at n = 1000 applies a tree's W through CSR.
+        # (A dense W @ x, as at n = 150, can differ between thread counts.)
+        script = (
+            "import hashlib\n"
+            "from gradplay import initial_estimates, metropolis_weights, random_game, random_tree, step\n"
+            "from gradplay.dynamics import _own_gradient\n"
+            "digest = lambda a: hashlib.sha256(a.tobytes()).hexdigest()\n"
+            "for n in (150, 1000):\n"
+            "    game, x = random_game(n, 3), initial_estimates(n, 2)\n"
+            "    print(n, digest(_own_gradient(game, x)))\n"
+            "w = metropolis_weights(random_tree(1000, 1))\n"
+            "print('step', digest(step(x, w, 0.05, game)))\n"
+        )
+        src = str(Path(dynamics.__file__).resolve().parents[1])
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(
+                os.environ,
+                PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""),
+                OPENBLAS_NUM_THREADS=threads,
+                OMP_NUM_THREADS=threads,
+            )
+            proc = subprocess.run(
+                [sys.executable, "-c", script],
+                capture_output=True, text=True, timeout=120, env=env,
+            )
+            assert proc.returncode == 0, proc.stderr
+            digests.append(proc.stdout)
+        assert digests[0] == digests[1] and digests[0].count("\n") == 3
 
 
 class TestStep:

@@ -33,19 +33,19 @@ GOLDEN = {
     "paper-sim/graph.edges": "00cf34aa1feadbe5b6c0f82b237565eb8aed03efcb6bc9c218476ce0b32dce5e",
     "paper-sim/mixing.csv": "a7c0b256f967b8ed891a2a41b6786f4ad3621f225d6464143fa6aec8ba12403b",
     "paper-sim/plot.py": "c8e554ff18ef47d112a4108dad9ceec3cc556d43425ec138b6c4b261cb87dd99",
-    "paper-sim/summary.json": "eb35f0d385d0653e1c968d13ee7b6ef50ff050ca83f4022052813f76f6fcc09b",
-    "paper-sim/summary.txt": "a6c219463d11fbc6db27e17fd195f8619d916683bfcde9a8239e1b71b6210c4c",
-    "paper-sim/trace.csv": "0db8f9a9508bd1b0371a72c238cabcb042d112fc0e45d928dae4267a58eb5aee",
+    "paper-sim/summary.json": "36d83f0d19671fac34e9d2c9432607d6bbddbd1a1d3188e558664a61a777e6c5",
+    "paper-sim/summary.txt": "7181ba793fc7da9dc79a5020eb9c5afa1fd733266c61408922dd8cf42532cfd5",
+    "paper-sim/trace.csv": "6d8486c3b252885221206ee727849e1950f937df2e8d598510bee429830beded",
     "tree-250/game.json": "1d6f46cc32f4bf8cd12fc7877c54da4ab1b1e83a7860ba38d10ac1fa9275a201",
     "tree-250/graph.edges": "2932a0c5d6474de93fafa89048708b533164b5db8d76f7f9643c966bd3548271",
     "tree-250/mixing.csv": "9b90cc59a091b4f147f77c0d68e4fd40d3efae347145a5323aacd8eb34e78438",
     "tree-250/plot.py": "c8e554ff18ef47d112a4108dad9ceec3cc556d43425ec138b6c4b261cb87dd99",
-    "tree-250/summary.json": "9d8ed97887c7a236d89ad6ade173586cf95798928c72f605490e950a2c337458",
-    "tree-250/summary.txt": "27fa678a69f30022002d9bfa280a34b58ebf617b443706dbeb597f8e04139a95",
-    "tree-250/trace.csv": "1aaec73aec162c6fa8bc126aa52c3781ca86f053db92b90b4c0fd8792b57f883",
-    "audit/audit.json": "067255e256d9028875f7f865923ea77534b44f17b2340e99f9ddce6c2dde11cb",
+    "tree-250/summary.json": "360f1605911288a497a5758e2703775a3a80a56a6a3d23d08d1c579d480507e7",
+    "tree-250/summary.txt": "dff7439c6c9d37f7f5a6757119912675e59b6440410c0b38534650137939ca02",
+    "tree-250/trace.csv": "9d38bc02fa3191f97d9cf12c2431b3d58a48dda9326e37525fbf2aa06b30c5d6",
+    "audit/audit.json": "bead5f22bafda2d486bdb569eeca7c3be5144f1e441fba09ac7e015b1b7bdb77",
     "audit/audit.txt": "f028c2e44c9e7dac0430f72d699215b8e9761d7832136d0f3a7b497ffd29d448",
-    "audit-diverging/audit.json": "2f71a74f7773ad81ad900a47b45567cbb0b5657dec2ef96508a6b1446ef19e5b",
+    "audit-diverging/audit.json": "21edc2e978d38998c0a2a690c2ead1a0c1dbd435e5716e40dbb54b5ea1e6381a",
     "audit-diverging/audit.txt": "3fc897558fccd6f4940ba53205778356934b8e796976a7aac2df1ea6551b8bf0",
 }
 

@@ -828,8 +828,10 @@ class TestTraceHelpers:
 
 
 def own_gradient(game, x):
-    """Each player's own partial gradient at her own row of ``x``."""
-    return (game.mapping_matrix * x).sum(axis=1) + game.b
+    """Each player's own partial gradient at player i's row of ``x``: the
+    1-D dot of row i of the mapping matrix with row i of ``x``, plus ``b_i``."""
+    a = game.mapping_matrix
+    return np.array([a[i] @ x[i] for i in range(game.n)]) + game.b
 
 
 def check_block_columns(trace, game, w, alpha, x0):
@@ -1385,6 +1387,28 @@ class TestCli:
         assert proc.returncode == 1
         assert proc.stderr == "check failed: divergence guard tripped\n"
 
+    def test_growing_run_is_not_ok(self, tmp_path, capsys):
+        # paper-sim's game, tree and x0 just above their stability limit
+        # (about 0.823798): the error grows about 1.00015 a step, so the
+        # divergence guard would trip only after about 1.8e5 steps
+        doc = dict(paper_sim_config().to_dict(), alpha=0.8239, max_iters=20_000)
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(config_path), "--out", str(out)]) == 1
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["fitted_contraction_ratio"] > 1.0
+        assert summary["growing"] is True and summary["ok"] is False
+        assert summary["diverged"] is False and summary["first_violation"] is None
+        assert "\ngrowing: True\n" in (out / "summary.txt").read_text()
+        captured = capsys.readouterr()
+        ratio = summary["fitted_contraction_ratio"]
+        assert captured.err == f"check failed: the error grows (fitted contraction ratio {ratio!r} >= 1)\n"
+        # just below the limit the same run contracts
+        report = run_experiment(ExperimentConfig(**dict(doc, alpha=0.8237)))
+        assert report.fitted_contraction_ratio < 1.0
+        assert report.growing is False and report.ok is True
+
     def test_json_artifacts_are_strict(self, tmp_path):
         # a diverged run and a diverged audit cell hold non-finite values:
         # the JSON files write null, the text files keep repr
@@ -1614,12 +1638,26 @@ class TestCli:
             assert err.startswith("error: n=20 and max_iters=1000000000000000 need an estimated")
         assert not out.exists()
 
-    def test_tol_stopped_horizon_is_not_counted(self, tmp_path, capsys):
-        # a tol stop ends the run long before max_iters: only n is checked
+    def test_tol_stopped_horizon_is_counted(self, tmp_path, monkeypatch, capsys):
+        # a distance tol may never be reached (1e-300 is not): the guard
+        # counts the whole horizon, about 119 GiB of trace rows here
+        monkeypatch.setattr(footprint, "_physical_memory", lambda: 2**33)
+        doc = {"n": 5, "max_iters": 10**9, "tol": 1e-300}
+        with pytest.raises(ValueError, match="n=5 and max_iters=1000000000 need an estimated"):
+            ExperimentConfig(**doc).validate()
         config_path = tmp_path / "config.json"
-        config_path.write_text('{"n": 20, "alpha": 0.05, "max_iters": 1000000000000000, "tol": 1e-6}')
-        assert main(["run", "--config", str(config_path), "--out", str(tmp_path / "o")]) == 0
-        summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+        config_path.write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        err = self.refused_before_allocating(
+            ["run", "--config", str(config_path), "--out", str(out)], monkeypatch, capsys
+        )
+        assert err.startswith("error: n=5 and max_iters=1000000000 need an estimated")
+        assert not out.exists()
+        # a tol run whose horizon fits still stops long before it
+        monkeypatch.undo()
+        config_path.write_text('{"n": 20, "alpha": 0.05, "max_iters": 1000000, "tol": 1e-6}')
+        assert main(["run", "--config", str(config_path), "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
         assert summary["iterations"] < 20_000 and summary["final_distance"] <= 1e-6
         capsys.readouterr()
 
